@@ -23,6 +23,7 @@ from .core import (
     InternalError,
     Instance,
     ValidationError,
+    _check_symmetric_bounded,
     dumps_instance_json,
     dumps_instance_text,
     exact_best_pairing,
@@ -162,16 +163,25 @@ def _load_solve_input(path: Path):
     """Returns (matrix, n, bounds, instance_or_none)."""
     text = path.read_text()
     if text.lstrip().startswith("{"):
-        data = json.loads(text)
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ValidationError(f"malformed JSON in {path}: {exc}") from exc
         if isinstance(data, dict) and "tilde" in data:
-            matrix = np.asarray(data["tilde"], dtype=np.float64)
-            n = int(data["n"])
-            if matrix.shape != (n, n):
-                raise ValidationError(f"shadow matrix shape {matrix.shape} does not match n={n}")
-            bounds = None
-            if "c_min" in data and "c_max" in data:
-                bounds = (float(data["c_min"]), float(data["c_max"]))
-            return matrix, n, bounds, None
+            try:
+                n = int(data["n"])
+                matrix = np.asarray(data["tilde"], dtype=np.float64)
+                bounds = None
+                if "c_min" in data and "c_max" in data:
+                    bounds = (float(data["c_min"]), float(data["c_max"]))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ValidationError(f"malformed shadow file {path}: {exc!r}") from exc
+            if bounds is not None and not np.isfinite(bounds).all():
+                raise ValidationError(f"bounds c_min={bounds[0]}, c_max={bounds[1]} must be finite")
+            # validates shape and the zero first row and column
+            tilde = TildeMatrix(n=n, t=matrix)
+            _check_symmetric_bounded(tilde.t, n, -np.inf, np.inf)
+            return tilde.t, n, bounds, None
         instance = loads_instance_json(text)
     else:
         instance = loads_instance_text(text)

@@ -10,6 +10,7 @@ ground truth every heuristic is measured against.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -151,6 +152,10 @@ def _check_symmetric_bounded(c: np.ndarray, n: int, c_min, c_max) -> None:
                         f"c[{i + 1}][{j + 1}]={c[i][j]} is outside [{c_min}, {c_max}]"
                     )
         return
+    bad = np.argwhere(~np.isfinite(c) & ~np.eye(n, dtype=bool))
+    if len(bad):
+        i, j = bad[0]
+        raise ValidationError(f"c[{i + 1}][{j + 1}]={c[i][j]} is not finite")
     mism = np.argwhere(c != c.T)
     if len(mism):
         i, j = mism[0]
@@ -185,6 +190,8 @@ class Instance:
         c = np.asarray(self.c)
         if c.shape != (self.n, self.n):
             raise ValidationError(f"matrix shape {c.shape} does not match n={self.n}")
+        if not (math.isfinite(self.c_min) and math.isfinite(self.c_max)):
+            raise ValidationError(f"bounds c_min={self.c_min}, c_max={self.c_max} must be finite")
         if self.c_min > self.c_max:
             raise ValidationError(f"c_min={self.c_min} exceeds c_max={self.c_max}")
         if c.dtype != object:

@@ -10,11 +10,19 @@ top of an ascending-adjacent tail of higher pairs,
     T   = {1,2}, {3,l-1}, {4,l} plus the ascending completion of {5..l-2}.
 
 Every shadow entry except the per-level unknowns u_l (the (l-1, l) entries)
-is owned by exactly one Y or Z observation, which makes recovery a single
-bottom-up sweep of affine forms in the u_l plus one small exact solve of the
-T equations. That sweep is literally a block-triangular Gaussian elimination
-of the full observation matrix, so its success certifies full rank in exact
-arithmetic; a vanishing pivot raises, never passes silently.
+is owned by exactly one Y or Z observation, and a Y/Z row refers only to
+entries of lower levels, so given the u_l one bottom-up sweep resolves every
+entry. The completion of {2..l-2} minus a is a prefix of the even-start pairs
+(2,3), (4,5), ..., at most one bridging pair (a-1, a+1) and a suffix of the
+odd-start pairs, so a whole level costs a few array operations.
+
+Recovery is linear in the observations and the u_l, and the T equations'
+coefficient matrix in the u_l is I + J (identity plus all-ones). Execution
+therefore sweeps once with u = 0 to get the T residuals r, solves
+u = -r + sum(r) / (m + 1) in closed form (m levels), and sweeps again with
+that u. Plan construction certifies, in integer arithmetic, that the
+coefficient matrix is exactly I + J, which is nonsingular (determinant m + 1)
+and makes the observation vectors full rank over the rationals.
 """
 
 from __future__ import annotations
@@ -68,155 +76,70 @@ def _plan_pairings(n: int) -> list[Pairing]:
     return out
 
 
-class _Affine:
-    """const + sum(coef[l] * u_l) with exact rational coefficients."""
+def _sweep(n: int, values: np.ndarray, u: np.ndarray, zero) -> tuple[np.ndarray, np.ndarray]:
+    """Resolve every entry from the observations and given u_l, bottom up.
 
-    __slots__ = ("const", "coefs")
-
-    def __init__(self, const, coefs: dict[int, Fraction] | None = None):
-        self.const = const
-        self.coefs = coefs or {}
-
-    def __add__(self, other: "_Affine") -> "_Affine":
-        coefs = dict(self.coefs)
-        for k, v in other.coefs.items():
-            coefs[k] = coefs.get(k, Fraction(0)) + v
-        return _Affine(self.const + other.const, coefs)
-
-    def __sub__(self, other: "_Affine") -> "_Affine":
-        coefs = dict(self.coefs)
-        for k, v in other.coefs.items():
-            coefs[k] = coefs.get(k, Fraction(0)) - v
-        return _Affine(self.const - other.const, coefs)
-
-    def resolve(self, u_values: dict[int, object]):
-        value = self.const
-        for k, coef in self.coefs.items():
-            if coef:
-                value = value + coef * u_values[k]
-        return value
-
-
-class _LinearForm:
-    """Sparse rational combination of observation slots, used symbolically."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict[int, Fraction] | None = None):
-        self.terms = terms or {}
-
-    @classmethod
-    def unit(cls, index: int) -> "_LinearForm":
-        return cls({index: Fraction(1)})
-
-    def _merge(self, other: "_LinearForm", sign: int) -> "_LinearForm":
-        terms = dict(self.terms)
-        for k, v in other.terms.items():
-            nv = terms.get(k, Fraction(0)) + sign * v
-            if nv:
-                terms[k] = nv
-            else:
-                terms.pop(k, None)
-        return _LinearForm(terms)
-
-    def __add__(self, other):
-        return self._merge(other, 1)
-
-    def __sub__(self, other):
-        return self._merge(other, -1)
-
-    def __mul__(self, scalar):
-        scalar = Fraction(scalar)
-        if not scalar:
-            return _LinearForm({})
-        return _LinearForm({k: v * scalar for k, v in self.terms.items()})
-
-    __rmul__ = __mul__
-
-    def evaluate(self, values: Sequence):
-        total = 0
-        for k, coef in self.terms.items():
-            total = total + coef * values[k]
-        return total
+    `values` has one row per planned pairing and `u` one row per level; any
+    trailing axes are independent right-hand sides. Returns the 1-based upper
+    triangle t[i, j] (i < j) and the residuals of the T equations, which
+    vanish exactly when `u` is the true one.
+    """
+    batch = values.shape[1:]
+    t = np.full((n + 1, n + 1) + batch, zero, dtype=values.dtype)
+    zero_row = np.full((1,) + batch, zero, dtype=values.dtype)
+    # tau[k] = sum of u_l over levels above the k-th; tau[0] serves the base
+    tau = np.concatenate([np.cumsum(u[::-1], axis=0)[::-1], zero_row])
+    odd = np.arange(5, n, 2)
+    t[odd, odd + 1] = u
+    t[3, 4], t[2, 4], t[2, 3] = values[0] - tau[0], values[1] - tau[0], values[2] - tau[0]
+    residuals = np.full(u.shape, zero, dtype=values.dtype)
+    pos = 3
+    for k, level in enumerate(range(6, n + 1, 2)):
+        a = np.arange(2, level - 1)
+        adjacent = t[a[:-1], a[:-1] + 1]  # t[s, s+1] for s = 2..level-3
+        even_prefix = np.concatenate([zero_row, np.cumsum(adjacent[0::2], axis=0)])
+        odd_suffix = np.concatenate([np.cumsum(adjacent[1::2][::-1], axis=0)[::-1], zero_row])
+        rest = even_prefix[(a - 2) // 2] + odd_suffix[(a - 1) // 2]
+        rest[1::2] += t[a[1::2] - 1, a[1::2] + 1]
+        rest += tau[k + 1]
+        width = len(a)
+        t[a, level - 1] = values[pos : pos + width] - rest
+        t[a, level] = values[pos + width : pos + 2 * width] - rest
+        pos += 2 * width
+        residuals[k] = t[3, level - 1] + t[4, level] + odd_suffix[1] + tau[k + 1] - values[pos]
+        pos += 1
+    return t, residuals
 
 
-def _recover_entries(n: int, values: Sequence, zero) -> dict[tuple[int, int], object]:
+def _recover_entries(n: int, values: Sequence, zero) -> np.ndarray:
     """Solve the plan's observation system for every shadow entry.
 
-    `values` is parallel to `_plan_pairings(n)`; `zero` is the additive
-    identity of their type (0.0, Fraction(0), or an empty symbolic form).
-    Raises PlanRankError when the T equations are singular.
+    `values` is parallel to `_plan_pairings(n)`, optionally with trailing
+    axes of independent right-hand sides; `zero` is 0.0 for float arithmetic
+    or Fraction(0) for exact arithmetic (then `values` must be Fractions).
+    Returns the 1-based upper triangle of the shadow matrix.
     """
-    levels = list(range(6, n + 1, 2))
+    dtype = np.float64 if _is_floatish(zero) else object
+    values = np.asarray(values, dtype=dtype)
+    if len(values) != plan_size(n):
+        raise InternalError(f"plan for n={n} needs {plan_size(n)} observations, got {len(values)}")
+    m = len(range(6, n + 1, 2))
+    u = np.full((m,) + values.shape[1:], zero, dtype=dtype)
+    _, r = _sweep(n, values, u, zero)
+    u = r.sum(axis=0) / (m + 1) - r
+    t, _ = _sweep(n, values, u, zero)
+    return t
 
-    def tau(level: int) -> _Affine:
-        return _Affine(zero, {k: Fraction(1) for k in levels if k > level})
 
-    forms: dict[tuple[int, int], _Affine] = {}
-    forms[(3, 4)] = _Affine(values[0]) - tau(4)
-    forms[(2, 4)] = _Affine(values[1]) - tau(4)
-    forms[(2, 3)] = _Affine(values[2]) - tau(4)
+def _t_coefficients(n: int) -> np.ndarray:
+    """Integer coefficient matrix of the T equations in the u_l.
 
-    def form_of(pair: tuple[int, int]) -> _Affine:
-        if pair in forms:
-            return forms[pair]
-        x, y = pair
-        if x == y - 1 and y in levels:
-            return _Affine(zero, {y: Fraction(1)})
-        raise InternalError(f"entry {pair} referenced before it was resolved")
-
-    idx = 3
-    equations: list[_Affine] = []
-    for level in levels:
-        lower = set(range(2, level - 1))
-        # Y rows own entry (a, level-1); Z rows own entry (a, level).
-        for owner_hi in (level - 1, level):
-            for a in range(2, level - 1):
-                rest = _Affine(zero)
-                for p in _ascending_pairs(lower - {a}):
-                    rest = rest + form_of(p)
-                coord = (a, owner_hi)
-                if coord in forms:
-                    raise InternalError(f"entry {coord} resolved twice")
-                forms[coord] = _Affine(values[idx]) - rest - tau(level)
-                idx += 1
-        residual = forms[(3, level - 1)] + forms[(4, level)] + tau(level) - _Affine(values[idx])
-        for p in _ascending_pairs(range(5, level - 1)):
-            residual = residual + form_of(p)
-        equations.append(residual)
-        idx += 1
-    if idx != len(values):
-        raise InternalError(f"consumed {idx} of {len(values)} observations")
-
-    # Solve the T equations (one per level) for the u_l by exact elimination
-    # on the rational coefficients; right-hand sides stay in the value type.
-    rows = [[eq.coefs.get(k, Fraction(0)) for k in levels] for eq in equations]
-    rhs = [zero - eq.const for eq in equations]
-    m = len(levels)
-    for col in range(m):
-        pivot = next((r for r in range(col, m) if rows[r][col] != 0), None)
-        if pivot is None:
-            raise PlanRankError(
-                f"observation plan for n={n} is rank deficient at level {levels[col]}"
-            )
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        rhs[col], rhs[pivot] = rhs[pivot], rhs[col]
-        inv = Fraction(1) / rows[col][col]
-        rows[col] = [v * inv for v in rows[col]]
-        rhs[col] = inv * rhs[col]
-        for r in range(m):
-            if r != col and rows[r][col]:
-                factor = rows[r][col]
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
-                rhs[r] = rhs[r] - factor * rhs[col]
-    u_values = {level: rhs[k] for k, level in enumerate(levels)}
-
-    entries: dict[tuple[int, int], object] = {}
-    for level in levels:
-        entries[(level - 1, level)] = u_values[level]
-    for coord, form in forms.items():
-        entries[coord] = form.resolve(u_values)
-    return entries
+    Column k holds the residuals of a sweep with every observation 0 and u
+    the k-th unit vector; the constant part is then 0, so the map is exact.
+    """
+    m = len(range(6, n + 1, 2))
+    _, residuals = _sweep(n, np.zeros((plan_size(n), m), dtype=np.int64), np.eye(m, dtype=np.int64), 0)
+    return residuals
 
 
 @dataclass(frozen=True)
@@ -238,31 +161,33 @@ class ObservationPlan:
 
     @cached_property
     def derivations(self) -> dict[str, tuple[tuple[Fraction, int], ...]]:
-        symbols = [_LinearForm.unit(i) for i in range(len(self.pairings))]
-        entries = _recover_entries(self.n, symbols, _LinearForm({}))
+        # recover once per observation slot: column s is the response to
+        # observation s alone, so entry (i, j) is sum(t[i, j, s] * v_s)
+        unit = np.full((self.size, self.size), Fraction(0), dtype=object)
+        np.fill_diagonal(unit, Fraction(1))
+        t = _recover_entries(self.n, unit, Fraction(0))
 
-        def combo(form: _LinearForm) -> tuple[tuple[Fraction, int], ...]:
-            return tuple((coef, idx) for idx, coef in sorted(form.terms.items()))
+        def combo(coefs: np.ndarray) -> tuple[tuple[Fraction, int], ...]:
+            return tuple((coefs[idx], int(idx)) for idx in np.flatnonzero(coefs != 0))
 
         out: dict[str, tuple[tuple[Fraction, int], ...]] = {
             # the anchor pairing is scheduled first, so its total is direct
             "anchor": ((Fraction(1), 0),),
         }
         for j in range(4, self.n + 1):
-            out[f"[1,{j},3,2]"] = combo(entries[(2, j)] - entries[(2, 3)])
+            out[f"[1,{j},3,2]"] = combo(t[2, j] - t[2, 3])
         for j in range(4, self.n + 1):
             for i in range(3, j):
-                out[f"[1,{i},2,{j}]"] = combo(entries[(i, j)] - entries[(2, j)])
+                out[f"[1,{i},2,{j}]"] = combo(t[i, j] - t[2, j])
         return out
 
 
 def minimal_observation_plan(n: int) -> ObservationPlan:
     """Build and certify a schedule of exactly (n-1)(n-2)/2 observations.
 
-    The certification runs the recovery sweep in exact arithmetic: it checks
-    that every shadow entry is resolved exactly once and that the per-level
-    equations are nonsingular, which together establish full rank of the
-    observation vectors over the rationals.
+    The certification checks that the pairings are distinct and that the
+    T equations' coefficient matrix, computed in integers, is exactly I + J:
+    nonsingular, and the system the closed-form level solve inverts.
     """
     if n % 2 != 0 or n < 4:
         raise ValidationError(f"element count must be even and >= 4, got {n}")
@@ -273,7 +198,13 @@ def minimal_observation_plan(n: int) -> ObservationPlan:
             f"plan construction for n={n} produced {len(pairings)} pairings, "
             f"expected {expected} distinct"
         )
-    _recover_entries(n, [Fraction(0)] * expected, Fraction(0))
+    coefficients = _t_coefficients(n)
+    m = len(coefficients)
+    if not np.array_equal(coefficients, np.eye(m, dtype=np.int64) + 1):
+        raise PlanRankError(
+            f"observation plan for n={n}: the T equations are not the nonsingular "
+            f"I + J system the closed-form level solve inverts"
+        )
     return ObservationPlan(n=n, pairings=tuple(pairings))
 
 
@@ -284,14 +215,8 @@ def execute_plan(oracle: ObservationOracle, plan: ObservationPlan) -> TildeMatri
     values = [oracle.observe(p) for p in plan.pairings]
     if any(_is_floatish(v) for v in values):
         zero: object = 0.0
-        t = np.zeros((plan.n, plan.n), dtype=np.float64)
     else:
         zero = Fraction(0)
         values = [Fraction(v) for v in values]
-        t = np.empty((plan.n, plan.n), dtype=object)
-        t[:, :] = Fraction(0)
-    entries = _recover_entries(plan.n, values, zero)
-    for (i, j), value in entries.items():
-        t[i - 1][j - 1] = value
-        t[j - 1][i - 1] = value
-    return TildeMatrix(n=plan.n, t=t)
+    upper = _recover_entries(plan.n, values, zero)[1:, 1:]
+    return TildeMatrix(n=plan.n, t=upper + upper.T)

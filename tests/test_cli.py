@@ -211,3 +211,60 @@ class TestUsageErrors:
     def test_help_exits_zero(self, capsys):
         assert run_cli("--help") == 0
         assert "pairing-tsp" in capsys.readouterr().out
+
+
+class TestSolveInputHardening:
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ('{"n": 4, "tilde": [[0, 0', "malformed JSON"),
+            ('{"tilde": [[0, 0], [0, 0]]}', "malformed shadow file"),
+            ('{"n": 2, "tilde": [[0, 0], [0]]}', "malformed shadow file"),
+        ],
+    )
+    def test_malformed_json_exits_one(self, tmp_path, capsys, text, message):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        assert run_cli("solve", str(bad), "--algo", "pnn") == 1
+        err = capsys.readouterr().err
+        assert message in err
+        assert "internal error" not in err
+
+    def test_shadow_with_nonzero_first_row_rejected(self, instance_file, tmp_path, capsys):
+        shadow = tmp_path / "shadow.json"
+        assert run_cli("observe", str(instance_file), "--out", str(shadow)) == 0
+        data = json.loads(shadow.read_text())
+        data["tilde"][0][2] = 5.0
+        shadow.write_text(json.dumps(data))
+        assert run_cli("solve", str(shadow), "--algo", "pnn") == 1
+        assert "first row and column" in capsys.readouterr().err
+
+    def test_nan_entry_named_not_called_asymmetric(self, tmp_path, capsys):
+        path = tmp_path / "nan.txt"
+        path.write_text("4 0 10\n1 2 nan\n3 4\n5\n")
+        assert run_cli("solve", str(path), "--algo", "pnn") == 1
+        err = capsys.readouterr().err
+        assert "c[1][4]=nan is not finite" in err
+        assert "symmetric" not in err
+
+    def test_nan_bound_rejected(self, tmp_path, capsys):
+        path = tmp_path / "nan_bound.txt"
+        path.write_text("4 nan 10\n1 2 3\n3 4\n5\n")
+        assert run_cli("solve", str(path), "--algo", "pnn") == 1
+        assert "must be finite" in capsys.readouterr().err
+        shadow = tmp_path / "nan_bound.json"
+        t = [[0, 0, 0, 0], [0, 0, 5, 1], [0, 5, 0, 2], [0, 1, 2, 0]]
+        shadow.write_text(json.dumps({"n": 4, "tilde": t, "c_min": float("nan"), "c_max": 10}))
+        assert run_cli("solve", str(shadow), "--algo", "pnn") == 1
+        assert "must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "entry,message", [(float("nan"), "c[2][3]=nan is not finite"), (7.0, "not symmetric at c[2][3]")]
+    )
+    def test_bad_shadow_entry_named(self, tmp_path, capsys, entry, message):
+        shadow = tmp_path / "shadow.json"
+        t = [[0, 0, 0, 0], [0, 0, 5, 1], [0, 5, 0, 2], [0, 1, 2, 0]]
+        t[1][2] = entry
+        shadow.write_text(json.dumps({"n": 4, "tilde": t, "c_min": 0, "c_max": 10}))
+        assert run_cli("solve", str(shadow), "--algo", "pnn") == 1
+        assert message in capsys.readouterr().err

@@ -4,7 +4,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from pairing_tsp.core import ValidationError, enumerate_pairings, total_compatibility
+from pairing_tsp.core import Pairing, ValidationError, enumerate_pairings, total_compatibility
 from pairing_tsp.observation import (
     anchor_pairing,
     definitional_tilde,
@@ -166,3 +166,108 @@ def test_recovery_rejects_wrong_observation_count():
 
     with pytest.raises((InternalError, IndexError)):
         _recover_entries(6, [Fraction(0)] * 4, Fraction(0))
+
+
+def round_robin_pairings(n: int):
+    """The n-1 rounds of the circle method; together they hold every pair once."""
+    out = []
+    for r in range(n - 1):
+        pairs = [(r + 1, n)]
+        for k in range(1, n // 2):
+            pairs.append(((r + k) % (n - 1) + 1, (r - k) % (n - 1) + 1))
+        out.append(Pairing(pairs))
+    return out
+
+
+def coordinate_vector(n: int, pairs, signs) -> list[Fraction]:
+    """Signed 0/1 vector over the free shadow coordinates (pairs without 1)."""
+    coords = {pair: idx for idx, pair in enumerate(combinations(range(2, n + 1), 2))}
+    vec = [Fraction(0)] * len(coords)
+    for pair, sign in zip(pairs, signs):
+        pair = tuple(sorted(pair))
+        if 1 not in pair:
+            vec[coords[pair]] += sign
+    return vec
+
+
+class TestRecoveryAtScale:
+    def test_float_totals_preserved_n200(self):
+        from pairing_tsp.solvers import solve_random
+
+        n = 200
+        inst = make_instance(n, seed=200)
+        oracle = ObservationOracle(inst)
+        plan = minimal_observation_plan(n)
+        tilde = execute_plan(oracle, plan)
+        assert oracle.query_count == plan_size(n)
+        tol = 1e-9 * (n / 2) * inst.c_max
+        rounds = round_robin_pairings(n)
+        assert len({pair for p in rounds for pair in p.pairs}) == n * (n - 1) // 2
+        checks = rounds + [solve_random(n, seed).pairing for seed in range(20)]
+        for pairing in checks:
+            assert abs(tilde.total(pairing) - total_compatibility(inst, pairing)) <= tol
+
+    def test_exact_matches_definitional_n60_and_float_copy_agrees(self):
+        from pairing_tsp.core import Instance
+
+        n = 60
+        inst = make_integer_instance(n, seed=60)
+        plan = minimal_observation_plan(n)
+        exact = execute_plan(ObservationOracle(inst), plan)
+        direct = definitional_tilde(inst.c)
+        assert exact.t.dtype == object
+        assert all(type(v) is Fraction for v in exact.t.flat)
+        assert all(exact.t[i][j] == direct.t[i][j] for i in range(n) for j in range(n))
+
+        float_copy = Instance(n=n, c=inst.c.astype(np.float64), c_min=inst.c_min, c_max=inst.c_max)
+        floats = execute_plan(ObservationOracle(float_copy), plan)
+        assert floats.t.dtype == np.float64
+        expected = exact.t.astype(np.float64)
+        assert np.abs(floats.t - expected).max() <= 1e-9 * inst.c_max
+
+    def test_observes_each_planned_pairing_once_in_order(self):
+        inst = make_instance(12, seed=12)
+        oracle = ObservationOracle(inst, log=True)
+        plan = minimal_observation_plan(12)
+        execute_plan(oracle, plan)
+        assert [pairing for pairing, _ in oracle.query_log] == list(plan.pairings)
+
+
+class TestCertification:
+    def test_singular_t_coefficients_raise(self, monkeypatch):
+        import pairing_tsp.plan as plan_mod
+
+        def singular(n):
+            m = len(range(6, n + 1, 2))
+            return np.ones((m, m), dtype=np.int64)  # rank one
+
+        monkeypatch.setattr(plan_mod, "_t_coefficients", singular)
+        with pytest.raises(PlanRankError, match="T equations"):
+            minimal_observation_plan(10)
+
+    @pytest.mark.parametrize("n", [6, 8, 10, 12, 20])
+    def test_t_coefficients_are_identity_plus_ones(self, n):
+        from pairing_tsp.plan import _t_coefficients
+
+        m = len(range(6, n + 1, 2))
+        assert np.array_equal(_t_coefficients(n), np.eye(m, dtype=np.int64) + 1)
+
+    @pytest.mark.parametrize("n", [6, 8, 10, 12])
+    def test_derivations_reproduce_rule_coordinates_exactly(self, n):
+        plan = minimal_observation_plan(n)
+        rows = observation_rows(plan)
+        for label, combo in plan.derivations.items():
+            got = [Fraction(0)] * len(rows[0])
+            for coef, idx in combo:
+                assert type(coef) is Fraction
+                for col, bit in enumerate(rows[idx]):
+                    if bit:
+                        got[col] += coef
+            if label == "anchor":
+                expected = coordinate_vector(n, anchor_pairing(n).pairs, [1] * (n // 2))
+            else:
+                i, j, k, l = (int(v) for v in label.strip("[]").split(","))
+                expected = coordinate_vector(
+                    n, [(i, k), (j, l), (i, j), (k, l)], [1, 1, -1, -1]
+                )
+            assert got == expected, label
