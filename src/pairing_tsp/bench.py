@@ -1,11 +1,18 @@
 """Experiment harness: seeded studies with CSV/JSON reporting.
 
-Every study draws uniform random instances, pushes each one through the
-sum-only observation pipeline, solves on the reconstructed shadow matrix,
-and scores the resulting pairing against the true instance with the
-normalized indicator
+Four studies reproduce the paper's evaluation: quality against N (`perf`),
+saturation against the exchange limit (`sweep`), check counts (`noc`) and
+sensitivity to the start node (`start`). Every trial of every study runs
+through one runner, `_trial`: it derives the trial's seeds, draws a uniform
+random instance, recovers the shadow matrix through the sum-only oracle,
+runs the study's solves on the shadow, and scores each resulting pairing
+against the true instance with the normalized indicator
 
     P = (score - (N/2) * C_min) / ((N/2) * C_max - (N/2) * C_min).
+
+The studies differ only in those solves: one per algorithm (perf), pnn once
+then p2opt at each limit (sweep), pnn+p2opt keeping its scan trace (noc),
+and pnn and p2opt from every start node (start).
 
 Per-trial seeds come from a splittable scheme: the trial stream is
 SeedSequence(master_seed, spawn_key=(setting_index, trial_index)), whose
@@ -20,11 +27,15 @@ requested.
 from __future__ import annotations
 
 import json
+import math
+import numbers
+import operator
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from dataclasses import dataclass, field, replace
+from functools import partial
+from typing import Iterable
 
 import numpy as np
 
@@ -68,9 +79,33 @@ def generate_instance(n: int, c_min: float, c_max: float, seed: int) -> Instance
     return Instance(n=n, c=c, c_min=c_min, c_max=c_max)
 
 
+def _checked(name: str, expected: str, convert, value):
+    """convert(value), or a ValidationError naming the spec field it came from."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"{name} must be {expected}, got {value!r}") from exc
+
+
+def _finite_pair(value) -> tuple:
+    lo, hi = value
+    if not all(isinstance(v, numbers.Real) and math.isfinite(v) for v in (lo, hi)):
+        raise ValueError(value)
+    return lo, hi
+
+
+_LIMIT = "an integer, null or a list of integers"
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """What to run: sizes, trial count, bounds, limits, algorithms, seed."""
+    """What to run: sizes, trial count, bounds, limits, algorithms, seed.
+
+    Field types are checked here, so a malformed field fails with a
+    ValidationError naming it before any trial runs. Scalars are kept as
+    given, since the report echoes them; sequences become tuples, with the
+    sizes and a list of limits converted to ints.
+    """
 
     n_values: tuple[int, ...]
     trials: int
@@ -81,18 +116,28 @@ class ExperimentSpec:
     start_node: int | str | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "n_values", tuple(int(n) for n in self.n_values))
+        n_values = _checked(
+            "n_values", "a list of integers", lambda v: tuple(int(n) for n in v), self.n_values
+        )
+        object.__setattr__(self, "n_values", n_values)
         if isinstance(self.algorithms, str):
             raise ValidationError("algorithms must be a sequence of names")
-        object.__setattr__(self, "algorithms", tuple(self.algorithms))
-        if isinstance(self.exchange_limit, str):
-            raise ValidationError("exchange_limit must be an integer or a list of integers")
-        if isinstance(self.exchange_limit, Iterable):
-            object.__setattr__(
-                self, "exchange_limit", tuple(int(v) for v in self.exchange_limit)
+        object.__setattr__(
+            self, "algorithms", _checked("algorithms", "a list of names", tuple, self.algorithms)
+        )
+        limit = self.exchange_limit
+        if isinstance(limit, Iterable) and not isinstance(limit, str):
+            limits = _checked(
+                "exchange_limit", _LIMIT, lambda v: tuple(map(operator.index, v)), limit
             )
-        if self.trials < 1:
+            object.__setattr__(self, "exchange_limit", limits)
+        elif limit is not None:
+            _checked("exchange_limit", _LIMIT, operator.index, limit)
+        if _checked("trials", "an integer", operator.index, self.trials) < 1:
             raise ValidationError(f"trials must be >= 1, got {self.trials}")
+        _checked("master_seed", "a non-negative integer", np.random.SeedSequence, self.master_seed)
+        if self.start_node not in (None, "random"):
+            _checked("start_node", 'an integer, null or "random"', int, self.start_node)
         for n in self.n_values:
             if n % 2 != 0 or n < 4:
                 raise ValidationError(f"element count must be even and >= 4, got {n}")
@@ -101,9 +146,12 @@ class ExperimentSpec:
                 raise ValidationError(
                     f"unknown algorithm '{algo}', expected one of {KNOWN_ALGORITHMS}"
                 )
-        lo, hi = self.value_range
+        lo, hi = _checked(
+            "value_range", "two finite numbers [min, max]", _finite_pair, self.value_range
+        )
         if not hi > lo:
             raise ValidationError(f"value range must satisfy max > min, got {self.value_range}")
+        object.__setattr__(self, "value_range", (lo, hi))
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ExperimentSpec":
@@ -121,13 +169,8 @@ class ExperimentSpec:
         unknown = set(data) - known
         if unknown:
             raise ValidationError(f"unknown experiment spec fields: {sorted(unknown)}")
-        kwargs = dict(data)
-        if "value_range" in kwargs:
-            kwargs["value_range"] = tuple(kwargs["value_range"])
-        if isinstance(kwargs.get("exchange_limit"), list):
-            kwargs["exchange_limit"] = tuple(kwargs["exchange_limit"])
         try:
-            return cls(**kwargs)
+            return cls(**data)
         except TypeError as exc:
             raise ValidationError(f"bad experiment spec: {exc}") from exc
 
@@ -157,7 +200,6 @@ class TrialRecord:
     exchanges: int
     observations: int
     millis: float
-    sort_key: tuple = field(default=(), compare=False)
 
     def csv_row(self, timings: bool) -> str:
         millis = repr(round(self.millis, 3)) if timings else "0"
@@ -288,18 +330,21 @@ def worker_count() -> int:
     return min(os.cpu_count() or 1, 8)
 
 
-def _single_limit(spec: ExperimentSpec) -> Optional[int]:
-    if isinstance(spec.exchange_limit, tuple):
-        raise ValidationError("this study needs a single exchange limit, not a sweep list")
-    return spec.exchange_limit
+def random_start_node(seed: int, n: int) -> int:
+    """The node `start_node="random"` stands for: uniform on 1..n, drawn from `seed`.
+
+    Bench trials draw it from their solver seed and `solve --start-node
+    random` from `--seed`, so both pick the same node for the same seed.
+    """
+    rng = np.random.Generator(np.random.PCG64(seed ^ 0x5EED))
+    return int(rng.integers(1, n + 1))
 
 
-def _resolve_start(spec: ExperimentSpec, n: int, solver_seed: int) -> Optional[int]:
-    if spec.start_node in (None, 1):
+def _resolve_start(spec: ExperimentSpec, n: int, solver_seed: int) -> int:
+    if spec.start_node is None:
         return 1
     if spec.start_node == "random":
-        rng = np.random.Generator(np.random.PCG64(solver_seed ^ 0x5EED))
-        return int(rng.integers(1, n + 1))
+        return random_start_node(solver_seed, n)
     start = int(spec.start_node)
     if not 1 <= start <= n:
         raise ValidationError(f"start node {start} is outside 1..{n}")
@@ -312,33 +357,31 @@ def _observed_matrix(instance: Instance) -> tuple[np.ndarray, int]:
     return tilde.t, spent
 
 
-def _timed(fn, *args, **kwargs):
+def _timed(fn, *args):
     t0 = time.perf_counter()
-    result = fn(*args, **kwargs)
+    result = fn(*args)
     return result, (time.perf_counter() - t0) * 1000.0
 
 
-def _perf_trial(spec: ExperimentSpec, setting_index: int, trial: int) -> list[TrialRecord]:
+def _trial(
+    study: str, spec: ExperimentSpec, setting_index: int, trial: int
+) -> tuple[list[TrialRecord], list[int]]:
+    """One trial of any study: its records, and the p2opt scan trace for noc.
+
+    Seeds, instance, shadow, scoring and records are shared by every study;
+    what follows the shadow is the study's own solves. `millis` is each
+    solve's wall time; a start study's pnn+p2opt time includes its pnn.
+    """
     n = spec.n_values[setting_index]
     c_min, c_max = spec.value_range
     inst_seed, solver_seed = trial_seeds(spec.master_seed, setting_index, trial)
     instance = generate_instance(n, c_min, c_max, inst_seed)
-    needs_observation = any(a != "random" for a in spec.algorithms)
-    shadow, observations = _observed_matrix(instance) if needs_observation else (None, 0)
-    limit = _single_limit(spec)
-    start = _resolve_start(spec, n, solver_seed)
-    records = []
-    for sub, algo in enumerate(spec.algorithms):
-        config = SolverConfig(seed=solver_seed, start_node=start, exchange_limit=limit)
-        if algo == "random":
-            result, millis = _timed(solve_random, n, solver_seed)
-            observed = 0
-        elif algo == "pnn":
-            result, millis = _timed(solve_pnn, shadow, config)
-            observed = observations
-        else:
-            result, millis = _timed(solve_pnn_p2opt, shadow, config)
-            observed = observations
+    # perf with only the random baseline never looks at the shadow
+    observe = study != "perf" or any(a != "random" for a in spec.algorithms)
+    shadow, observations = _observed_matrix(instance) if observe else (None, 0)
+    records: list[TrialRecord] = []
+
+    def record(algo: str, result, millis: float, observed: int = observations):
         score = total_compatibility(instance, result.pairing)
         records.append(
             TrialRecord(
@@ -351,154 +394,71 @@ def _perf_trial(spec: ExperimentSpec, setting_index: int, trial: int) -> list[Tr
                 exchanges=result.exchanges_used,
                 observations=observed,
                 millis=millis,
-                sort_key=(setting_index, trial, sub),
             )
         )
-    return records
+        return result
 
+    if study == "start":
+        for start in range(1, n + 1):
+            run_seed = start_run_seed(spec.master_seed, setting_index, trial, start)
+            config = SolverConfig(
+                seed=run_seed, start_node=start, exchange_limit=spec.exchange_limit
+            )
+            constructed, c_millis = _timed(solve_pnn, shadow, config)
+            refined, r_millis = _timed(solve_p2opt, shadow, constructed.pairing, config)
+            record(f"pnn@start={start}", constructed, c_millis)
+            record(f"pnn+p2opt@start={start}", refined, c_millis + r_millis)
+        return records, []
 
-def _sweep_trial(spec: ExperimentSpec, setting_index: int, trial: int) -> list[TrialRecord]:
-    n = spec.n_values[setting_index]
-    c_min, c_max = spec.value_range
-    limits = spec.exchange_limit
-    assert isinstance(limits, tuple)
-    inst_seed, solver_seed = trial_seeds(spec.master_seed, setting_index, trial)
-    instance = generate_instance(n, c_min, c_max, inst_seed)
-    shadow, observations = _observed_matrix(instance)
     start = _resolve_start(spec, n, solver_seed)
-    constructed = solve_pnn(shadow, SolverConfig(seed=solver_seed, start_node=start))
-    records = []
-    for sub, limit in enumerate(limits):
-        result, millis = _timed(
-            solve_p2opt,
-            shadow,
-            constructed.pairing,
-            SolverConfig(seed=solver_seed, exchange_limit=limit),
-        )
-        score = total_compatibility(instance, result.pairing)
-        records.append(
-            TrialRecord(
-                n=n,
-                algo=f"pnn+p2opt@l={limit}",
-                trial=trial,
-                seed=inst_seed,
-                p=performance_indicator(score, n, c_min, c_max),
-                noc=result.noc,
-                exchanges=result.exchanges_used,
-                observations=observations,
-                millis=millis,
-                sort_key=(setting_index, trial, sub),
-            )
-        )
-    return records
+    config = SolverConfig(seed=solver_seed, start_node=start, exchange_limit=spec.exchange_limit)
+    if study == "perf":
+        for algo in spec.algorithms:
+            if algo == "random":
+                record(algo, *_timed(solve_random, n, solver_seed), observed=0)
+            else:
+                solve = solve_pnn if algo == "pnn" else solve_pnn_p2opt
+                record(algo, *_timed(solve, shadow, config))
+        return records, []
+    if study == "sweep":
+        constructed = solve_pnn(shadow, config)
+        for limit in spec.exchange_limit:
+            refine = replace(config, exchange_limit=limit)
+            timed = _timed(solve_p2opt, shadow, constructed.pairing, refine)
+            record(f"pnn+p2opt@l={limit}", *timed)
+        return records, []
+    result = record("pnn+p2opt", *_timed(solve_pnn_p2opt, shadow, config))
+    return records, list(result.trace)
 
 
-def _noc_trial(
-    spec: ExperimentSpec, setting_index: int, trial: int
-) -> tuple[list[TrialRecord], list[int]]:
-    n = spec.n_values[setting_index]
-    c_min, c_max = spec.value_range
-    inst_seed, solver_seed = trial_seeds(spec.master_seed, setting_index, trial)
-    instance = generate_instance(n, c_min, c_max, inst_seed)
-    shadow, observations = _observed_matrix(instance)
-    limit = _single_limit(spec)
-    start = _resolve_start(spec, n, solver_seed)
-    config = SolverConfig(seed=solver_seed, start_node=start, exchange_limit=limit)
-    result, millis = _timed(solve_pnn_p2opt, shadow, config)
-    score = total_compatibility(instance, result.pairing)
-    record = TrialRecord(
-        n=n,
-        algo="pnn+p2opt",
-        trial=trial,
-        seed=inst_seed,
-        p=performance_indicator(score, n, c_min, c_max),
-        noc=result.noc,
-        exchanges=result.exchanges_used,
-        observations=observations,
-        millis=millis,
-        sort_key=(setting_index, trial, 0),
-    )
-    return [record], list(result.trace or ())
+#: One noc trial as `(records, trace)`.
+_noc_trial = partial(_trial, "noc")
 
 
-def _start_trial(spec: ExperimentSpec, setting_index: int, trial: int) -> list[TrialRecord]:
-    n = spec.n_values[setting_index]
-    c_min, c_max = spec.value_range
-    inst_seed, _ = trial_seeds(spec.master_seed, setting_index, trial)
-    instance = generate_instance(n, c_min, c_max, inst_seed)
-    shadow, observations = _observed_matrix(instance)
-    limit = _single_limit(spec)
-    records = []
-    for start in range(1, n + 1):
-        run_seed = start_run_seed(spec.master_seed, setting_index, trial, start)
-        config = SolverConfig(seed=run_seed, start_node=start, exchange_limit=limit)
-        constructed, c_millis = _timed(solve_pnn, shadow, config)
-        refined, r_millis = _timed(solve_p2opt, shadow, constructed.pairing, config)
-        for sub, (algo, result, millis) in enumerate(
-            (
-                ("pnn", constructed, c_millis),
-                ("pnn+p2opt", refined, c_millis + r_millis),
-            )
-        ):
-            score = total_compatibility(instance, result.pairing)
-            records.append(
-                TrialRecord(
-                    n=n,
-                    algo=f"{algo}@start={start}",
-                    trial=trial,
-                    seed=inst_seed,
-                    p=performance_indicator(score, n, c_min, c_max),
-                    noc=result.noc,
-                    exchanges=result.exchanges_used,
-                    observations=observations,
-                    millis=millis,
-                    sort_key=(setting_index, trial, 2 * start + sub),
-                )
-            )
-    return records
+def _run_task(task: tuple[str, ExperimentSpec, int, int]):
+    return _trial(*task)
 
 
-_TRIAL_RUNNERS = {
-    "perf": _perf_trial,
-    "sweep": _sweep_trial,
-    "noc": _noc_trial,
-    "start": _start_trial,
-}
-
-
-def _run_task(args):
-    study, spec_dict, setting_index, trial = args
-    spec = ExperimentSpec.from_json_dict(spec_dict)
-    return setting_index, trial, _TRIAL_RUNNERS[study](spec, setting_index, trial)
-
-
-def _run_study(study: str, spec: ExperimentSpec) -> dict[tuple[int, int], object]:
+def _run_study(study: str, spec: ExperimentSpec) -> dict[tuple[int, int], tuple]:
     """Run every (setting, trial) task, in a process pool when it pays off."""
-    tasks = [
-        (study, spec.to_json_dict(), si, trial)
-        for si in range(len(spec.n_values))
-        for trial in range(spec.trials)
-    ]
+    listed = isinstance(spec.exchange_limit, tuple)
+    if study == "sweep" and not (listed and spec.exchange_limit):
+        raise ValidationError("the sweep needs exchange_limit to be a non-empty list of limits")
+    if study != "sweep" and listed:
+        raise ValidationError(f"the {study} study needs a single exchange_limit, not a list")
+    keys = [(si, trial) for si in range(len(spec.n_values)) for trial in range(spec.trials)]
+    tasks = [(study, spec, si, trial) for si, trial in keys]
     workers = min(worker_count(), len(tasks))
-    results: dict[tuple[int, int], object] = {}
     if workers <= 1 or len(tasks) <= 2:
-        for task in tasks:
-            si, trial, payload = _run_task(task)
-            results[(si, trial)] = payload
-        return results
-    context = __import__("multiprocessing").get_context("fork")
-    with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
-        for si, trial, payload in pool.map(_run_task, tasks, chunksize=4):
-            results[(si, trial)] = payload
-    return results
+        payloads = [_run_task(task) for task in tasks]
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            payloads = list(pool.map(_run_task, tasks, chunksize=4))
+    return dict(zip(keys, payloads))
 
 
-def _collect_records(results: dict, unwrap=lambda payload: payload) -> tuple[TrialRecord, ...]:
-    records: list[TrialRecord] = []
-    for key in sorted(results):
-        records.extend(unwrap(results[key]))
-    records.sort(key=lambda r: r.sort_key)
-    return tuple(records)
+def _collect_records(results: dict) -> tuple[TrialRecord, ...]:
+    return tuple(record for records, _ in results.values() for record in records)
 
 
 def run_performance_study(spec: ExperimentSpec) -> ExperimentReport:
@@ -512,8 +472,6 @@ def run_performance_study(spec: ExperimentSpec) -> ExperimentReport:
 
 def run_exchange_limit_sweep(spec: ExperimentSpec) -> ExperimentReport:
     """Indicator as a function of the exchange limit, shared trials per limit."""
-    if not isinstance(spec.exchange_limit, tuple) or not spec.exchange_limit:
-        raise ValidationError("the sweep needs exchange_limit to be a list of limits")
     results = _run_study("sweep", spec)
     records = _collect_records(results)
     series: dict[str, dict[str, list]] = {}
@@ -540,7 +498,7 @@ def run_noc_study(spec: ExperimentSpec) -> ExperimentReport:
     zero once they have stopped.
     """
     results = _run_study("noc", spec)
-    records = _collect_records(results, unwrap=lambda payload: payload[0])
+    records = _collect_records(results)
     traces: dict[str, list[float]] = {}
     for si, n in enumerate(spec.n_values):
         per_trial = [results[(si, trial)][1] for trial in range(spec.trials)]
@@ -574,7 +532,7 @@ def run_initial_node_study(spec: ExperimentSpec) -> ExperimentReport:
             for trial in range(spec.trials):
                 ps = [
                     r.p
-                    for r in results[(si, trial)]
+                    for r in results[(si, trial)][0]
                     if r.algo.startswith(f"{algo}@start=")
                 ]
                 stds.append(float(np.std(ps)))

@@ -202,8 +202,7 @@ def _cmd_solve(args) -> int:
 
     start = args.start_node
     if start == "random":
-        rng = np.random.Generator(np.random.PCG64(args.seed ^ 0x5EED))
-        start = int(rng.integers(1, n + 1))
+        start = bench_mod.random_start_node(args.seed, n)
     config = SolverConfig(seed=args.seed, start_node=start, exchange_limit=args.exchange_limit)
 
     if args.algo == "random":

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -238,6 +240,12 @@ class TestStartStudy:
         for value in summary.values():
             assert 0.0 <= value < 0.5
 
+    def test_refined_time_includes_construction(self):
+        spec = small_spec(n_values=(8,), trials=1, algorithms=("pnn", "pnn+p2opt"))
+        millis = {r.algo: r.millis for r in run_initial_node_study(spec).records}
+        for start in range(1, 9):
+            assert millis[f"pnn+p2opt@start={start}"] >= millis[f"pnn@start={start}"] > 0
+
     def test_constant_matrix_would_give_zero_std(self):
         # direct check of the spread logic on a degenerate instance
         from pairing_tsp.core import Instance, total_compatibility
@@ -250,3 +258,46 @@ class TestStartStudy:
             result = solve_pnn(inst.c, SolverConfig(seed=start, start_node=start))
             ps.append(total_compatibility(inst, result.pairing))
         assert float(np.std(ps)) == 0.0
+
+
+# sha256 of to_csv_text() + to_json_text(). The digests were taken while each
+# study still had its own trial function; the shared runner must match them.
+PINNED_REPORTS = {
+    "perf": (
+        run_performance_study,
+        dict(n_values=(8, 10), trials=3, start_node="random", master_seed=31),
+        "630d881bf1eb85666c193efca455e3e9ad669f9e2c506a2e313120e9a8298b99",
+    ),
+    "sweep": (
+        run_exchange_limit_sweep,
+        dict(
+            n_values=(8, 10),
+            trials=2,
+            exchange_limit=(0, 3, 50),
+            algorithms=("pnn+p2opt",),
+            start_node="random",
+            master_seed=32,
+        ),
+        "3c17571f2b021a73a8469d3f3156315b894d43430a7d879629caae8e0ca39c56",
+    ),
+    "noc": (
+        run_noc_study,
+        dict(n_values=(8, 12), trials=2, algorithms=("pnn+p2opt",), master_seed=33),
+        "c053a9baf0887ab8a2b21caa02dd7d9093b3024ccf60cfd808c4a1b358981627",
+    ),
+    "start": (
+        run_initial_node_study,
+        dict(n_values=(6, 8), trials=2, algorithms=("pnn", "pnn+p2opt"), master_seed=34),
+        "4e799c3f196153c219bd7d2f4d185072bfef750815a34f76ea8050077a30bb46",
+    ),
+}
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("study", sorted(PINNED_REPORTS))
+def test_report_bytes_pinned(study, threads, monkeypatch):
+    monkeypatch.setenv("PAIRING_TSP_THREADS", threads)
+    run, fields, digest = PINNED_REPORTS[study]
+    report = run(ExperimentSpec(**fields))
+    text = report.to_csv_text() + report.to_json_text()
+    assert hashlib.sha256(text.encode()).hexdigest() == digest

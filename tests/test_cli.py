@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from pairing_tsp.bench import random_start_node
 from pairing_tsp.cli import main
 from pairing_tsp.core import load_instance
 from pairing_tsp.observation import observation_budget
@@ -131,6 +132,27 @@ class TestSolve:
         ) == 0
 
 
+class TestRandomStartNode:
+    # draws at n=10 for seeds 0, 1, 2, 3, 9, 17, as `solve` printed them
+    # before the draw moved into bench.random_start_node
+    PINNED = {0: 4, 1: 5, 2: 8, 3: 8, 9: 8, 17: 7}
+
+    def test_solve_matches_study_draw(self, tmp_path, capsys):
+        path = tmp_path / "inst10.txt"
+        assert run_cli("gen", "-n", "10", "--seed", "42", "--out", str(path)) == 0
+        for seed, start in self.PINNED.items():
+            assert random_start_node(seed, 10) == start
+            assert run_cli(
+                "solve", str(path), "--algo", "pnn", "--seed", str(seed), "--start-node", "random"
+            ) == 0
+            assert json.loads(capsys.readouterr().out)["start_node"] == start
+
+    @pytest.mark.parametrize("algo", ["random", "exact"])
+    def test_unused_start_node_not_range_checked(self, instance_file, capsys, algo):
+        assert run_cli("solve", str(instance_file), "--algo", algo, "--start-node", "99") == 0
+        assert json.loads(capsys.readouterr().out)["start_node"] is None
+
+
 class TestGraph:
     def test_dump_schema(self, instance_file, capsys):
         assert run_cli("graph", str(instance_file)) == 0
@@ -195,6 +217,31 @@ class TestBench:
         data = json.loads(base.with_suffix(".json").read_text())
         means = data["extras"]["sweep"]["8"]["mean_p"]
         assert all(b >= a for a, b in zip(means, means[1:]))
+
+
+class TestBenchSpecValidation:
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("value_range", [0]),
+            ("n_values", ["a"]),
+            ("trials", 1.5),
+            ("master_seed", -1),
+            ("start_node", "foo"),
+            ("start_node", [1]),
+            ("exchange_limit", [1, "b"]),
+            ("exchange_limit", 1.7),
+        ],
+    )
+    def test_bad_field_exits_one_naming_it(self, tmp_path, capsys, field, value):
+        spec = {"n_values": [8], "trials": 2, "master_seed": 5, field: value}
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        assert run_cli("bench", "perf", "--spec", str(path), "--out", str(tmp_path / "r")) == 1
+        err = capsys.readouterr().err
+        assert f"error: {field} must be" in err
+        assert "internal error" not in err
+        assert not (tmp_path / "r.csv").exists()
 
 
 class TestUsageErrors:

@@ -24,7 +24,10 @@ from pairing_tsp.observation import (
 )
 from pairing_tsp.oracle import ObservationOracle
 
+from pairing_tsp.solvers import solve_random
+
 from conftest import make_instance, make_integer_instance, matrix_from_pairs
+from test_plan import round_robin_pairings
 
 
 def distinct_quadruples(n):
@@ -196,6 +199,16 @@ class TestReconstruction:
         assert spent == oracle.query_count < observation_budget(n)
         tol = 1e-6 * (n / 2) * inst.c_max
         for pairing in enumerate_pairings(n):
+            assert abs(tilde.total(pairing) - total_compatibility(inst, pairing)) <= tol
+
+    def test_float_totals_preserved_n200(self):
+        n = 200
+        inst = make_instance(n, seed=201)
+        tilde, spent = reconstruct_tilde(ObservationOracle(inst))
+        assert spent == observation_budget(n)
+        tol = 1e-9 * (n / 2) * inst.c_max
+        checks = round_robin_pairings(n) + [solve_random(n, seed).pairing for seed in range(20)]
+        for pairing in checks:
             assert abs(tilde.total(pairing) - total_compatibility(inst, pairing)) <= tol
 
     def test_many_random_instances_all_sizes(self):

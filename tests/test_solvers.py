@@ -20,9 +20,11 @@ from pairing_tsp.solvers import (
     solve_pnn_p2opt,
     solve_random,
 )
+from pairing_tsp.observation import reconstruct_tilde
+from pairing_tsp.oracle import ObservationOracle
 from pairing_tsp.tsp_graph import build_graph, validate_tour
 
-from conftest import make_instance, matrix_from_pairs
+from conftest import make_instance, make_integer_instance, matrix_from_pairs
 
 
 def greedy_trap_matrix():
@@ -251,3 +253,41 @@ class TestComposition:
         result = solve_pnn_p2opt(inst.c, SolverConfig(seed=5, exchange_limit=600))
         assert result.noc >= result.exchanges_used
         assert result.score == pytest.approx(pairing_sum(inst.c, result.pairing))
+
+
+class TestP2optOnShadowAndNearTies:
+    @pytest.mark.parametrize("limit", [None, 3])
+    @pytest.mark.parametrize("n", [8, 16, 30])
+    def test_exact_shadow_run_identical_to_instance_run(self, n, limit):
+        # the shadow preserves every exchange-rule difference, so in exact
+        # arithmetic each comparison, and hence the whole run, is the same
+        exchanges = 0
+        for seed in range(10):
+            inst = make_integer_instance(n, seed=3000 + 100 * n + seed)
+            shadow, _ = reconstruct_tilde(ObservationOracle(inst))
+            assert shadow.t.dtype == object
+            initial = solve_random(n, seed).pairing
+            config = SolverConfig(exchange_limit=limit)
+            raw = solve_p2opt(inst.c, initial, config)
+            tilde = solve_p2opt(shadow.t, initial, config)
+            assert tilde.pairing == raw.pairing
+            assert (tilde.noc, tilde.exchanges_used, tilde.trace) == (
+                raw.noc,
+                raw.exchanges_used,
+                raw.trace,
+            )
+            exchanges += raw.exchanges_used
+        assert exchanges > 0
+
+    def test_unlimited_terminates_on_near_tie_floats(self):
+        n = 40
+        rng = np.random.default_rng(40)
+        values = 5000.0 + rng.integers(-1000, 1001, (n, n)) * 1e-12
+        c = np.triu(values, 1)
+        c = c + c.T
+        result = solve_p2opt(c, solve_random(n, 4).pairing, SolverConfig(exchange_limit=None))
+        m = n // 2
+        assert result.exchanges_used > 0
+        assert result.noc == sum(result.trace)
+        # converged: the last scan segment checked every pair of pairs cleanly
+        assert result.trace[-1] == m * (m - 1) // 2
