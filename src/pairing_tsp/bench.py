@@ -132,7 +132,11 @@ class ExperimentSpec:
             )
             object.__setattr__(self, "exchange_limit", limits)
         elif limit is not None:
-            _checked("exchange_limit", _LIMIT, operator.index, limit)
+            limits = (_checked("exchange_limit", _LIMIT, operator.index, limit),)
+        else:
+            limits = ()
+        if any(v < 0 for v in limits):
+            raise ValidationError(f"exchange_limit must be >= 0, got {limit}")
         if _checked("trials", "an integer", operator.index, self.trials) < 1:
             raise ValidationError(f"trials must be >= 1, got {self.trials}")
         _checked("master_seed", "a non-negative integer", np.random.SeedSequence, self.master_seed)
@@ -345,10 +349,7 @@ def _resolve_start(spec: ExperimentSpec, n: int, solver_seed: int) -> int:
         return 1
     if spec.start_node == "random":
         return random_start_node(solver_seed, n)
-    start = int(spec.start_node)
-    if not 1 <= start <= n:
-        raise ValidationError(f"start node {start} is outside 1..{n}")
-    return start
+    return int(spec.start_node)
 
 
 def _observed_matrix(instance: Instance) -> tuple[np.ndarray, int]:
@@ -446,6 +447,15 @@ def _run_study(study: str, spec: ExperimentSpec) -> dict[tuple[int, int], tuple]
         raise ValidationError("the sweep needs exchange_limit to be a non-empty list of limits")
     if study != "sweep" and listed:
         raise ValidationError(f"the {study} study needs a single exchange_limit, not a list")
+    # every study but start resolves start_node, on every size
+    if study != "start" and spec.start_node not in (None, "random"):
+        start = int(spec.start_node)
+        outside = [n for n in spec.n_values if not 1 <= start <= n]
+        if outside:
+            raise ValidationError(
+                f"start_node must be within 1..n for every n in n_values, "
+                f"got {start} for n={outside[0]}"
+            )
     keys = [(si, trial) for si in range(len(spec.n_values)) for trial in range(spec.trials)]
     tasks = [(study, spec, si, trial) for si, trial in keys]
     workers = min(worker_count(), len(tasks))

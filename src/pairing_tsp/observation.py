@@ -13,6 +13,14 @@ reconstruction below measures the rules [1,j,3,2] (row offsets along element
 then solves for the single remaining unknown. Observation cost is exactly
 2(N-3) + (N-2)(N-3) + 1 queries unless callers opt into memo sharing, which
 can only lower it.
+
+The reconstruction builds its rule pairings as index arrays, never as
+`Pairing` objects, and submits them through `ObservationOracle.observe_batch`
+in per-column blocks: one batch for the [1,j,3,2] rules, one per column j
+for the [1,i,2,j] rules, and one for the anchor. Each rule contributes its
+`after` and then its `before` pairing, so the oracle sees exactly the order
+in which `measure_exchange_rule` would submit them one at a time, and a block
+never holds more than O(N) pairings of N/2 pairs.
 """
 
 from __future__ import annotations
@@ -24,7 +32,7 @@ from typing import Optional
 import numpy as np
 
 from .core import Pairing, ValidationError
-from .oracle import ObservationOracle
+from .oracle import ObservationOracle, canonical_pairs
 
 
 def _is_floatish(value) -> bool:
@@ -169,6 +177,44 @@ def observation_budget(n: int) -> int:
     return 2 * (n - 3) + (n - 2) * (n - 3) + 1
 
 
+def _rule_rows(n: int, rules: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index arrays of the pairings realizing each rule in a (Q, 4) array.
+
+    Rows 2q and 2q+1 are rule q's `after` and `before` pairings, the order
+    `measure_exchange_rule` observes them in, as 0-based (2Q, N/2) arrays
+    for `ObservationOracle.observe_batch`. The shared completion pairs the
+    k-th and (k+1)-th unused elements; the k-th unused element is k bumped
+    once past each of the rule's four elements in ascending order.
+    """
+    i, j, k, l = (rules - 1).T[:, :, None]
+    rest = np.tile(np.arange(n - 4), (len(rules), 1))
+    for used in np.sort(rules - 1, axis=1).T:
+        rest += rest >= used[:, None]
+    rows = np.empty((len(rules), 2, n // 2), dtype=np.intp)
+    cols = np.empty_like(rows)
+    rows[:, :, 0], cols[:, :, 1] = i, l
+    rows[:, 0, 1], cols[:, 0, 0] = j[:, 0], k[:, 0]  # after: {i,k},{j,l}
+    rows[:, 1, 1], cols[:, 1, 0] = k[:, 0], j[:, 0]  # before: {i,j},{k,l}
+    rows[:, :, 2:], cols[:, :, 2:] = rest[:, None, 0::2], rest[:, None, 1::2]
+    return rows.reshape(-1, n // 2), cols.reshape(-1, n // 2)
+
+
+def _observe_rows(oracle: ObservationOracle, rows, cols, memo: Optional[dict]) -> np.ndarray:
+    """observe_batch, serving rows already in `memo` without re-submitting them."""
+    if memo is None:
+        return oracle.observe_batch(rows, cols)
+    first, second = canonical_pairs(rows, cols, oracle.n)
+    keys = [a.tobytes() + b.tobytes() for a, b in zip(first, second)]
+    fresh: dict[bytes, int] = {}  # first occurrence of each unseen row
+    for q, key in enumerate(keys):
+        if key not in memo and key not in fresh:
+            fresh[key] = q
+    at = list(fresh.values())
+    values = oracle.observe_batch(first[at], second[at])
+    memo.update(zip(fresh, values))
+    return np.array([memo[key] for key in keys], dtype=values.dtype)
+
+
 def reconstruct_tilde(
     oracle: ObservationOracle, *, share_observations: bool = False
 ) -> tuple[TildeMatrix, int]:
@@ -177,9 +223,10 @@ def reconstruct_tilde(
     Procedure: measure rules [1,j,3,2] for 4 <= j <= N, rules [1,i,2,j] for
     4 <= j <= N and 3 <= i < j, observe the anchor pairing, then express every
     entry as x plus a measured offset with x the (2,3) entry and solve for x
-    from the anchor total. Without `share_observations` the query count is
-    exactly ``observation_budget(n)``; with it, repeated pairings are served
-    from a memo and the count can only drop.
+    from the anchor total. Queries go to the oracle in the per-column blocks
+    the module docstring describes. Without `share_observations` the query
+    count is exactly ``observation_budget(n)``; with it, a pairing already
+    observed is served from a memo and the count can only drop.
 
     Returns the shadow matrix and the number of oracle queries spent here.
     Arithmetic follows the oracle's value type: float instances reconstruct
@@ -191,27 +238,26 @@ def reconstruct_tilde(
     memo: Optional[dict] = {} if share_observations else None
     start_count = oracle.query_count
 
-    row_offset = {j: measure_exchange_rule(oracle, 1, j, 3, 2, memo) for j in range(4, n + 1)}
-    col_offset = {
-        (i, j): measure_exchange_rule(oracle, 1, i, 2, j, memo)
-        for j in range(4, n + 1)
-        for i in range(3, j)
-    }
-    anchor_total = _observe(oracle, anchor_pairing(n), memo)
-    spent = oracle.query_count - start_count
+    def measure(i, j, k, l) -> np.ndarray:
+        rules = np.column_stack(np.broadcast_arrays(i, j, k, l))
+        values = _observe_rows(oracle, *_rule_rows(n, rules), memo)
+        return values[0::2] - values[1::2]
 
-    def offset(i: int, j: int):
-        # entry (i, j), 2 <= i < j, relative to the unknown x at (2, 3)
-        if (i, j) == (2, 3):
-            return 0
-        if i == 2:
-            return row_offset[j]
-        return row_offset[j] + col_offset[(i, j)]
+    # offset[i, j] (1-based, 2 <= i < j) is entry (i, j) minus the unknown
+    # x at (2, 3): the [1,j,3,2] rule, plus the [1,i,2,j] rule when i > 2
+    row_offset = measure(1, np.arange(4, n + 1), 3, 2)
+    offset = np.zeros((n + 1, n + 1), dtype=row_offset.dtype)
+    offset[2, 4:] = row_offset
+    for j in range(4, n + 1):
+        offset[3:j, j] = row_offset[j - 4] + measure(1, np.arange(3, j), 2, j)
+    anchor_rows, anchor_cols = anchor_pairing(n)._index_arrays
+    anchor_total = _observe_rows(oracle, anchor_rows[None], anchor_cols[None], memo)[0]
+    spent = oracle.query_count - start_count
 
     # anchor total = (N/2 - 1) * x + sum of offsets over {3,4},{5,6},...
     offset_sum = 0
     for k in range(3, n, 2):
-        offset_sum = offset_sum + offset(k, k + 1)
+        offset_sum = offset_sum + offset[k, k + 1]
     residual = anchor_total - offset_sum
     if _is_floatish(residual):
         x = residual / (n // 2 - 1)
@@ -220,9 +266,10 @@ def reconstruct_tilde(
         x = Fraction(residual, n // 2 - 1)
         t = np.empty((n, n), dtype=object)
         t[:, :] = Fraction(0)
-    for i in range(2, n):
-        for j in range(i + 1, n + 1):
-            value = x + offset(i, j)
-            t[i - 1][j - 1] = value
-            t[j - 1][i - 1] = value
+    i, j = np.triu_indices(n + 1, k=1)
+    keep = i >= 2
+    i, j = i[keep], j[keep]
+    values = x + offset[i, j]
+    t[i - 1, j - 1] = values
+    t[j - 1, i - 1] = values
     return TildeMatrix(n=n, t=t), spent

@@ -5,6 +5,15 @@ instance: it answers total-compatibility queries for whole pairings, counts
 every query, and never reveals individual entries. Counting includes
 duplicate submissions; deduplication is deliberately left to callers so the
 reconstruction algorithms own their own observation budgets.
+
+Queries arrive one at a time (`observe`, a `Pairing`) or as a batch
+(`observe_batch`): Q pairings given as two (Q, N/2) integer arrays of 0-based
+elements, row q pairing rows[q, k] with cols[q, k], in any pair order and
+either orientation. Both take one path. Every row is checked to be a perfect
+matching of 0..N-1 before the counter moves, so a bad batch costs nothing;
+each row is then summed in canonical pair order (i < j inside a pair, pairs
+sorted by first element), left to right from 0, which is exactly Python's
+`sum` over `Pairing.pairs`, bit for bit.
 """
 
 from __future__ import annotations
@@ -15,6 +24,43 @@ from typing import Optional
 import numpy as np
 
 from .core import Instance, Pairing, ValidationError
+
+
+def canonical_pairs(rows, cols, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Check (Q, n/2) pair-end arrays and return them in canonical order.
+
+    Raises a ValidationError unless both arrays are integer, of one shape,
+    n/2 wide, in 0..n-1, and every row pairs each element exactly once.
+    Returns (first, second): per row the smaller ends in ascending order and
+    their partners.
+    """
+    rows, cols = np.asarray(rows), np.asarray(cols)
+    if rows.ndim != 2 or rows.shape != cols.shape:
+        raise ValidationError(
+            f"rows and cols must be two (Q, N/2) arrays of one shape, "
+            f"got {rows.shape} and {cols.shape}"
+        )
+    if rows.shape[1] != n // 2:
+        raise ValidationError(f"pairing covers {2 * rows.shape[1]} elements, oracle hides {n}")
+    if not (np.issubdtype(rows.dtype, np.integer) and np.issubdtype(cols.dtype, np.integer)):
+        raise ValidationError(f"pair elements must be integers, got {rows.dtype} and {cols.dtype}")
+    q = len(rows)
+    if q and (min(rows.min(), cols.min()) < 0 or max(rows.max(), cols.max()) >= n):
+        raise ValidationError(f"pair elements must lie in 0..{n - 1}")
+    rows, cols = rows.astype(np.intp, copy=False), cols.astype(np.intp, copy=False)
+    # partner[q*n + e] is e's partner in row q; -1 marks an element left
+    # out, which every repeated element forces since a row has n slots
+    base = np.arange(0, q * n, n)[:, None]
+    partner = np.full(q * n, -1, dtype=np.intp)
+    partner[base + rows] = cols
+    partner[base + cols] = rows
+    grid = partner.reshape(q, n)
+    unmatched = (grid < 0) | (grid == np.arange(n))
+    if unmatched.any():
+        row, e = np.argwhere(unmatched)[0]
+        raise ValidationError(f"row {row} is not a pairing: element {e} is not paired exactly once")
+    first = np.sort(np.minimum(rows, cols), axis=1)
+    return first, partner[base + first]
 
 
 class ObservationOracle:
@@ -35,7 +81,6 @@ class ObservationOracle:
         noise_seed: int = 0,
     ):
         self._hidden = instance
-        self._rows = instance.c.tolist()  # plain lists make the hot loop cheap
         self._lock = threading.Lock()
         self._count = 0
         self._log: Optional[list[tuple[Pairing, float]]] = [] if log else None
@@ -64,19 +109,34 @@ class ObservationOracle:
 
         Invalid pairings raise before the counter moves.
         """
-        if pairing.n != self._hidden.n:
-            raise ValidationError(
-                f"pairing covers {pairing.n} elements, oracle hides {self._hidden.n}"
-            )
-        rows = self._rows
-        value = sum(rows[i - 1][j - 1] for i, j in pairing.pairs)
+        rows, cols = pairing._index_arrays
+        return self.observe_batch(rows[None], cols[None]).tolist()[0]
+
+    def observe_batch(self, rows, cols) -> np.ndarray:
+        """Totals of the Q pairings in two (Q, N/2) arrays of 0-based elements.
+
+        Counts Q queries. Every row is validated before the counter moves.
+        Returns a float64 array for float instances and an object array of
+        exact values for exact ones; value q equals `observe` on row q.
+        """
+        first, second = canonical_pairs(rows, cols, self._hidden.n)
+        entries = self._hidden.c[first, second]
+        # column by column from 0, as Python's sum adds; .sum(axis=1) adds
+        # pairwise and can differ in the last bit
+        totals = np.zeros(len(entries), dtype=entries.dtype)
+        for column in entries.T:
+            totals = totals + column
         if self._noise_sigma > 0.0:
-            value = value + self._noise_rng.normal(0.0, self._noise_sigma)
+            totals = totals + self._noise_rng.normal(0.0, self._noise_sigma, size=len(totals))
         with self._lock:
-            self._count += 1
+            self._count += len(totals)
             if self._log is not None:
-                self._log.append((pairing, value))
-        return value
+                pairings = [
+                    Pairing._from_canonical(tuple(zip(a, b)))
+                    for a, b in zip((first + 1).tolist(), (second + 1).tolist())
+                ]
+                self._log.extend(zip(pairings, totals.tolist()))
+        return totals
 
     def reset(self) -> None:
         """Zero the counter and clear the log."""

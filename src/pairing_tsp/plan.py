@@ -30,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -48,31 +49,30 @@ def plan_size(n: int) -> int:
     return (n - 1) * (n - 2) // 2
 
 
-def _ascending_pairs(elements) -> list[tuple[int, int]]:
-    e = sorted(elements)
-    return [(e[k], e[k + 1]) for k in range(0, len(e), 2)]
-
-
 def _plan_pairings(n: int) -> list[Pairing]:
-    def tail(level: int) -> list[tuple[int, int]]:
-        return [(k, k + 1) for k in range(level + 1, n, 2)]
-
+    # canonical pairs assembled from shared adjacent pairs: even[s] is
+    # (2s+2, 2s+3) and odd[s] is (2s+3, 2s+4), so each pairing only copies
+    # references
+    even = tuple((k, k + 1) for k in range(2, n, 2))
+    odd = tuple((k, k + 1) for k in range(3, n, 2))
+    make = Pairing._from_canonical
     out = [
-        Pairing([(1, 2), (3, 4)] + tail(4)),
-        Pairing([(1, 3), (2, 4)] + tail(4)),
-        Pairing([(1, 4), (2, 3)] + tail(4)),
+        make(((1, 2),) + odd),
+        make(((1, 3), (2, 4)) + odd[1:]),
+        make(((1, 4), (2, 3)) + odd[1:]),
     ]
     for level in range(6, n + 1, 2):
-        lower = set(range(2, level - 1))
-        for a in range(2, level - 1):
-            rest = _ascending_pairs(lower - {a})
-            out.append(Pairing([(1, level), (a, level - 1)] + rest + tail(level)))
-        for a in range(2, level - 1):
-            rest = _ascending_pairs(lower - {a})
-            out.append(Pairing([(1, level - 1), (a, level)] + rest + tail(level)))
-        out.append(
-            Pairing([(1, 2), (3, level - 1), (4, level)] + _ascending_pairs(range(5, level - 1)) + tail(level))
-        )
+        # the pairs above the level, and the odd-start pairs of 5..level-2
+        tail = odd[(level - 2) // 2 :]
+        middle = odd[1 : (level - 4) // 2]
+        for high, low in ((level, level - 1), (level - 1, level)):
+            for a in range(2, level - 1):
+                # completion of {2..level-2} minus a: even-start pairs below
+                # a, the bridge (a-1, a+1) for odd a, odd-start pairs above
+                bridge = ((a - 1, a + 1),) if a % 2 else ()
+                rest = odd[(a - 1) // 2 : (level - 4) // 2] + tail
+                out.append(make(((1, high),) + even[: (a - 2) // 2] + bridge + ((a, low),) + rest))
+        out.append(make(((1, 2), (3, level - 1), (4, level)) + middle + tail))
     return out
 
 
@@ -160,6 +160,13 @@ class ObservationPlan:
         return len(self.pairings)
 
     @cached_property
+    def _index_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        # (size, n/2) 0-based pair ends in submission order, for observe_batch
+        flat = chain.from_iterable(chain.from_iterable(p.pairs for p in self.pairings))
+        ends = np.fromiter(flat, dtype=np.intp, count=self.size * self.n) - 1
+        return ends[0::2].reshape(self.size, -1), ends[1::2].reshape(self.size, -1)
+
+    @cached_property
     def derivations(self) -> dict[str, tuple[tuple[Fraction, int], ...]]:
         # recover once per observation slot: column s is the response to
         # observation s alone, so entry (i, j) is sum(t[i, j, s] * v_s)
@@ -209,11 +216,12 @@ def minimal_observation_plan(n: int) -> ObservationPlan:
 
 
 def execute_plan(oracle: ObservationOracle, plan: ObservationPlan) -> TildeMatrix:
-    """Submit exactly the planned pairings and recover the shadow matrix."""
+    """Submit exactly the planned pairings, in order and as one batch, and
+    recover the shadow matrix."""
     if plan.n != oracle.n:
         raise ValidationError(f"plan is for n={plan.n} but oracle hides n={oracle.n}")
-    values = [oracle.observe(p) for p in plan.pairings]
-    if any(_is_floatish(v) for v in values):
+    values = oracle.observe_batch(*plan._index_arrays)
+    if values.dtype != object or any(_is_floatish(v) for v in values):
         zero: object = 0.0
     else:
         zero = Fraction(0)

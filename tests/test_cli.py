@@ -231,6 +231,10 @@ class TestBenchSpecValidation:
             ("start_node", [1]),
             ("exchange_limit", [1, "b"]),
             ("exchange_limit", 1.7),
+            ("exchange_limit", -3),
+            ("exchange_limit", [5, -1]),
+            ("start_node", 99),
+            ("start_node", 0),
         ],
     )
     def test_bad_field_exits_one_naming_it(self, tmp_path, capsys, field, value):
@@ -242,6 +246,37 @@ class TestBenchSpecValidation:
         assert f"error: {field} must be" in err
         assert "internal error" not in err
         assert not (tmp_path / "r.csv").exists()
+
+
+    @pytest.mark.parametrize(
+        "study,overrides",
+        [
+            ("perf", {"algorithms": ["random"], "exchange_limit": -3}),
+            ("perf", {"algorithms": ["random"], "start_node": 9}),
+            ("noc", {"start_node": 9}),
+            ("sweep", {"start_node": -1, "exchange_limit": [0, 5]}),
+        ],
+    )
+    def test_rejected_before_any_trial(self, tmp_path, capsys, monkeypatch, study, overrides):
+        import pairing_tsp.bench as bench
+
+        def no_trial(task):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(bench, "_run_task", no_trial)
+        spec = {"n_values": [10, 8], "trials": 1, "master_seed": 5, **overrides}
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        assert run_cli("bench", study, "--spec", str(path), "--out", str(tmp_path / "r")) == 1
+        err = capsys.readouterr().err
+        assert "must be" in err
+        assert "internal error" not in err
+
+    def test_start_study_ignores_start_node(self, tmp_path):
+        spec = {"n_values": [4], "trials": 1, "master_seed": 5, "start_node": 99}
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        assert run_cli("bench", "start", "--spec", str(path), "--out", str(tmp_path / "r")) == 0
 
 
 class TestUsageErrors:

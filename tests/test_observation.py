@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import numpy as np
@@ -219,3 +220,59 @@ class TestReconstruction:
                 tol = 1e-6 * (n / 2) * inst.c_max
                 for pairing in enumerate_pairings(n):
                     assert abs(tilde.total(pairing) - total_compatibility(inst, pairing)) <= tol
+
+
+def reference_queries(n):
+    """The reconstruction's submissions, one Pairing at a time: each rule's
+    `after` then `before` pairing, rows then columns, then the anchor."""
+    rules = [(1, j, 3, 2) for j in range(4, n + 1)]
+    rules += [(1, i, 2, j) for j in range(4, n + 1) for i in range(3, j)]
+    out = []
+    for rule in rules:
+        before, after = rule_pairings(n, *rule)
+        out += [after, before]
+    return out + [anchor_pairing(n)]
+
+
+class TestBatchedReconstruction:
+    @pytest.mark.parametrize("n", [4, 6, 8, 10])
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_query_log_is_the_one_at_a_time_sequence(self, n, shared):
+        oracle = ObservationOracle(make_instance(n, seed=n + 3), log=True)
+        _, spent = reconstruct_tilde(oracle, share_observations=shared)
+        expected = reference_queries(n)
+        if shared:
+            expected = list(dict.fromkeys(expected))  # first occurrences, in order
+        assert [pairing for pairing, _ in oracle.query_log] == expected
+        assert spent == len(expected)
+
+    @pytest.mark.parametrize("n,count", [(6, 12), (8, 29), (10, 54), (28, 639), (80, 5969)])
+    def test_shared_query_counts_pinned(self, n, count):
+        oracle = ObservationOracle(make_instance(n, seed=1))
+        _, spent = reconstruct_tilde(oracle, share_observations=True)
+        assert spent == oracle.query_count == count
+
+    @pytest.mark.parametrize(
+        "seed,digest",
+        [
+            (1, "9805de1c315c9bcaa9b31197ffadb2fd2597459192a0f6ab3fbf0c2cef6331b6"),
+            (2, "949ba69ae379fce523357a6301e8effd97db65aa0d57691b380e65ddf9aaa8b1"),
+        ],
+    )
+    def test_float_shadow_bytes_pinned(self, seed, digest):
+        # digests of the one-query-at-a-time reconstruction the batch replaced
+        from pairing_tsp.bench import generate_instance
+
+        tilde, _ = reconstruct_tilde(ObservationOracle(generate_instance(80, 0, 10000, seed)))
+        assert hashlib.sha256(tilde.t.tobytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_shared_values_match_unshared(self, exact):
+        inst = make_integer_instance(12, seed=3) if exact else make_instance(12, seed=3)
+        plain, _ = reconstruct_tilde(ObservationOracle(inst))
+        shared, _ = reconstruct_tilde(ObservationOracle(inst), share_observations=True)
+        assert plain.t.dtype == shared.t.dtype
+        if exact:
+            assert np.array_equal(plain.t, shared.t)
+        else:
+            assert plain.t.tobytes() == shared.t.tobytes()

@@ -8,7 +8,7 @@ from pairing_tsp.observation import observation_budget, reconstruct_tilde
 from pairing_tsp.oracle import ObservationOracle
 from pairing_tsp.solvers import solve_random
 
-from conftest import make_instance, reference_score
+from conftest import make_instance, make_integer_instance, reference_score
 
 
 def test_fresh_oracle_counts_zero(instance6):
@@ -114,3 +114,107 @@ def test_concurrent_observation_counts_exactly():
     for t in threads:
         t.join()
     assert oracle.query_count == 800
+
+
+def python_sum(instance, pairing):
+    # the summation the batch must reproduce: Python's sum over the
+    # canonical pairs, left to right from 0
+    rows = instance.c.tolist()
+    return sum(rows[i - 1][j - 1] for i, j in pairing.pairs)
+
+
+def shuffled_rows(pairings, seed):
+    """(Q, N/2) index arrays of `pairings` with pairs and ends in random order."""
+    rng = np.random.default_rng(seed)
+    rows, cols = [], []
+    for pairing in pairings:
+        pairs = [list(p) for p in pairing.pairs]
+        rng.shuffle(pairs)
+        for pair in pairs:
+            rng.shuffle(pair)
+        rows.append([p[0] - 1 for p in pairs])
+        cols.append([p[1] - 1 for p in pairs])
+    return np.array(rows), np.array(cols)
+
+
+class TestObserveBatch:
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_bit_identical_to_observe_per_row(self, exact):
+        n = 40
+        inst = make_integer_instance(n, seed=5) if exact else make_instance(n, seed=5)
+        pairings = [solve_random(n, seed).pairing for seed in range(60)]
+        batch = ObservationOracle(inst).observe_batch(*shuffled_rows(pairings, seed=1))
+        single = ObservationOracle(inst)
+        assert len(batch) == len(pairings)
+        for value, pairing in zip(batch.tolist(), pairings):
+            expected = single.observe(pairing)
+            assert type(value) is type(expected) is type(python_sum(inst, pairing))
+            if exact:
+                assert value == expected == python_sum(inst, pairing)
+            else:
+                assert value.hex() == expected.hex() == python_sum(inst, pairing).hex()
+
+    def test_noise_stream_matches_sequential_observe(self):
+        inst = make_instance(10, seed=6)
+        pairings = [solve_random(10, seed).pairing for seed in range(25)]
+        batched = ObservationOracle(inst, noise_sigma=3.0, noise_seed=11)
+        sequential = ObservationOracle(inst, noise_sigma=3.0, noise_seed=11)
+        first = batched.observe_batch(*shuffled_rows(pairings[:10], seed=2))
+        second = batched.observe_batch(*shuffled_rows(pairings[10:], seed=3))
+        expected = [sequential.observe(p) for p in pairings]
+        assert np.concatenate([first, second]).tolist() == expected
+        assert expected != [python_sum(inst, p) for p in pairings]
+
+    @pytest.mark.parametrize(
+        "rows,cols",
+        [
+            ([[0, 2, 0]], [[1, 3, 5]]),  # element 0 twice, 4 missing
+            ([[0, 2, 4]], [[1, 3, 6]]),  # out of range
+            ([[0, 2, -1]], [[1, 3, 4]]),  # negative
+            ([[0, 2, 4]], [[0, 3, 5]]),  # i == j
+            ([[0, 2]], [[1, 3]]),  # wrong width
+            ([[0, 2, 4]], [[1, 3, 5], [1, 3, 5]]),  # mismatched shapes
+            ([0, 2, 4], [1, 3, 5]),  # one-dimensional
+            (np.array([[0.0, 2.0, 4.0]]), np.array([[1.0, 3.0, 5.0]])),  # float dtype
+        ],
+    )
+    def test_bad_rows_raise_before_counting(self, instance6, rows, cols):
+        oracle = ObservationOracle(instance6, log=True)
+        with pytest.raises(ValidationError):
+            oracle.observe_batch(rows, cols)
+        assert oracle.query_count == 0
+        assert oracle.query_log == []
+
+    def test_one_bad_row_spoils_the_batch(self, instance6):
+        oracle = ObservationOracle(instance6)
+        with pytest.raises(ValidationError, match="row 2"):
+            oracle.observe_batch(
+                [[0, 2, 4], [0, 1, 2], [0, 2, 4]], [[1, 3, 5], [5, 4, 3], [1, 3, 2]]
+            )
+        assert oracle.query_count == 0
+
+    def test_log_holds_canonical_pairings_in_row_order(self, instance6):
+        oracle = ObservationOracle(instance6, log=True)
+        values = oracle.observe_batch([[5, 0, 3], [0, 1, 2]], [[4, 2, 1], [5, 4, 3]])
+        assert oracle.query_count == 2
+        assert oracle.query_log == [
+            (Pairing([(1, 3), (2, 4), (5, 6)]), values[0]),
+            (Pairing([(1, 6), (2, 5), (3, 4)]), values[1]),
+        ]
+        logged = oracle.query_log[0][0]
+        assert logged.pairs == ((1, 3), (2, 4), (5, 6))
+        assert [type(v) for _, v in oracle.query_log] == [float, float]
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int32, np.uint64, np.int64])
+    def test_any_integer_dtype(self, instance6, dtype):
+        rows = np.array([[0, 2, 4], [5, 0, 3]], dtype=dtype)
+        cols = np.array([[1, 3, 5], [4, 2, 1]], dtype=dtype)
+        pairings = [Pairing([(1, 2), (3, 4), (5, 6)]), Pairing([(1, 3), (2, 4), (5, 6)])]
+        expected = [ObservationOracle(instance6).observe(p) for p in pairings]
+        assert ObservationOracle(instance6).observe_batch(rows, cols).tolist() == expected
+
+    def test_empty_batch(self, instance6):
+        oracle = ObservationOracle(instance6)
+        empty = np.zeros((0, 3), dtype=np.intp)
+        assert len(oracle.observe_batch(empty, empty)) == 0
+        assert oracle.query_count == 0

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 from itertools import combinations
 
@@ -271,3 +272,42 @@ class TestCertification:
                     n, [(i, k), (j, l), (i, j), (k, l)], [1, 1, -1, -1]
                 )
             assert got == expected, label
+
+
+class TestStructuredPlan:
+    def test_pairings_are_canonical(self):
+        # the schedule is assembled from shared canonical pairs without
+        # validation; re-validating each one must change nothing
+        for n in range(4, 31, 2):
+            for pairing in minimal_observation_plan(n).pairings:
+                assert Pairing(pairing.pairs).pairs == pairing.pairs
+
+    def test_schedule_pinned(self):
+        # digest of every schedule for n = 4..60 as built by the original
+        # validated, set-difference construction
+        h = hashlib.sha256()
+        for n in range(4, 61, 2):
+            h.update(repr([p.pairs for p in minimal_observation_plan(n).pairings]).encode())
+        assert h.hexdigest() == "54d44ea74f4678937d74a24fc079f2d344e7d268621eec14e047b9d023478ab0"
+
+    @pytest.mark.parametrize(
+        "n,seed,digest",
+        [
+            (28, 1, "81615af81707e16668c348c4e74ce7bd51c52f641d7e4872f3fe95270df80849"),
+            (60, 2, "91429f465da9f2c1178feac85217ccb28cca5f750555ce27a3e6ef56059c9f61"),
+        ],
+    )
+    def test_float_shadow_bytes_pinned(self, n, seed, digest):
+        # digests of the one-query-at-a-time execution the batch replaced
+        from pairing_tsp.bench import generate_instance
+
+        oracle = ObservationOracle(generate_instance(n, 0, 10000, seed))
+        tilde = execute_plan(oracle, minimal_observation_plan(n))
+        assert hashlib.sha256(tilde.t.tobytes()).hexdigest() == digest
+
+    def test_index_arrays_follow_pairings(self):
+        plan = minimal_observation_plan(10)
+        rows, cols = plan._index_arrays
+        assert rows.shape == cols.shape == (plan.size, 5)
+        for q, pairing in enumerate(plan.pairings):
+            assert list(zip(rows[q] + 1, cols[q] + 1)) == list(pairing.pairs)
