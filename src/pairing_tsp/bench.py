@@ -103,8 +103,9 @@ class ExperimentSpec:
 
     Field types are checked here, so a malformed field fails with a
     ValidationError naming it before any trial runs. Scalars are kept as
-    given, since the report echoes them; sequences become tuples, with the
-    sizes and a list of limits converted to ints.
+    given, since the report echoes them; sequences become tuples. Sizes,
+    trials, limits and an integer start node must be integers
+    (`operator.index`), so 8.7 or "8" is rejected rather than truncated.
     """
 
     n_values: tuple[int, ...]
@@ -117,7 +118,7 @@ class ExperimentSpec:
 
     def __post_init__(self):
         n_values = _checked(
-            "n_values", "a list of integers", lambda v: tuple(int(n) for n in v), self.n_values
+            "n_values", "a list of integers", lambda v: tuple(map(operator.index, v)), self.n_values
         )
         object.__setattr__(self, "n_values", n_values)
         if isinstance(self.algorithms, str):
@@ -141,7 +142,7 @@ class ExperimentSpec:
             raise ValidationError(f"trials must be >= 1, got {self.trials}")
         _checked("master_seed", "a non-negative integer", np.random.SeedSequence, self.master_seed)
         if self.start_node not in (None, "random"):
-            _checked("start_node", 'an integer, null or "random"', int, self.start_node)
+            _checked("start_node", 'an integer, null or "random"', operator.index, self.start_node)
         for n in self.n_values:
             if n % 2 != 0 or n < 4:
                 raise ValidationError(f"element count must be even and >= 4, got {n}")

@@ -5,6 +5,10 @@ indexing is 0-based and never leaks out. A pairing is a partition of {1..N}
 into N/2 unordered pairs, and its score is the sum of the matrix entries it
 selects. The exact enumeration oracle walks all (N-1)!! pairings and is the
 ground truth every heuristic is measured against.
+
+Arithmetic follows the matrix dtype: float64 computes in floating point, and
+an object array of ints or `Fraction`s computes exactly. `zeros` and `divide`
+are the only arithmetic in the pipeline that tells the two apart.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -44,6 +49,21 @@ def pairing_count(n: int) -> int:
     if n % 2 != 0:
         raise ValidationError(f"element count must be even, got {n}")
     return double_factorial(n - 1)
+
+
+def zeros(shape, dtype) -> np.ndarray:
+    """Zeros of `dtype`; an object (exact) array is filled with Fraction(0)."""
+    if np.dtype(dtype) == object:
+        return np.full(shape, Fraction(0), dtype=object)
+    return np.zeros(shape, dtype=dtype)
+
+
+def divide(value, k: int):
+    """value / k, in floating point for floats and as an exact Fraction
+    otherwise; elementwise on arrays."""
+    if np.asarray(value).dtype.kind == "f":
+        return value / k
+    return value / Fraction(k)
 
 
 @dataclass(frozen=True)
@@ -132,13 +152,10 @@ def pairing_sum(matrix: np.ndarray, pairing: Pairing):
             f"pairing covers {pairing.n} elements but matrix is "
             f"{matrix.shape[0]}x{matrix.shape[1]}"
         )
-    if matrix.dtype == object:
-        total = matrix[pairing.pairs[0][0] - 1][pairing.pairs[0][1] - 1]
-        for i, j in pairing.pairs[1:]:
-            total = total + matrix[i - 1][j - 1]
-        return total
     rows, cols = pairing._index_arrays
-    return float(matrix[rows, cols].sum())
+    # an object reduce adds left to right and keeps the exact type
+    total = matrix[rows, cols].sum()
+    return total if matrix.dtype == object else float(total)
 
 
 def _check_symmetric_bounded(c: np.ndarray, n: int, c_min, c_max) -> None:

@@ -26,17 +26,12 @@ never holds more than O(N) pairings of N/2 pairs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 import numpy as np
 
-from .core import Pairing, ValidationError
+from .core import Pairing, ValidationError, divide, pairing_sum, zeros
 from .oracle import ObservationOracle, canonical_pairs
-
-
-def _is_floatish(value) -> bool:
-    return isinstance(value, (float, np.floating))
 
 
 def exchange_rule_value(i: int, j: int, k: int, l: int, matrix: np.ndarray):
@@ -118,9 +113,8 @@ class TildeMatrix:
         t = np.asarray(self.t)
         if t.shape != (self.n, self.n):
             raise ValidationError(f"matrix shape {t.shape} does not match n={self.n}")
-        for j in range(self.n):
-            if t[0][j] != 0 or t[j][0] != 0:
-                raise ValidationError("first row and column must be exactly zero")
+        if np.any(t[0] != 0) or np.any(t[:, 0] != 0):
+            raise ValidationError("first row and column must be exactly zero")
         if t.dtype != object:
             t = t.astype(np.float64, copy=True)
         t.setflags(write=False)
@@ -133,8 +127,6 @@ class TildeMatrix:
 
     def total(self, pairing: Pairing):
         """Pairing total over the shadow matrix; equals the hidden total."""
-        from .core import pairing_sum
-
         return pairing_sum(self.t, pairing)
 
 
@@ -146,22 +138,15 @@ def definitional_tilde(matrix: np.ndarray) -> TildeMatrix:
     row and column 1 are zero. Exact inputs produce exact fractions.
     """
     n = matrix.shape[0]
-    row1 = [matrix[0][k] for k in range(1, n)]
-    row1_sum = row1[0]
-    for value in row1[1:]:
-        row1_sum = row1_sum + value
-    if _is_floatish(row1_sum):
-        correction = 2.0 * row1_sum / (n - 2)
-        t = np.zeros((n, n), dtype=np.float64)
-    else:
-        correction = Fraction(2, n - 2) * row1_sum
-        t = np.empty((n, n), dtype=object)
-        t[:, :] = Fraction(0)
-    for i in range(1, n):
-        for j in range(i + 1, n):
-            value = matrix[i][j] - matrix[0][i] - matrix[0][j] + correction
-            t[i][j] = value
-            t[j][i] = value
+    row1 = matrix[0]
+    # cumsum adds left to right, so a float sum is bit-stable
+    correction = divide(2 * np.cumsum(row1[1:])[-1], n - 2)
+    i, j = np.triu_indices(n - 1, k=1)
+    i, j = i + 1, j + 1
+    values = matrix[i, j] - row1[i] - row1[j] + correction
+    t = zeros((n, n), values.dtype)
+    t[i, j] = values
+    t[j, i] = values
     return TildeMatrix(n=n, t=t)
 
 
@@ -246,7 +231,7 @@ def reconstruct_tilde(
     # offset[i, j] (1-based, 2 <= i < j) is entry (i, j) minus the unknown
     # x at (2, 3): the [1,j,3,2] rule, plus the [1,i,2,j] rule when i > 2
     row_offset = measure(1, np.arange(4, n + 1), 3, 2)
-    offset = np.zeros((n + 1, n + 1), dtype=row_offset.dtype)
+    offset = zeros((n + 1, n + 1), row_offset.dtype)
     offset[2, 4:] = row_offset
     for j in range(4, n + 1):
         offset[3:j, j] = row_offset[j - 4] + measure(1, np.arange(3, j), 2, j)
@@ -258,14 +243,8 @@ def reconstruct_tilde(
     offset_sum = 0
     for k in range(3, n, 2):
         offset_sum = offset_sum + offset[k, k + 1]
-    residual = anchor_total - offset_sum
-    if _is_floatish(residual):
-        x = residual / (n // 2 - 1)
-        t = np.zeros((n, n), dtype=np.float64)
-    else:
-        x = Fraction(residual, n // 2 - 1)
-        t = np.empty((n, n), dtype=object)
-        t[:, :] = Fraction(0)
+    x = divide(anchor_total - offset_sum, n // 2 - 1)
+    t = zeros((n, n), offset.dtype)
     i, j = np.triu_indices(n + 1, k=1)
     keep = i >= 2
     i, j = i[keep], j[keep]

@@ -66,26 +66,16 @@ def canonical_pairs(rows, cols, n: int) -> tuple[np.ndarray, np.ndarray]:
 class ObservationOracle:
     """Counts total-compatibility queries against a hidden instance.
 
-    The counter (and optional query log) is guarded by a lock so benchmark
-    workers may share one oracle. An additive Gaussian noise hook exists for
-    robustness experiments; it is off by default and every documented result
-    here is noiseless.
+    Answers are exact sums of the hidden entries, with no noise. The counter
+    (and optional query log) is guarded by a lock so benchmark workers may
+    share one oracle.
     """
 
-    def __init__(
-        self,
-        instance: Instance,
-        *,
-        log: bool = False,
-        noise_sigma: float = 0.0,
-        noise_seed: int = 0,
-    ):
+    def __init__(self, instance: Instance, *, log: bool = False):
         self._hidden = instance
         self._lock = threading.Lock()
         self._count = 0
         self._log: Optional[list[tuple[Pairing, float]]] = [] if log else None
-        self._noise_sigma = noise_sigma
-        self._noise_rng = np.random.Generator(np.random.PCG64(noise_seed))
 
     @property
     def n(self) -> int:
@@ -126,8 +116,6 @@ class ObservationOracle:
         totals = np.zeros(len(entries), dtype=entries.dtype)
         for column in entries.T:
             totals = totals + column
-        if self._noise_sigma > 0.0:
-            totals = totals + self._noise_rng.normal(0.0, self._noise_sigma, size=len(totals))
         with self._lock:
             self._count += len(totals)
             if self._log is not None:

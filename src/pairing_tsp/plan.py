@@ -35,9 +35,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import InternalError, Pairing, ValidationError
+from .core import InternalError, Pairing, ValidationError, divide, zeros
 from .oracle import ObservationOracle
-from .observation import TildeMatrix, _is_floatish
+from .observation import TildeMatrix
 
 
 class PlanRankError(InternalError):
@@ -76,7 +76,7 @@ def _plan_pairings(n: int) -> list[Pairing]:
     return out
 
 
-def _sweep(n: int, values: np.ndarray, u: np.ndarray, zero) -> tuple[np.ndarray, np.ndarray]:
+def _sweep(n: int, values: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Resolve every entry from the observations and given u_l, bottom up.
 
     `values` has one row per planned pairing and `u` one row per level; any
@@ -85,14 +85,14 @@ def _sweep(n: int, values: np.ndarray, u: np.ndarray, zero) -> tuple[np.ndarray,
     vanish exactly when `u` is the true one.
     """
     batch = values.shape[1:]
-    t = np.full((n + 1, n + 1) + batch, zero, dtype=values.dtype)
-    zero_row = np.full((1,) + batch, zero, dtype=values.dtype)
+    t = zeros((n + 1, n + 1) + batch, values.dtype)
+    zero_row = zeros((1,) + batch, values.dtype)
     # tau[k] = sum of u_l over levels above the k-th; tau[0] serves the base
     tau = np.concatenate([np.cumsum(u[::-1], axis=0)[::-1], zero_row])
     odd = np.arange(5, n, 2)
     t[odd, odd + 1] = u
     t[3, 4], t[2, 4], t[2, 3] = values[0] - tau[0], values[1] - tau[0], values[2] - tau[0]
-    residuals = np.full(u.shape, zero, dtype=values.dtype)
+    residuals = zeros(u.shape, values.dtype)
     pos = 3
     for k, level in enumerate(range(6, n + 1, 2)):
         a = np.arange(2, level - 1)
@@ -111,23 +111,21 @@ def _sweep(n: int, values: np.ndarray, u: np.ndarray, zero) -> tuple[np.ndarray,
     return t, residuals
 
 
-def _recover_entries(n: int, values: Sequence, zero) -> np.ndarray:
+def _recover_entries(n: int, values: Sequence) -> np.ndarray:
     """Solve the plan's observation system for every shadow entry.
 
     `values` is parallel to `_plan_pairings(n)`, optionally with trailing
-    axes of independent right-hand sides; `zero` is 0.0 for float arithmetic
-    or Fraction(0) for exact arithmetic (then `values` must be Fractions).
-    Returns the 1-based upper triangle of the shadow matrix.
+    axes of independent right-hand sides, and its dtype sets the arithmetic:
+    float64 in floating point, object (ints or Fractions) exactly. Returns
+    the 1-based upper triangle of the shadow matrix.
     """
-    dtype = np.float64 if _is_floatish(zero) else object
-    values = np.asarray(values, dtype=dtype)
+    values = np.asarray(values)
     if len(values) != plan_size(n):
         raise InternalError(f"plan for n={n} needs {plan_size(n)} observations, got {len(values)}")
     m = len(range(6, n + 1, 2))
-    u = np.full((m,) + values.shape[1:], zero, dtype=dtype)
-    _, r = _sweep(n, values, u, zero)
-    u = r.sum(axis=0) / (m + 1) - r
-    t, _ = _sweep(n, values, u, zero)
+    _, r = _sweep(n, values, zeros((m,) + values.shape[1:], values.dtype))
+    u = divide(r.sum(axis=0), m + 1) - r
+    t, _ = _sweep(n, values, u)
     return t
 
 
@@ -138,7 +136,7 @@ def _t_coefficients(n: int) -> np.ndarray:
     the k-th unit vector; the constant part is then 0, so the map is exact.
     """
     m = len(range(6, n + 1, 2))
-    _, residuals = _sweep(n, np.zeros((plan_size(n), m), dtype=np.int64), np.eye(m, dtype=np.int64), 0)
+    _, residuals = _sweep(n, np.zeros((plan_size(n), m), dtype=np.int64), np.eye(m, dtype=np.int64))
     return residuals
 
 
@@ -170,9 +168,9 @@ class ObservationPlan:
     def derivations(self) -> dict[str, tuple[tuple[Fraction, int], ...]]:
         # recover once per observation slot: column s is the response to
         # observation s alone, so entry (i, j) is sum(t[i, j, s] * v_s)
-        unit = np.full((self.size, self.size), Fraction(0), dtype=object)
+        unit = zeros((self.size, self.size), object)
         np.fill_diagonal(unit, Fraction(1))
-        t = _recover_entries(self.n, unit, Fraction(0))
+        t = _recover_entries(self.n, unit)
 
         def combo(coefs: np.ndarray) -> tuple[tuple[Fraction, int], ...]:
             return tuple((coefs[idx], int(idx)) for idx in np.flatnonzero(coefs != 0))
@@ -221,10 +219,5 @@ def execute_plan(oracle: ObservationOracle, plan: ObservationPlan) -> TildeMatri
     if plan.n != oracle.n:
         raise ValidationError(f"plan is for n={plan.n} but oracle hides n={oracle.n}")
     values = oracle.observe_batch(*plan._index_arrays)
-    if values.dtype != object or any(_is_floatish(v) for v in values):
-        zero: object = 0.0
-    else:
-        zero = Fraction(0)
-        values = [Fraction(v) for v in values]
-    upper = _recover_entries(plan.n, values, zero)[1:, 1:]
+    upper = _recover_entries(plan.n, values)[1:, 1:]
     return TildeMatrix(n=plan.n, t=upper + upper.T)

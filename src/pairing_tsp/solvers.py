@@ -94,10 +94,6 @@ def solve_pnn(matrix: np.ndarray, config: SolverConfig) -> SolveResult:
         raise ValidationError(f"start node {start} is outside 1..{n}")
     rng = np.random.Generator(np.random.PCG64(config.seed))
 
-    object_values = matrix.dtype == object
-    if not object_values:
-        matrix = matrix.astype(np.float64, copy=False)
-
     free_l1 = np.ones(n + 1, dtype=bool)  # 1-based; slot 0 unused
     free_l2 = np.ones(n + 1, dtype=bool)
     free_l3 = np.ones(n // 2 + 1, dtype=bool)
@@ -112,14 +108,8 @@ def solve_pnn(matrix: np.ndarray, config: SolverConfig) -> SolveResult:
 
     def nearest_l1(s: int) -> int:
         candidates = np.flatnonzero(free_l1)
-        if object_values:
-            row = matrix[s - 1]
-            best = max(row[j - 1] for j in candidates)
-            ties = np.array([j for j in candidates if row[j - 1] == best])
-        else:
-            values = matrix[s - 1][candidates - 1]
-            ties = candidates[values == values.max()]
-        return draw(ties)
+        values = matrix[s - 1][candidates - 1]
+        return draw(candidates[values == values.max()])
 
     seq = [GraphNode(1, start)]
     pairs = []

@@ -20,7 +20,7 @@ from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
-from .core import InternalError, Pairing, ValidationError
+from .core import InternalError, Pairing, ValidationError, zeros
 
 
 class GraphNode(NamedTuple):
@@ -85,7 +85,7 @@ class PairingTspGraph:
             raise ValidationError(f"no edge between {u.label} and {v.label}")
         if u.layer == 1 and v.layer == 1:
             return -self.c[u.index - 1][v.index - 1]
-        return 0.0 if self.c.dtype != object else 0
+        return zeros((), self.c.dtype)[()]
 
     def neighbors(self, u: GraphNode) -> list[GraphNode]:
         if u.layer == 1:

@@ -235,6 +235,10 @@ class TestBenchSpecValidation:
             ("exchange_limit", [5, -1]),
             ("start_node", 99),
             ("start_node", 0),
+            ("n_values", "8"),
+            ("n_values", "16"),
+            ("n_values", [8.7]),
+            ("start_node", 2.7),
         ],
     )
     def test_bad_field_exits_one_naming_it(self, tmp_path, capsys, field, value):

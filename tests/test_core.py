@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from pairing_tsp.core import (
     Instance,
     Pairing,
     ValidationError,
+    divide,
     double_factorial,
     dumps_instance_json,
     dumps_instance_text,
@@ -18,6 +20,7 @@ from pairing_tsp.core import (
     loads_instance_text,
     pairing_count,
     total_compatibility,
+    zeros,
 )
 from pairing_tsp.observation import exchange_rule_value
 
@@ -218,3 +221,26 @@ def test_random_valid_pairings_round_trip(half, rnd):
     assert pairing.n == n
     assert sorted(e for pair in pairing.pairs for e in pair) == list(range(1, n + 1))
     assert Pairing(list(pairing.pairs)) == pairing
+
+
+class TestNumericHelpers:
+    def test_zeros_follow_the_dtype(self):
+        assert zeros((2, 3), np.float64).dtype == np.float64
+        assert zeros(4, np.int64).tolist() == [0, 0, 0, 0]
+        exact = zeros((2, 2), object)
+        assert exact.dtype == object
+        assert {type(v) for v in exact.flat} == {Fraction}
+        assert not exact.any()
+
+    def test_divide_floats_in_floating_point(self):
+        assert divide(7.0, 3) == 7.0 / 3
+        assert type(divide(np.float64(7.0), 3)) is np.float64
+        assert divide(np.array([1.0, 2.0]), 3).tolist() == [1.0 / 3, 2.0 / 3]
+
+    def test_divide_exact_values_into_fractions(self):
+        assert divide(7, 3) == Fraction(7, 3)
+        assert divide(Fraction(1, 2), 3) == Fraction(1, 6)
+        halves = divide(np.array([1, Fraction(3, 2)], dtype=object), 2)
+        assert halves.dtype == object
+        assert halves.tolist() == [Fraction(1, 2), Fraction(3, 4)]
+        assert {type(v) for v in halves} == {Fraction}

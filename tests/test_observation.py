@@ -276,3 +276,34 @@ class TestBatchedReconstruction:
             assert np.array_equal(plain.t, shared.t)
         else:
             assert plain.t.tobytes() == shared.t.tobytes()
+
+
+class TestNumericLayer:
+    @pytest.mark.parametrize("n", [4, 6, 30])
+    def test_exact_shadows_hold_only_fractions_and_agree(self, n):
+        from pairing_tsp.plan import execute_plan, minimal_observation_plan
+
+        inst = make_integer_instance(n, seed=50 + n)
+        shadows = [
+            definitional_tilde(inst.c).t,
+            reconstruct_tilde(ObservationOracle(inst))[0].t,
+            execute_plan(ObservationOracle(inst), minimal_observation_plan(n)).t,
+        ]
+        for t in shadows:
+            assert t.dtype == object
+            assert {type(v) for v in t.flat} == {Fraction}
+            assert np.array_equal(t, shadows[0])
+
+    @pytest.mark.parametrize(
+        "seed,digest",
+        [
+            (0, "0c91e66fcbf60f6723857d8fde7e29065f8f0a504101c3bd3b8a448d79ba73cd"),
+            (1, "ed6c4cbc5b1819e40a4fcbd51f575b44ee45a2917a6bfa2b3c6df449b67ad405"),
+        ],
+    )
+    def test_definitional_float_bytes_pinned(self, seed, digest):
+        # digests of the per-entry loop the vectorized gather replaced
+        from pairing_tsp.bench import generate_instance
+
+        tilde = definitional_tilde(generate_instance(80, 0, 10000, seed).c)
+        assert hashlib.sha256(tilde.t.tobytes()).hexdigest() == digest

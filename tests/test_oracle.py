@@ -90,15 +90,6 @@ def test_budget_after_full_reconstruction_n6(instance6):
     assert oracle.query_count == observation_budget(6) == 19
 
 
-def test_noise_hook_off_by_default(instance6):
-    clean = ObservationOracle(instance6)
-    noisy = ObservationOracle(instance6, noise_sigma=5.0, noise_seed=3)
-    pairing = Pairing([(1, 2), (3, 4), (5, 6)])
-    exact = clean.observe(pairing)
-    assert clean.observe(pairing) == exact
-    assert noisy.observe(pairing) != exact
-
-
 def test_concurrent_observation_counts_exactly():
     inst = make_instance(8, seed=3)
     oracle = ObservationOracle(inst)
@@ -153,17 +144,6 @@ class TestObserveBatch:
                 assert value == expected == python_sum(inst, pairing)
             else:
                 assert value.hex() == expected.hex() == python_sum(inst, pairing).hex()
-
-    def test_noise_stream_matches_sequential_observe(self):
-        inst = make_instance(10, seed=6)
-        pairings = [solve_random(10, seed).pairing for seed in range(25)]
-        batched = ObservationOracle(inst, noise_sigma=3.0, noise_seed=11)
-        sequential = ObservationOracle(inst, noise_sigma=3.0, noise_seed=11)
-        first = batched.observe_batch(*shuffled_rows(pairings[:10], seed=2))
-        second = batched.observe_batch(*shuffled_rows(pairings[10:], seed=3))
-        expected = [sequential.observe(p) for p in pairings]
-        assert np.concatenate([first, second]).tolist() == expected
-        assert expected != [python_sum(inst, p) for p in pairings]
 
     @pytest.mark.parametrize(
         "rows,cols",

@@ -166,7 +166,7 @@ def test_recovery_rejects_wrong_observation_count():
     from pairing_tsp.core import InternalError
 
     with pytest.raises((InternalError, IndexError)):
-        _recover_entries(6, [Fraction(0)] * 4, Fraction(0))
+        _recover_entries(6, [Fraction(0)] * 4)
 
 
 def round_robin_pairings(n: int):

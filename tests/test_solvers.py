@@ -255,6 +255,21 @@ class TestComposition:
         assert result.score == pytest.approx(pairing_sum(inst.c, result.pairing))
 
 
+class TestPnnExactAgainstFloat:
+    @pytest.mark.parametrize("hi", [10000, 3])
+    @pytest.mark.parametrize("n", [8, 16, 30])
+    def test_object_and_float_copy_give_identical_runs(self, n, hi):
+        # with hi=3 most rows hold ties, so the tie-break draws decide the run
+        for seed in range(10):
+            inst = make_integer_instance(n, seed=4000 + 100 * n + seed, hi=hi)
+            config = SolverConfig(seed=seed, start_node=1 + seed % n)
+            exact = solve_pnn(inst.c, config)
+            floats = solve_pnn(inst.c.astype(np.float64), config)
+            assert exact.pairing == floats.pairing
+            assert exact.tour == floats.tour
+            assert exact.score == floats.score
+
+
 class TestP2optOnShadowAndNearTies:
     @pytest.mark.parametrize("limit", [None, 3])
     @pytest.mark.parametrize("n", [8, 16, 30])
