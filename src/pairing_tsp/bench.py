@@ -413,7 +413,9 @@ def _trial(
         return records, []
 
     start = _resolve_start(spec, n, solver_seed)
-    config = SolverConfig(seed=solver_seed, start_node=start, exchange_limit=spec.exchange_limit)
+    # a sweep's exchange_limit is a list; each limit is put in for its own refine
+    limit = None if study == "sweep" else spec.exchange_limit
+    config = SolverConfig(seed=solver_seed, start_node=start, exchange_limit=limit)
     if study == "perf":
         for algo in spec.algorithms:
             if algo == "random":

@@ -15,13 +15,15 @@ shadow matrix preserves exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from typing import Optional
 
 import numpy as np
 
 from .core import InternalError, Pairing, ValidationError, pairing_sum
-from .tsp_graph import GraphNode, Tour, build_graph, validate_tour
+from .tsp_graph import GraphNode, Tour
 
 
 @dataclass(frozen=True)
@@ -30,12 +32,27 @@ class SolverConfig:
 
     `start_node` is the first-layer node the construction starts from
     (defaults to 1 when omitted); `exchange_limit` caps accepted rewirings,
-    with None meaning run to convergence.
+    with None meaning run to convergence. Both must be integers or None
+    (`operator.index`), so 2.5 is rejected rather than truncated.
     """
 
     seed: int = 0
     start_node: Optional[int] = None
     exchange_limit: Optional[int] = 600
+
+    def __post_init__(self):
+        for name in ("start_node", "exchange_limit"):
+            value = getattr(self, name)
+            if value is None:
+                continue
+            try:
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError as exc:
+                raise ValidationError(f"{name} must be an integer or None, got {value!r}") from exc
+
+
+#: Layer of each tour position, by position mod 5: the construction rhythm.
+_RHYTHM_LAYERS = (1, 1, 2, 3, 2)
 
 
 @dataclass(frozen=True)
@@ -45,14 +62,29 @@ class SolveResult:
     noc: int
     exchanges_used: int
     trace: Optional[tuple[int, ...]] = None
-    tour: Optional[Tour] = None
+    #: Node index at each of the construction's first 5N/2-1 tour positions
+    #: (pnn only); the layer follows from the position.
+    visits: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
+
+    @cached_property
+    def tour(self) -> Optional[Tour]:
+        """The constructed layered tour, built from `visits` when first read."""
+        if self.visits is None:
+            return None
+        indices = self.visits.tolist()
+        seq = [GraphNode(_RHYTHM_LAYERS[pos % 5], index) for pos, index in enumerate(indices)]
+        seq.append(GraphNode(2, indices[0]))  # the preset closing slot
+        return Tour(seq)
 
 
 def _check_solver_matrix(matrix: np.ndarray) -> tuple[np.ndarray, int]:
-    matrix = np.asarray(matrix)
-    n = matrix.shape[0]
-    if matrix.ndim != 2 or matrix.shape[1] != n:
+    try:
+        matrix = np.asarray(matrix)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"matrix is not a rectangular array: {exc}") from exc
+    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValidationError(f"matrix must be square, got shape {matrix.shape}")
+    n = matrix.shape[0]
     if n % 2 != 0 or n < 4:
         raise ValidationError(f"element count must be even and >= 4, got {n}")
     return matrix, n
@@ -70,7 +102,7 @@ def solve_random(n: int, seed: int, matrix: Optional[np.ndarray] = None) -> Solv
     rng = np.random.Generator(np.random.PCG64(seed))
     order = rng.permutation(n) + 1
     pairing = Pairing.from_permutation(int(v) for v in order)
-    score = pairing_sum(np.asarray(matrix), pairing) if matrix is not None else None
+    score = None if matrix is None else pairing_sum(_check_solver_matrix(matrix)[0], pairing)
     return SolveResult(pairing=pairing, score=score, noc=0, exchanges_used=0)
 
 
@@ -86,7 +118,9 @@ def solve_pnn(matrix: np.ndarray, config: SolverConfig) -> SolveResult:
     the next pair's lead element; (0) down to that node's layer-one twin.
     The layer-two and layer-three draws come from the same seeded generator
     as the tie-breaks, so a seed pins down the full trajectory. Runs in
-    O(n^2). The finished tour is validated before returning.
+    O(n^2). The visited node indices are kept as an integer array; the
+    `Tour` itself is built only when `result.tour` is read, and is valid by
+    construction (the tests validate it against the layered graph).
     """
     matrix, n = _check_solver_matrix(matrix)
     start = 1 if config.start_node is None else config.start_node
@@ -95,75 +129,108 @@ def solve_pnn(matrix: np.ndarray, config: SolverConfig) -> SolveResult:
     rng = np.random.Generator(np.random.PCG64(config.seed))
 
     free_l1 = np.ones(n + 1, dtype=bool)  # 1-based; slot 0 unused
-    free_l2 = np.ones(n + 1, dtype=bool)
-    free_l3 = np.ones(n // 2 + 1, dtype=bool)
-    free_l1[0] = free_l2[0] = free_l3[0] = False
-    free_l1[start] = False
-    free_l2[start] = False  # the preset closing slot is already taken
+    free_l1[0] = free_l1[start] = False
+    # unvisited layer-two and layer-three nodes, ascending; the closing
+    # layer-two slot of the start node is already taken
+    free_l2 = [v for v in range(1, n + 1) if v != start]
+    free_l3 = list(range(1, n // 2 + 1))
 
-    def draw(candidates: np.ndarray) -> int:
-        if len(candidates) == 1:
-            return int(candidates[0])
-        return int(rng.choice(candidates))
+    def pick(k: int) -> int:
+        # candidates[pick(len(candidates))] is the draw rng.choice(candidates) makes
+        return 0 if k == 1 else int(rng.integers(k))
 
-    def nearest_l1(s: int) -> int:
-        candidates = np.flatnonzero(free_l1)
-        values = matrix[s - 1][candidates - 1]
-        return draw(candidates[values == values.max()])
-
-    seq = [GraphNode(1, start)]
+    visits = [start]
     pairs = []
     s = start
     total_moves = 5 * n // 2 - 2
     for t in range(1, total_moves + 1):
         step = t % 5
         if step == 1:
-            partner = nearest_l1(s)
+            candidates = np.flatnonzero(free_l1)
+            values = matrix[s - 1][candidates - 1]
+            ties = candidates[values == values.max()]
+            partner = int(ties[pick(len(ties))])
             free_l1[partner] = False
             pairs.append((s, partner))
             s = partner
-            seq.append(GraphNode(1, s))
         elif step == 2:
-            free_l2[s] = False
-            seq.append(GraphNode(2, s))
-        elif step == 3:
-            k = draw(np.flatnonzero(free_l3))
-            free_l3[k] = False
-            seq.append(GraphNode(3, k))
+            free_l2.remove(s)
         elif step == 4:
-            s = draw(np.flatnonzero(free_l2))
-            free_l2[s] = False
-            seq.append(GraphNode(2, s))
-        else:  # step == 0: forced descent to the layer-one twin
+            s = free_l2.pop(pick(len(free_l2)))
+        elif step == 0:  # forced descent to the layer-one twin
             if not free_l1[s]:
                 raise InternalError(f"first-layer node {s} revisited during construction")
             free_l1[s] = False
-            seq.append(GraphNode(1, s))
-    seq.append(GraphNode(2, start))
+        # step 3 crosses to layer three and leaves s where it is
+        visits.append(free_l3.pop(pick(len(free_l3))) if step == 3 else s)
 
-    tour = Tour(seq)
-    verdict = validate_tour(build_graph(matrix, n), tour)
-    if not verdict:
-        raise InternalError(f"construction produced an invalid tour: {verdict.reason}")
     pairing = Pairing(pairs)
     return SolveResult(
         pairing=pairing,
         score=pairing_sum(matrix, pairing),
         noc=0,
         exchanges_used=0,
-        tour=tour,
+        visits=np.array(visits, dtype=np.intp),
     )
+
+
+#: Element-slot offsets, within a slot pair's four slots (x, y, u, v), of the
+#: first and then the second terms of the three sums the rewiring compares:
+#: a = c[x][y] + c[u][v], b = c[x][v] + c[u][y], d = c[x][u] + c[v][y].
+_ROWS = np.array([0, 0, 0, 2, 2, 3])
+_COLS = np.array([1, 3, 2, 3, 1, 1])
+
+
+@lru_cache(maxsize=8)
+def _slot_pairs(m: int) -> tuple[tuple, np.ndarray, np.ndarray]:
+    """Every slot pair in scan order, their element slots, each slot's pairs.
+
+    Built once per pair count m and shared, so the arrays are read-only.
+    The k-th pair (i, j) of `np.triu_indices(m, 1)` is k-th in the tuple and
+    row k of the second array holds its element slots (2i, 2i+1, 2j, 2j+1);
+    row t of the third holds the scan positions of the m-1 pairs that
+    contain pair slot t.
+    """
+    i, j = np.triu_indices(m, 1)
+    quads = np.stack([2 * i, 2 * i + 1, 2 * j, 2 * j + 1], axis=1)
+    position = np.zeros((m, m), dtype=np.intp)
+    position[i, j] = position[j, i] = np.arange(len(i))
+    touching = position[~np.eye(m, dtype=bool)].reshape(m, m - 1)
+    for array in (quads, touching):
+        array.setflags(write=False)
+    return tuple(zip(i.tolist(), j.tolist())), quads, touching
+
+
+def _outcomes(flat: np.ndarray, n: int, slots: np.ndarray, quads: np.ndarray):
+    """Whether each slot pair improves, and whether `b` is the winner.
+
+    The sums and comparisons are the scalar rule's, term for term: `b` wins
+    when b > a and b >= d, else `d` wins when d > a.
+    """
+    elements = slots[quads]
+    terms = flat[elements[:, _ROWS] * n + elements[:, _COLS]]
+    sums = terms[:, :3] + terms[:, 3:]  # columns a, b, d
+    gains = sums[:, 1:] > sums[:, :1]  # b > a, d > a
+    b_wins = gains[:, 0] & (sums[:, 1] >= sums[:, 2])
+    return gains[:, 0] | gains[:, 1], b_wins
 
 
 def solve_p2opt(matrix: np.ndarray, initial: Pairing, config: SolverConfig) -> SolveResult:
     """Round-robin two-pair rewiring until no strict improvement remains.
 
     For pair slots (i, j) the current value a is compared against the two
-    rewirings b and c; the best one is applied only when it strictly beats a
-    (b wins ties against c), the scan restarts from the beginning, and the
+    rewirings b and d; the best one is applied only when it strictly beats a
+    (b wins ties against d), the scan restarts from the beginning, and the
     loop stops after `exchange_limit` accepted rewirings or after one full
     clean scan. Every comparison counts toward `noc`, including the one that
     triggers an exchange; `trace` records the checks of each scan segment.
+
+    Whether a slot pair improves depends only on its four elements, so the
+    outcomes of all slot pairs are held in a table in scan order, computed
+    once; an exchange at (i, j) recomputes only the 2m-3 pairs touching slot
+    i or j. The restarted scan then ends at the table's first improving
+    entry, so the first-improvement order, and every count, is that of the
+    plain rescan. Float64 and exact object matrices take the same path.
     """
     matrix, n = _check_solver_matrix(matrix)
     if initial.n != n:
@@ -181,46 +248,38 @@ def solve_p2opt(matrix: np.ndarray, initial: Pairing, config: SolverConfig) -> S
             trace=(),
         )
 
-    c = matrix.tolist()
+    # any other dtype is summed as Python scalars, as matrix.tolist() would be
+    native = matrix.dtype in (np.float64, object)
+    flat = (matrix if native else matrix.astype(object)).ravel()
     # slot layout: pair k occupies slots 2k and 2k+1 (0-based elements)
-    s = [e - 1 for pair in initial.pairs for e in pair]
+    slots = np.array([e - 1 for pair in initial.pairs for e in pair], dtype=np.intp)
     m = n // 2
-    noc = 0
+    pairs, quads, touching = _slot_pairs(m)
+    improves, b_wins = _outcomes(flat, n, slots, quads)
     exchanges = 0
     trace: list[int] = []
     while True:
-        swapped = False
-        segment = 0
-        for i in range(m - 1):
-            si, sj = 2 * i, 2 * i + 1
-            for j in range(i + 1, m):
-                ti, tj = 2 * j, 2 * j + 1
-                a = c[s[si]][s[sj]] + c[s[ti]][s[tj]]
-                b = c[s[si]][s[tj]] + c[s[ti]][s[sj]]
-                d = c[s[si]][s[ti]] + c[s[tj]][s[sj]]
-                segment += 1
-                if b > a and b >= d:
-                    s[sj], s[tj] = s[tj], s[sj]
-                    swapped = True
-                elif d > a:
-                    s[sj], s[ti] = s[ti], s[sj]
-                    swapped = True
-                if swapped:
-                    break
-            if swapped:
-                break
-        noc += segment
-        trace.append(segment)
-        if not swapped:
+        # the restarted scan checks every pair up to the first improving one
+        first = int(improves.argmax())
+        if not improves[first]:
+            trace.append(len(pairs))
             break
+        trace.append(first + 1)
+        i, j = pairs[first]
+        # b pairs x with v and u with y; d pairs x with u and v with y
+        y, other = 2 * i + 1, 2 * j + (1 if b_wins[first] else 0)
+        slots[y], slots[other] = slots[other], slots[y]
         exchanges += 1
         if limit is not None and exchanges >= limit:
             break
-    pairing = Pairing((s[2 * k] + 1, s[2 * k + 1] + 1) for k in range(m))
+        # the shared pair (i, j) is listed twice and written twice
+        stale = touching[[i, j]].ravel()
+        improves[stale], b_wins[stale] = _outcomes(flat, n, slots, quads[stale])
+    pairing = Pairing((slots + 1).reshape(m, 2).tolist())
     return SolveResult(
         pairing=pairing,
         score=pairing_sum(matrix, pairing),
-        noc=noc,
+        noc=sum(trace),
         exchanges_used=exchanges,
         trace=tuple(trace),
     )

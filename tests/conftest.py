@@ -2,9 +2,10 @@
 
 The reference helpers here deliberately do not reuse library code paths:
 enumeration matches the largest element first (the library matches the
-smallest), scoring is a nested loop, and the rank check is a from-scratch
-Gaussian elimination over fractions. They exist so library results are
-checked against something that cannot share their bugs.
+smallest), scoring is a nested loop, the rank check is a from-scratch
+Gaussian elimination over fractions, and two-pair rewiring is the plain
+scalar rescan. They exist so library results are checked against something
+that cannot share their bugs.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from pairing_tsp.core import Instance
+from pairing_tsp.core import Instance, Pairing, pairing_sum
 
 
 def make_instance(n: int, seed: int, c_min: float = 0.0, c_max: float = 10000.0) -> Instance:
@@ -70,6 +71,55 @@ def reference_score(matrix: np.ndarray, pairs) -> float:
         i, j = sorted(pair)
         total += float(matrix[i - 1][j - 1])
     return total
+
+
+def reference_p2opt(matrix: np.ndarray, initial: Pairing, limit) -> tuple:
+    """Two-pair rewiring as a plain rescan from the first slot pair.
+
+    The scalar loop the library's outcome table replaces: after every
+    exchange the scan restarts at slot pair (0, 1). Returns (pairing, noc,
+    exchanges, trace, score); the score is the library's `pairing_sum`, so
+    a float result compares bit for bit.
+    """
+    if limit == 0:
+        return initial, 0, 0, (), pairing_sum(matrix, initial)
+    c = matrix.tolist()
+    # slot layout: pair k occupies slots 2k and 2k+1 (0-based elements)
+    s = [e - 1 for pair in initial.pairs for e in pair]
+    m = len(s) // 2
+    noc = 0
+    exchanges = 0
+    trace = []
+    while True:
+        swapped = False
+        segment = 0
+        for i in range(m - 1):
+            si, sj = 2 * i, 2 * i + 1
+            for j in range(i + 1, m):
+                ti, tj = 2 * j, 2 * j + 1
+                a = c[s[si]][s[sj]] + c[s[ti]][s[tj]]
+                b = c[s[si]][s[tj]] + c[s[ti]][s[sj]]
+                d = c[s[si]][s[ti]] + c[s[tj]][s[sj]]
+                segment += 1
+                if b > a and b >= d:
+                    s[sj], s[tj] = s[tj], s[sj]
+                    swapped = True
+                elif d > a:
+                    s[sj], s[ti] = s[ti], s[sj]
+                    swapped = True
+                if swapped:
+                    break
+            if swapped:
+                break
+        noc += segment
+        trace.append(segment)
+        if not swapped:
+            break
+        exchanges += 1
+        if limit is not None and exchanges >= limit:
+            break
+    pairing = Pairing((s[2 * k] + 1, s[2 * k + 1] + 1) for k in range(m))
+    return pairing, noc, exchanges, tuple(trace), pairing_sum(matrix, pairing)
 
 
 def reference_rank(rows: list[list[int]]) -> int:

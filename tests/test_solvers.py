@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 from collections import Counter
 
@@ -20,11 +22,12 @@ from pairing_tsp.solvers import (
     solve_pnn_p2opt,
     solve_random,
 )
+from pairing_tsp.bench import generate_instance
 from pairing_tsp.observation import reconstruct_tilde
 from pairing_tsp.oracle import ObservationOracle
-from pairing_tsp.tsp_graph import build_graph, validate_tour
+from pairing_tsp.tsp_graph import build_graph, pairing_from_tour, validate_tour
 
-from conftest import make_instance, make_integer_instance, matrix_from_pairs
+from conftest import make_instance, make_integer_instance, matrix_from_pairs, reference_p2opt
 
 
 def greedy_trap_matrix():
@@ -306,3 +309,173 @@ class TestP2optOnShadowAndNearTies:
         assert result.noc == sum(result.trace)
         # converged: the last scan segment checked every pair of pairs cleanly
         assert result.trace[-1] == m * (m - 1) // 2
+
+
+def near_tie_matrix(n: int, seed: int) -> np.ndarray:
+    # entries 5000 +- 1e-9: the three sums of a slot pair differ in the last bits
+    rng = np.random.default_rng(seed)
+    values = 5000.0 + rng.integers(-1000, 1001, (n, n)) * 1e-12
+    c = np.triu(values, 1)
+    return c + c.T
+
+
+def shadow_matrix(n: int, seed: int) -> np.ndarray:
+    return reconstruct_tilde(ObservationOracle(generate_instance(n, 0, 10000, seed)))[0].t
+
+
+MATRIX_KINDS = {
+    "float": lambda n, seed: make_instance(n, seed=seed).c,
+    "shadow": shadow_matrix,
+    # values 0..3 in exact arithmetic: most comparisons are ties
+    "object-ties": lambda n, seed: make_integer_instance(n, seed=seed, hi=3).c,
+    "near-tie": near_tie_matrix,
+}
+
+
+class TestP2optAgainstScalarReference:
+    """The outcome table against the plain rescan it replaces, bit for bit."""
+
+    @pytest.mark.parametrize("kind", sorted(MATRIX_KINDS))
+    @pytest.mark.parametrize("n", [4, 6, 10, 30, 64, 100])
+    def test_identical_runs(self, kind, n):
+        c = MATRIX_KINDS[kind](n, 5000 + n)
+        initials = [solve_random(n, n).pairing] + [
+            solve_pnn(c, SolverConfig(seed=start, start_node=start)).pairing
+            for start in sorted({1, n // 2, n})
+        ]
+        exchanges = 0
+        for initial in initials:
+            for limit in (None, 0, 1, 3, 600):
+                result = solve_p2opt(c, initial, SolverConfig(exchange_limit=limit))
+                pairing, noc, used, trace, score = reference_p2opt(c, initial, limit)
+                assert result.pairing.pairs == pairing.pairs
+                assert (result.noc, result.exchanges_used, result.trace) == (noc, used, trace)
+                assert result.score == score and type(result.score) is type(score)
+                exchanges += used
+        assert exchanges > 0 or n == 4
+
+    def test_first_improvement_is_found_before_a_later_d_win(self):
+        # slot pair (0, 1) is a b win and (0, 2) a d win: the scan must stop
+        # at the first improving pair whichever rewiring wins there
+        c = matrix_from_pairs(6, {(1, 4): 5, (2, 3): 5, (1, 5): 9, (2, 6): 9})
+        initial = Pairing([(1, 2), (3, 4), (5, 6)])
+        result = solve_p2opt(c, initial, SolverConfig(exchange_limit=1))
+        reference = reference_p2opt(c, initial, 1)
+        assert result.trace == reference[3] == (1,)
+        assert result.pairing == reference[0] == Pairing([(1, 4), (2, 3), (5, 6)])
+
+    def test_other_dtypes_sum_as_python_scalars(self):
+        # float32 entries are summed in double precision and ints exactly,
+        # as the scalar loop over matrix.tolist() sums them
+        base = make_instance(12, seed=17).c
+        initial = solve_random(12, 3).pairing
+        for c in (base.astype(np.float32), np.round(base).astype(np.int64)):
+            result = solve_p2opt(c, initial, SolverConfig(exchange_limit=None))
+            pairing, noc, used, trace, score = reference_p2opt(c, initial, None)
+            assert (result.pairing, result.noc, result.exchanges_used, result.trace) == (
+                pairing,
+                noc,
+                used,
+                trace,
+            )
+            assert result.score == score
+
+
+def _improving_slot_pairs(c, pairing: Pairing) -> list:
+    """Every slot pair (x, y) of the pairing where a rewiring strictly gains."""
+    pairs = pairing.pairs
+    found = []
+    for x in range(len(pairs)):
+        for y in range(x + 1, len(pairs)):
+            (i, j), (k, l) = pairs[x], pairs[y]
+            a = c[i - 1][j - 1] + c[k - 1][l - 1]
+            b = c[i - 1][l - 1] + c[k - 1][j - 1]
+            d = c[i - 1][k - 1] + c[l - 1][j - 1]
+            if b > a or d > a:
+                found.append((x, y))
+    return found
+
+
+class TestP2optLocalOptimumAtScale:
+    @pytest.mark.parametrize("kind", ["float", "shadow", "object-ties"])
+    def test_converged_result_is_two_pair_optimal_n200(self, kind):
+        n = 200
+        c = MATRIX_KINDS[kind](n, 7)
+        for initial in (solve_random(n, 1).pairing, solve_pnn(c, SolverConfig(seed=2)).pairing):
+            result = solve_p2opt(c, initial, SolverConfig(exchange_limit=None))
+            assert result.exchanges_used > 0
+            assert _improving_slot_pairs(c, result.pairing) == []
+            assert result.trace[-1] == (n // 2) * (n // 2 - 1) // 2
+
+
+def _tour_digest(tour) -> str:
+    return hashlib.sha256(json.dumps([list(node) for node in tour.sequence]).encode()).hexdigest()
+
+
+class TestPnnLazyTour:
+    # digests of the tours the construction built and validated on every
+    # call before the tour became lazy; a changed draw changes them
+    @pytest.mark.parametrize(
+        "n, seed, start, on_shadow, digest",
+        [
+            (10, 0, 1, False, "2d552a2c5b350e120ac37787ab506f2718ddbcb58cacc286898c852ba4d6c879"),
+            (10, 1, 10, False, "14c1d078533efa0d32bc209dd2714e935242cec3a347ce89d71c20617e11c673"),
+            (10, 2, 4, True, "ed17d01b619b08e76819b3d1ba7f18c916130134f87ef16b1fc39b75135f25fc"),
+            (100, 0, 1, False, "aa51da8cb2785403570ed342b464176b542be55816a01b11ad9340adf16f755a"),
+            (100, 1, 100, False, "6d6588ebe9127b107acfcf685043006b3cb3d215ae6eecb5440f717e7055b9c1"),
+            # on a shadow row 1 is zero, so the first partner is a tie draw
+            (100, 2, 1, True, "fa595fb9de104f3c891686f2a21640201dcbf50f4bf00f6735b26e91de33fab7"),
+            (100, 3, 57, True, "40527bf377fc59f5607edce92ead568efea6406a7c166a4f33a358dfb7afccd1"),
+        ],
+    )
+    def test_tour_pinned(self, n, seed, start, on_shadow, digest):
+        c = shadow_matrix(n, seed) if on_shadow else generate_instance(n, 0, 10000, seed).c
+        result = solve_pnn(c, SolverConfig(seed=seed, start_node=start))
+        assert _tour_digest(result.tour) == digest
+
+    @pytest.mark.parametrize("on_shadow", [False, True])
+    def test_tour_valid_and_matches_pairing_n200(self, on_shadow):
+        n = 200
+        c = shadow_matrix(n, 9) if on_shadow else generate_instance(n, 0, 10000, 9).c
+        for start in (1, 77, 200):
+            result = solve_pnn(c, SolverConfig(seed=start, start_node=start))
+            assert validate_tour(build_graph(c, n), result.tour).ok
+            assert pairing_from_tour(result.tour) == result.pairing
+
+    def test_tour_built_once_and_only_for_pnn(self):
+        c = make_instance(12, seed=21).c
+        result = solve_pnn(c, SolverConfig(seed=3))
+        assert result.tour is result.tour
+        assert len(result.visits) == 5 * 12 // 2 - 1
+        assert solve_p2opt(c, result.pairing, SolverConfig()).tour is None
+        assert solve_random(12, 3).tour is None
+
+
+class TestSolverInputErrors:
+    """Malformed solver inputs raise a named ValidationError, not a numpy error."""
+
+    @pytest.mark.parametrize("matrix", [np.float64(3), [[0, 1, 2, 3], [1, 0]], np.zeros((4, 4, 4))])
+    def test_non_matrix_rejected(self, matrix):
+        with pytest.raises(ValidationError):
+            solve_pnn(matrix, SolverConfig())
+        with pytest.raises(ValidationError):
+            solve_p2opt(matrix, Pairing([(1, 2), (3, 4)]), SolverConfig())
+        with pytest.raises(ValidationError):
+            solve_random(4, 0, matrix=matrix)
+
+    @pytest.mark.parametrize("start", [2.5, "3", [1]])
+    def test_non_integer_start_node_rejected(self, start):
+        with pytest.raises(ValidationError, match="start_node must be an integer"):
+            SolverConfig(start_node=start)
+
+    @pytest.mark.parametrize("limit", [1.5, "2"])
+    def test_non_integer_exchange_limit_rejected(self, limit):
+        with pytest.raises(ValidationError, match="exchange_limit must be an integer"):
+            SolverConfig(exchange_limit=limit)
+
+    def test_numpy_integers_accepted(self):
+        config = SolverConfig(start_node=np.int64(3), exchange_limit=np.int32(2))
+        assert config == SolverConfig(start_node=3, exchange_limit=2)
+        assert type(config.start_node) is int and type(config.exchange_limit) is int
+        c = make_instance(8, seed=22).c
+        assert solve_pnn(c, config).pairing == solve_pnn(c, SolverConfig(start_node=3)).pairing
