@@ -39,7 +39,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import Instance, ValidationError, total_compatibility
+from .core import Instance, ValidationError, seeded_rng, total_compatibility
 from .observation import reconstruct_tilde
 from .oracle import ObservationOracle
 from .solvers import SolverConfig, solve_p2opt, solve_pnn, solve_pnn_p2opt, solve_random
@@ -70,7 +70,9 @@ def generate_instance(n: int, c_min: float, c_max: float, seed: int) -> Instance
     """Uniform random symmetric instance, deterministic per seed."""
     if n % 2 != 0 or n < 4:
         raise ValidationError(f"element count must be even and >= 4, got {n}")
-    rng = np.random.Generator(np.random.PCG64(seed))
+    if not (math.isfinite(c_min) and math.isfinite(c_max) and c_min <= c_max):
+        raise ValidationError(f"bounds [{c_min}, {c_max}] must be finite with c_min <= c_max")
+    rng = seeded_rng(seed)
     c = np.zeros((n, n), dtype=np.float64)
     iu, ju = np.triu_indices(n, k=1)
     values = rng.uniform(c_min, c_max, len(iu))
@@ -341,7 +343,7 @@ def random_start_node(seed: int, n: int) -> int:
     Bench trials draw it from their solver seed and `solve --start-node
     random` from `--seed`, so both pick the same node for the same seed.
     """
-    rng = np.random.Generator(np.random.PCG64(seed ^ 0x5EED))
+    rng = seeded_rng(seed, 0x5EED)
     return int(rng.integers(1, n + 1))
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -64,6 +65,18 @@ def divide(value, k: int):
     if np.asarray(value).dtype.kind == "f":
         return value / k
     return value / Fraction(k)
+
+
+def seeded_rng(seed, salt: int = 0) -> np.random.Generator:
+    """The PCG64 generator of `seed` ^ `salt`; the seed must be a non-negative
+    integer (`operator.index`), or a ValidationError names it."""
+    try:
+        value = operator.index(seed)
+    except TypeError:
+        value = -1
+    if value < 0:
+        raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
+    return np.random.Generator(np.random.PCG64(value ^ salt))
 
 
 @dataclass(frozen=True)
@@ -145,6 +158,20 @@ class Pairing:
         return "{" + ", ".join(f"{{{i},{j}}}" for i, j in self.pairs) + "}"
 
 
+def pairings_from_canonical(first: np.ndarray, second: np.ndarray) -> tuple[Pairing, ...]:
+    """Trusted pairings of canonical 0-based (Q, N/2) arrays from `oracle.canonical_pairs`."""
+    return tuple(
+        Pairing._from_canonical(tuple(zip(a, b)))
+        for a, b in zip((first + 1).tolist(), (second + 1).tolist())
+    )
+
+
+def row_totals(entries: np.ndarray) -> np.ndarray:
+    """Each row's sum, added left to right (`.sum()` adds pairwise); every
+    pairing total goes through here, so it does not depend on the path."""
+    return np.cumsum(entries, axis=1)[:, -1]
+
+
 def pairing_sum(matrix: np.ndarray, pairing: Pairing):
     """Sum of matrix[i][j] over the pairing's pairs (matrix is 0-based, full)."""
     if matrix.shape[0] != pairing.n:
@@ -153,8 +180,7 @@ def pairing_sum(matrix: np.ndarray, pairing: Pairing):
             f"{matrix.shape[0]}x{matrix.shape[1]}"
         )
     rows, cols = pairing._index_arrays
-    # an object reduce adds left to right and keeps the exact type
-    total = matrix[rows, cols].sum()
+    total = row_totals(matrix[rows, cols][None])[0]
     return total if matrix.dtype == object else float(total)
 
 

@@ -30,7 +30,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Pairing, ValidationError, divide, pairing_sum, zeros
+from .core import Pairing, ValidationError, divide, pairing_sum, row_totals, zeros
 from .oracle import ObservationOracle, canonical_pairs
 
 
@@ -139,8 +139,7 @@ def definitional_tilde(matrix: np.ndarray) -> TildeMatrix:
     """
     n = matrix.shape[0]
     row1 = matrix[0]
-    # cumsum adds left to right, so a float sum is bit-stable
-    correction = divide(2 * np.cumsum(row1[1:])[-1], n - 2)
+    correction = divide(2 * row_totals(row1[None, 1:])[0], n - 2)
     i, j = np.triu_indices(n - 1, k=1)
     i, j = i + 1, j + 1
     values = matrix[i, j] - row1[i] - row1[j] + correction
@@ -162,19 +161,25 @@ def observation_budget(n: int) -> int:
     return 2 * (n - 3) + (n - 2) * (n - 3) + 1
 
 
+def _completion(n: int, fixed: np.ndarray) -> np.ndarray:
+    """(R, n - F): per row, the elements of 0..n-1 outside the row's F distinct
+    `fixed` ones, ascending, so consecutive pairs are `canonical_completion`.
+    The k-th unused element is k bumped past each fixed one in ascending order."""
+    rest = np.tile(np.arange(n - fixed.shape[1]), (len(fixed), 1))
+    for used in np.sort(fixed, axis=1).T:
+        rest += rest >= used[:, None]
+    return rest
+
+
 def _rule_rows(n: int, rules: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Index arrays of the pairings realizing each rule in a (Q, 4) array.
 
     Rows 2q and 2q+1 are rule q's `after` and `before` pairings, the order
     `measure_exchange_rule` observes them in, as 0-based (2Q, N/2) arrays
-    for `ObservationOracle.observe_batch`. The shared completion pairs the
-    k-th and (k+1)-th unused elements; the k-th unused element is k bumped
-    once past each of the rule's four elements in ascending order.
+    for `ObservationOracle.observe_batch`; both share the rule's completion.
     """
     i, j, k, l = (rules - 1).T[:, :, None]
-    rest = np.tile(np.arange(n - 4), (len(rules), 1))
-    for used in np.sort(rules - 1, axis=1).T:
-        rest += rest >= used[:, None]
+    rest = _completion(n, rules - 1)
     rows = np.empty((len(rules), 2, n // 2), dtype=np.intp)
     cols = np.empty_like(rows)
     rows[:, :, 0], cols[:, :, 1] = i, l
@@ -240,9 +245,8 @@ def reconstruct_tilde(
     spent = oracle.query_count - start_count
 
     # anchor total = (N/2 - 1) * x + sum of offsets over {3,4},{5,6},...
-    offset_sum = 0
-    for k in range(3, n, 2):
-        offset_sum = offset_sum + offset[k, k + 1]
+    k = np.arange(3, n, 2)
+    offset_sum = row_totals(offset[k, k + 1][None])[0]
     x = divide(anchor_total - offset_sum, n // 2 - 1)
     t = zeros((n, n), offset.dtype)
     i, j = np.triu_indices(n + 1, k=1)

@@ -12,8 +12,9 @@ elements, row q pairing rows[q, k] with cols[q, k], in any pair order and
 either orientation. Both take one path. Every row is checked to be a perfect
 matching of 0..N-1 before the counter moves, so a bad batch costs nothing;
 each row is then summed in canonical pair order (i < j inside a pair, pairs
-sorted by first element), left to right from 0, which is exactly Python's
-`sum` over `Pairing.pairs`, bit for bit.
+sorted by first element), left to right by `core.row_totals`, which is
+exactly Python's `sum` over `Pairing.pairs` and `total_compatibility`, bit
+for bit.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Instance, Pairing, ValidationError
+from .core import Instance, Pairing, ValidationError, pairings_from_canonical, row_totals
 
 
 def canonical_pairs(rows, cols, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -110,20 +111,11 @@ class ObservationOracle:
         exact values for exact ones; value q equals `observe` on row q.
         """
         first, second = canonical_pairs(rows, cols, self._hidden.n)
-        entries = self._hidden.c[first, second]
-        # column by column from 0, as Python's sum adds; .sum(axis=1) adds
-        # pairwise and can differ in the last bit
-        totals = np.zeros(len(entries), dtype=entries.dtype)
-        for column in entries.T:
-            totals = totals + column
+        totals = row_totals(self._hidden.c[first, second])
         with self._lock:
             self._count += len(totals)
             if self._log is not None:
-                pairings = [
-                    Pairing._from_canonical(tuple(zip(a, b)))
-                    for a, b in zip((first + 1).tolist(), (second + 1).tolist())
-                ]
-                self._log.extend(zip(pairings, totals.tolist()))
+                self._log.extend(zip(pairings_from_canonical(first, second), totals.tolist()))
         return totals
 
     def reset(self) -> None:

@@ -14,7 +14,9 @@ is owned by exactly one Y or Z observation, and a Y/Z row refers only to
 entries of lower levels, so given the u_l one bottom-up sweep resolves every
 entry. The completion of {2..l-2} minus a is a prefix of the even-start pairs
 (2,3), (4,5), ..., at most one bridging pair (a-1, a+1) and a suffix of the
-odd-start pairs, so a whole level costs a few array operations.
+odd-start pairs, so a whole level costs a few array operations. The rows
+are index arrays, fixed pairs plus the reconstruction's completion, checked
+and ordered once by the oracle's `canonical_pairs`; the plan keeps only them.
 
 Recovery is linear in the observations and the u_l, and the T equations'
 coefficient matrix in the u_l is I + J (identity plus all-ones). Execution
@@ -27,17 +29,16 @@ and makes the observation vectors full rank over the rationals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
 from typing import Sequence
 
 import numpy as np
 
-from .core import InternalError, Pairing, ValidationError, divide, zeros
-from .oracle import ObservationOracle
-from .observation import TildeMatrix
+from .core import InternalError, Pairing, ValidationError, divide, pairings_from_canonical, zeros
+from .oracle import ObservationOracle, canonical_pairs
+from .observation import TildeMatrix, _completion
 
 
 class PlanRankError(InternalError):
@@ -49,31 +50,18 @@ def plan_size(n: int) -> int:
     return (n - 1) * (n - 2) // 2
 
 
-def _plan_pairings(n: int) -> list[Pairing]:
-    # canonical pairs assembled from shared adjacent pairs: even[s] is
-    # (2s+2, 2s+3) and odd[s] is (2s+3, 2s+4), so each pairing only copies
-    # references
-    even = tuple((k, k + 1) for k in range(2, n, 2))
-    odd = tuple((k, k + 1) for k in range(3, n, 2))
-    make = Pairing._from_canonical
-    out = [
-        make(((1, 2),) + odd),
-        make(((1, 3), (2, 4)) + odd[1:]),
-        make(((1, 4), (2, 3)) + odd[1:]),
-    ]
-    for level in range(6, n + 1, 2):
-        # the pairs above the level, and the odd-start pairs of 5..level-2
-        tail = odd[(level - 2) // 2 :]
-        middle = odd[1 : (level - 4) // 2]
-        for high, low in ((level, level - 1), (level - 1, level)):
-            for a in range(2, level - 1):
-                # completion of {2..level-2} minus a: even-start pairs below
-                # a, the bridge (a-1, a+1) for odd a, odd-start pairs above
-                bridge = ((a - 1, a + 1),) if a % 2 else ()
-                rest = odd[(a - 1) // 2 : (level - 4) // 2] + tail
-                out.append(make(((1, high),) + even[: (a - 2) // 2] + bridge + ((a, low),) + rest))
-        out.append(make(((1, 2), (3, level - 1), (4, level)) + middle + tail))
-    return out
+def _plan_rows(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """0-based (rows, cols) of every planned pairing, in order: per block,
+    fixed pairs (entries 2k, 2k+1 of a row) and then the completion."""
+    blocks = [np.array([[0, 1]]), np.array([[0, 2, 1, 3], [0, 3, 1, 2]])]
+    for top in range(5, n, 2):  # level l = top + 1
+        yz = np.zeros((2, top - 2, 4), dtype=np.intp)
+        yz[:, :, 2] = np.arange(1, top - 1)
+        yz[0, :, 1] = yz[1, :, 3] = top  # Y_a = {1,l}, {a,l-1}
+        yz[0, :, 3] = yz[1, :, 1] = top - 1  # Z_a = {1,l-1}, {a,l}
+        blocks += [yz.reshape(-1, 4), np.array([[0, 1, 2, top - 1, 3, top]])]  # and T
+    ends = np.concatenate([np.concatenate([f, _completion(n, f)], axis=1) for f in blocks])
+    return ends[:, 0::2], ends[:, 1::2]
 
 
 def _sweep(n: int, values: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -114,7 +102,7 @@ def _sweep(n: int, values: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.nd
 def _recover_entries(n: int, values: Sequence) -> np.ndarray:
     """Solve the plan's observation system for every shadow entry.
 
-    `values` is parallel to `_plan_pairings(n)`, optionally with trailing
+    `values` is parallel to the rows of `_plan_rows(n)`, optionally with trailing
     axes of independent right-hand sides, and its dtype sets the arithmetic:
     float64 in floating point, object (ints or Fractions) exactly. Returns
     the 1-based upper triangle of the shadow matrix.
@@ -144,25 +132,23 @@ def _t_coefficients(n: int) -> np.ndarray:
 class ObservationPlan:
     """A minimum-size observation schedule with its recovery recipe.
 
-    `pairings` is the exact submission order. `derivations` (computed on
-    first access) expresses every exchange-rule value of the reconstruction
-    procedure, and the anchor total, as a signed rational combination of the
-    planned observations.
+    `_index_arrays` is the submission order as read-only canonical (size, n/2)
+    arrays; `pairings`, derived from them, and `derivations` are computed on
+    first access. `derivations` expresses every exchange-rule value of the
+    reconstruction procedure, and the anchor total, as a signed rational
+    combination of the planned observations.
     """
 
     n: int
-    pairings: tuple[Pairing, ...]
+    _index_arrays: tuple[np.ndarray, np.ndarray] = field(compare=False, repr=False)
 
     @property
     def size(self) -> int:
-        return len(self.pairings)
+        return len(self._index_arrays[0])
 
     @cached_property
-    def _index_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        # (size, n/2) 0-based pair ends in submission order, for observe_batch
-        flat = chain.from_iterable(chain.from_iterable(p.pairs for p in self.pairings))
-        ends = np.fromiter(flat, dtype=np.intp, count=self.size * self.n) - 1
-        return ends[0::2].reshape(self.size, -1), ends[1::2].reshape(self.size, -1)
+    def pairings(self) -> tuple[Pairing, ...]:
+        return pairings_from_canonical(*self._index_arrays)
 
     @cached_property
     def derivations(self) -> dict[str, tuple[tuple[Fraction, int], ...]]:
@@ -196,11 +182,15 @@ def minimal_observation_plan(n: int) -> ObservationPlan:
     """
     if n % 2 != 0 or n < 4:
         raise ValidationError(f"element count must be even and >= 4, got {n}")
-    pairings = _plan_pairings(n)
+    try:
+        first, second = canonical_pairs(*_plan_rows(n), n)
+    except ValidationError as exc:
+        raise InternalError(f"plan construction for n={n}: {exc}") from exc
     expected = plan_size(n)
-    if len(pairings) != expected or len(set(pairings)) != expected:
+    distinct = {a.tobytes() + b.tobytes() for a, b in zip(first, second)}
+    if len(first) != expected or len(distinct) != expected:
         raise PlanRankError(
-            f"plan construction for n={n} produced {len(pairings)} pairings, "
+            f"plan construction for n={n} produced {len(first)} pairings, "
             f"expected {expected} distinct"
         )
     coefficients = _t_coefficients(n)
@@ -210,7 +200,9 @@ def minimal_observation_plan(n: int) -> ObservationPlan:
             f"observation plan for n={n}: the T equations are not the nonsingular "
             f"I + J system the closed-form level solve inverts"
         )
-    return ObservationPlan(n=n, pairings=tuple(pairings))
+    first.setflags(write=False)
+    second.setflags(write=False)
+    return ObservationPlan(n=n, _index_arrays=(first, second))
 
 
 def execute_plan(oracle: ObservationOracle, plan: ObservationPlan) -> TildeMatrix:

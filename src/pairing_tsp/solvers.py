@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import InternalError, Pairing, ValidationError, pairing_sum
+from .core import InternalError, Pairing, ValidationError, pairing_sum, seeded_rng
 from .tsp_graph import GraphNode, Tour
 
 
@@ -99,7 +99,7 @@ def solve_random(n: int, seed: int, matrix: Optional[np.ndarray] = None) -> Solv
     """
     if n % 2 != 0 or n < 4:
         raise ValidationError(f"element count must be even and >= 4, got {n}")
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = seeded_rng(seed)
     order = rng.permutation(n) + 1
     pairing = Pairing.from_permutation(int(v) for v in order)
     score = None if matrix is None else pairing_sum(_check_solver_matrix(matrix)[0], pairing)
@@ -126,7 +126,7 @@ def solve_pnn(matrix: np.ndarray, config: SolverConfig) -> SolveResult:
     start = 1 if config.start_node is None else config.start_node
     if not 1 <= start <= n:
         raise ValidationError(f"start node {start} is outside 1..{n}")
-    rng = np.random.Generator(np.random.PCG64(config.seed))
+    rng = seeded_rng(config.seed)
 
     free_l1 = np.ones(n + 1, dtype=bool)  # 1-based; slot 0 unused
     free_l1[0] = free_l1[start] = False

@@ -8,6 +8,7 @@ from pairing_tsp.bench import (
     ExperimentSpec,
     generate_instance,
     performance_indicator,
+    random_start_node,
     run_exchange_limit_sweep,
     run_initial_node_study,
     run_noc_study,
@@ -55,6 +56,30 @@ class TestGenerateInstance:
         off = inst.c[~np.eye(30, dtype=bool)]
         assert off.min() >= 5 and off.max() <= 6
         assert np.array_equal(inst.c, inst.c.T)
+
+    @pytest.mark.parametrize(
+        "c_min,c_max,seed,message",
+        [
+            (0, 10000, -1, "seed must be"),
+            (0, 10000, 2.5, "seed must be"),
+            (5, 1, 0, "c_min <= c_max"),
+            (0, float("nan"), 0, "finite"),
+            (float("nan"), 1, 0, "finite"),
+            (0, float("inf"), 0, "finite"),
+            (float("-inf"), 0, 0, "finite"),
+        ],
+    )
+    def test_bad_seed_or_bounds_named(self, c_min, c_max, seed, message):
+        with pytest.raises(ValidationError, match=message):
+            generate_instance(6, c_min, c_max, seed)
+
+    def test_equal_bounds_accepted(self):
+        inst = generate_instance(6, 5, 5, 0)
+        assert np.all(inst.c[~np.eye(6, dtype=bool)] == 5)
+
+    def test_random_start_node_bad_seed_named(self):
+        with pytest.raises(ValidationError, match="seed must be"):
+            random_start_node(-3, 10)
 
     def test_mean_matches_uniform_expectation(self):
         inst = generate_instance(100, 0, 10000, 1)

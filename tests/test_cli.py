@@ -42,6 +42,22 @@ class TestGen:
         assert run_cli("gen", "-n", "5", "--seed", "0") == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--seed", "-1"], "seed must be a non-negative integer"),
+            (["--cmin", "5", "--cmax", "1"], "c_min <= c_max"),
+            (["--cmax", "nan"], "finite"),
+            (["--cmin", "nan"], "finite"),
+            (["--cmax", "inf"], "finite"),
+            (["--cmin=-inf"], "finite"),
+        ],
+    )
+    def test_bad_seed_or_bounds_exit_one(self, capsys, flags, message):
+        assert run_cli("gen", "-n", "6", *flags) == 1
+        err = capsys.readouterr().err
+        assert message in err and "internal error" not in err
+
 
 class TestObserve:
     def test_reconstruct_budget_n6(self, instance_file, tmp_path):
@@ -146,6 +162,21 @@ class TestRandomStartNode:
                 "solve", str(path), "--algo", "pnn", "--seed", str(seed), "--start-node", "random"
             ) == 0
             assert json.loads(capsys.readouterr().out)["start_node"] == start
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--algo", "random", "--seed", "-1"],
+            ["--algo", "pnn", "--seed", "-1"],
+            ["--algo", "pnn+p2opt", "--seed", "-1"],
+            ["--algo", "pnn", "--start-node", "random", "--seed", "-3"],
+            ["--algo", "random", "--start-node", "random", "--seed", "-3"],
+        ],
+    )
+    def test_negative_seed_exits_one(self, instance_file, capsys, flags):
+        assert run_cli("solve", str(instance_file), *flags) == 1
+        err = capsys.readouterr().err
+        assert "seed must be a non-negative integer" in err and "internal error" not in err
 
     @pytest.mark.parametrize("algo", ["random", "exact"])
     def test_unused_start_node_not_range_checked(self, instance_file, capsys, algo):

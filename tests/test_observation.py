@@ -14,6 +14,7 @@ from pairing_tsp.core import (
 )
 from pairing_tsp.observation import (
     TildeMatrix,
+    _completion,
     anchor_pairing,
     canonical_completion,
     definitional_tilde,
@@ -123,6 +124,21 @@ class TestMeasureExchangeRule:
 
 def test_canonical_completion_orders_ascending():
     assert canonical_completion(10, {1, 4, 2, 7}) == [(3, 5), (6, 8), (9, 10)]
+
+
+def test_array_completion_matches_canonical_completion():
+    # the plan and the reconstruction both pair consecutive entries of
+    # _completion; it must give canonical_completion on any fixed set
+    rng = np.random.default_rng(7)
+    for n in (4, 6, 10, 28, 80):
+        for width in range(0, min(n, 9), 2):
+            fixed = np.array([rng.choice(n, width, replace=False) for _ in range(20)])
+            fixed = fixed.reshape(20, width)
+            rest = _completion(n, fixed)
+            assert rest.shape == (20, n - width)
+            for used, row in zip(fixed, rest):
+                pairs = list(zip((row[0::2] + 1).tolist(), (row[1::2] + 1).tolist()))
+                assert pairs == canonical_completion(n, set((used + 1).tolist()))
 
 
 class TestTildeMatrix:

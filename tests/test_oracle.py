@@ -52,6 +52,20 @@ def test_exhaustive_agreement_small_n():
             )
 
 
+@pytest.mark.parametrize("exact", [False, True])
+@pytest.mark.parametrize("n", [4, 80, 400])
+def test_observe_equals_total_compatibility_bit_for_bit(n, exact):
+    # both add the same entries left to right (core.row_totals), so a float
+    # total is the same double whichever path computed it
+    inst = (make_integer_instance if exact else make_instance)(n, seed=n + 1)
+    oracle = ObservationOracle(inst)
+    for seed in range(200):
+        pairing = solve_random(n, seed).pairing
+        observed, direct = oracle.observe(pairing), total_compatibility(inst, pairing)
+        assert type(observed) is type(direct)
+        assert observed == direct
+
+
 def test_duplicate_queries_count_twice(instance6):
     oracle = ObservationOracle(instance6)
     pairing = Pairing([(1, 2), (3, 4), (5, 6)])

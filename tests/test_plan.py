@@ -5,14 +5,20 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from pairing_tsp.core import Pairing, ValidationError, enumerate_pairings, total_compatibility
+from pairing_tsp.core import (
+    InternalError,
+    Pairing,
+    ValidationError,
+    enumerate_pairings,
+    total_compatibility,
+)
 from pairing_tsp.observation import (
     anchor_pairing,
     definitional_tilde,
     exchange_rule_value,
     observation_budget,
 )
-from pairing_tsp.oracle import ObservationOracle
+from pairing_tsp.oracle import ObservationOracle, canonical_pairs
 from pairing_tsp.plan import (
     PlanRankError,
     _recover_entries,
@@ -75,19 +81,19 @@ class TestPlanConstruction:
         values = [Fraction(0)] * plan_size(6)
         import pairing_tsp.plan as plan_mod
 
-        original = plan_mod._plan_pairings
+        original = plan_mod._plan_rows
 
         def broken(n):
-            pairings = original(n)
-            pairings[-1] = pairings[1]
-            return pairings
+            rows, cols = (ends.copy() for ends in original(n))
+            rows[-1], cols[-1] = rows[1], cols[1]
+            return rows, cols
 
-        plan_mod._plan_pairings = broken
+        plan_mod._plan_rows = broken
         try:
             with pytest.raises(PlanRankError):
                 minimal_observation_plan(6)
         finally:
-            plan_mod._plan_pairings = original
+            plan_mod._plan_rows = original
 
 
 class TestExecutePlan:
@@ -304,6 +310,42 @@ class TestStructuredPlan:
         oracle = ObservationOracle(generate_instance(n, 0, 10000, seed))
         tilde = execute_plan(oracle, minimal_observation_plan(n))
         assert hashlib.sha256(tilde.t.tobytes()).hexdigest() == digest
+
+    def test_schedule_pinned_n200(self):
+        # digest of the N=200 schedule as built from stored Pairing tuples
+        h = hashlib.sha256(repr([p.pairs for p in minimal_observation_plan(200).pairings]).encode())
+        assert h.hexdigest() == "b7949b800bbf9b31e0b7e67762e722b676da61e424c3efb7bc565f0ca99792da"
+
+    @pytest.mark.parametrize("n", [4, 6, 12, 30])
+    def test_index_arrays_read_only_and_canonical(self, n):
+        rows, cols = minimal_observation_plan(n)._index_arrays
+        assert not rows.flags.writeable and not cols.flags.writeable
+        first, second = canonical_pairs(rows, cols, n)
+        assert np.array_equal(first, rows) and np.array_equal(second, cols)
+
+    def test_row_that_is_not_a_pairing_fails_the_build(self, monkeypatch):
+        import pairing_tsp.plan as plan_mod
+
+        original = plan_mod._plan_rows
+
+        def broken(n):
+            rows, cols = (ends.copy() for ends in original(n))
+            cols[-1, 0] = rows[-1, 0]  # an element paired with itself
+            return rows, cols
+
+        monkeypatch.setattr(plan_mod, "_plan_rows", broken)
+        with pytest.raises(InternalError, match="not a pairing"):
+            minimal_observation_plan(10)
+
+    def test_execute_builds_no_pairing(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a Pairing was built")
+
+        inst = make_instance(12, seed=5)
+        monkeypatch.setattr(Pairing, "_from_canonical", refuse)
+        plan = minimal_observation_plan(12)
+        tilde = execute_plan(ObservationOracle(inst), plan)
+        assert np.allclose(tilde.t, definitional_tilde(inst.c).t, atol=1e-6)
 
     def test_index_arrays_follow_pairings(self):
         plan = minimal_observation_plan(10)

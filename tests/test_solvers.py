@@ -473,6 +473,16 @@ class TestSolverInputErrors:
         with pytest.raises(ValidationError, match="exchange_limit must be an integer"):
             SolverConfig(exchange_limit=limit)
 
+    @pytest.mark.parametrize("seed", [1.5, "3", -1, None])
+    def test_bad_seed_named(self, seed):
+        c = np.zeros((4, 4))
+        with pytest.raises(ValidationError, match="seed must be a non-negative integer"):
+            solve_pnn(c, SolverConfig(seed=seed))
+        with pytest.raises(ValidationError, match="seed must be a non-negative integer"):
+            solve_pnn_p2opt(c, SolverConfig(seed=seed))
+        with pytest.raises(ValidationError, match="seed must be a non-negative integer"):
+            solve_random(4, seed, matrix=c)
+
     def test_numpy_integers_accepted(self):
         config = SolverConfig(start_node=np.int64(3), exchange_limit=np.int32(2))
         assert config == SolverConfig(start_node=3, exchange_limit=2)
