@@ -67,6 +67,7 @@ from .bench import (
     run_initial_node_study,
     run_noc_study,
     run_performance_study,
+    run_study,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -2,17 +2,19 @@
 
 Four studies reproduce the paper's evaluation: quality against N (`perf`),
 saturation against the exchange limit (`sweep`), check counts (`noc`) and
-sensitivity to the start node (`start`). Every trial of every study runs
-through one runner, `_trial`: it derives the trial's seeds, draws a uniform
-random instance, recovers the shadow matrix through the sum-only oracle,
-runs the study's solves on the shadow, and scores each resulting pairing
-against the true instance with the normalized indicator
+sensitivity to the start node (`start`). `run_study(study, spec)` builds
+every report: it checks the spec against the study, runs each (setting,
+trial) through `_trial`, aggregates the records and adds the study's
+extras. `_trial` derives the trial's seeds, draws a uniform random
+instance, recovers the shadow matrix through the sum-only oracle, runs the
+study's solves on the shadow, and scores each resulting pairing against the
+true instance with the normalized indicator
 
     P = (score - (N/2) * C_min) / ((N/2) * C_max - (N/2) * C_min).
 
 The studies differ only in those solves: one per algorithm (perf), pnn once
 then p2opt at each limit (sweep), pnn+p2opt keeping its scan trace (noc),
-and pnn and p2opt from every start node (start).
+and pnn and p2opt from every start node (start); and in their extras.
 
 Per-trial seeds come from a splittable scheme: the trial stream is
 SeedSequence(master_seed, spawn_key=(setting_index, trial_index)), whose
@@ -33,8 +35,7 @@ import operator
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
-from functools import partial
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Iterable
 
 import numpy as np
@@ -46,7 +47,7 @@ from .solvers import SolverConfig, solve_p2opt, solve_pnn, solve_pnn_p2opt, solv
 
 THREADS_ENV = "PAIRING_TSP_THREADS"
 KNOWN_ALGORITHMS = ("random", "pnn", "pnn+p2opt")
-CSV_HEADER = "n,algo,trial,seed,p,noc,exchanges,observations,millis"
+STUDIES = ("perf", "sweep", "noc", "start")
 
 
 def performance_indicator(score: float, n: int, c_min: float, c_max: float) -> float:
@@ -164,16 +165,7 @@ class ExperimentSpec:
     def from_json_dict(cls, data: dict) -> "ExperimentSpec":
         if not isinstance(data, dict):
             raise ValidationError("experiment spec JSON must be an object")
-        known = {
-            "n_values",
-            "trials",
-            "value_range",
-            "exchange_limit",
-            "algorithms",
-            "master_seed",
-            "start_node",
-        }
-        unknown = set(data) - known
+        unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ValidationError(f"unknown experiment spec fields: {sorted(unknown)}")
         try:
@@ -182,16 +174,15 @@ class ExperimentSpec:
             raise ValidationError(f"bad experiment spec: {exc}") from exc
 
     def to_json_dict(self) -> dict:
-        limit = self.exchange_limit
         return {
-            "n_values": list(self.n_values),
-            "trials": self.trials,
-            "value_range": list(self.value_range),
-            "exchange_limit": list(limit) if isinstance(limit, tuple) else limit,
-            "algorithms": list(self.algorithms),
-            "master_seed": self.master_seed,
-            "start_node": self.start_node,
+            name: list(value) if isinstance(value, tuple) else value
+            for name, value in asdict(self).items()
         }
+
+
+def _shown_millis(millis: float, timings: bool):
+    """A wall time as reports show it: rounded to the microsecond, or 0 without timings."""
+    return round(millis, 3) if timings else 0
 
 
 @dataclass(frozen=True)
@@ -209,24 +200,13 @@ class TrialRecord:
     millis: float
 
     def csv_row(self, timings: bool) -> str:
-        millis = repr(round(self.millis, 3)) if timings else "0"
-        return (
-            f"{self.n},{self.algo},{self.trial},{self.seed},{self.p!r},"
-            f"{self.noc},{self.exchanges},{self.observations},{millis}"
-        )
+        return ",".join(map(str, self.to_json_dict(timings).values()))
 
     def to_json_dict(self, timings: bool) -> dict:
-        return {
-            "n": self.n,
-            "algo": self.algo,
-            "trial": self.trial,
-            "seed": self.seed,
-            "p": self.p,
-            "noc": self.noc,
-            "exchanges": self.exchanges,
-            "observations": self.observations,
-            "millis": round(self.millis, 3) if timings else 0,
-        }
+        return dict(asdict(self), millis=_shown_millis(self.millis, timings))
+
+
+CSV_HEADER = ",".join(f.name for f in fields(TrialRecord))
 
 
 @dataclass(frozen=True)
@@ -242,18 +222,7 @@ class AggregateRow:
     mean_millis: float
 
     def to_json_dict(self, timings: bool) -> dict:
-        out = {
-            "n": self.n,
-            "algo": self.algo,
-            "trials": self.trials,
-            "mean_p": self.mean_p,
-            "std_p": self.std_p,
-            "mean_noc": self.mean_noc,
-            "std_noc": self.std_noc,
-            "mean_observations": self.mean_observations,
-            "mean_millis": round(self.mean_millis, 3) if timings else 0,
-        }
-        return out
+        return dict(asdict(self), mean_millis=_shown_millis(self.mean_millis, timings))
 
 
 @dataclass(frozen=True)
@@ -286,16 +255,10 @@ class ExperimentReport:
 
 def _aggregate(records: Iterable[TrialRecord]) -> tuple[AggregateRow, ...]:
     groups: dict[tuple[int, str], list[TrialRecord]] = {}
-    order: list[tuple[int, str]] = []
     for record in records:
-        key = (record.n, record.algo)
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(record)
+        groups.setdefault((record.n, record.algo), []).append(record)
     rows = []
-    for key in order:
-        group = groups[key]
+    for key, group in groups.items():
         ps = np.array([r.p for r in group])
         nocs = np.array([r.noc for r in group], dtype=np.float64)
         rows.append(
@@ -437,16 +400,15 @@ def _trial(
     return records, list(result.trace)
 
 
-#: One noc trial as `(records, trace)`.
-_noc_trial = partial(_trial, "noc")
+def run_study(study: str, spec: ExperimentSpec) -> ExperimentReport:
+    """Run every (setting, trial) of `study` on `spec` and build its report.
 
-
-def _run_task(task: tuple[str, ExperimentSpec, int, int]):
-    return _trial(*task)
-
-
-def _run_study(study: str, spec: ExperimentSpec) -> dict[tuple[int, int], tuple]:
-    """Run every (setting, trial) task, in a process pool when it pays off."""
+    The spec is checked against the study before any trial runs. Trials run
+    in a process pool when it pays off; the records come back in (setting,
+    trial) order either way, so the report does not depend on scheduling.
+    """
+    if study not in STUDIES:
+        raise ValidationError(f"unknown study '{study}', expected one of {STUDIES}")
     listed = isinstance(spec.exchange_limit, tuple)
     if study == "sweep" and not (listed and spec.exchange_limit):
         raise ValidationError("the sweep needs exchange_limit to be a non-empty list of limits")
@@ -461,101 +423,70 @@ def _run_study(study: str, spec: ExperimentSpec) -> dict[tuple[int, int], tuple]
                 f"start_node must be within 1..n for every n in n_values, "
                 f"got {start} for n={outside[0]}"
             )
-    keys = [(si, trial) for si in range(len(spec.n_values)) for trial in range(spec.trials)]
-    tasks = [(study, spec, si, trial) for si, trial in keys]
+    trials = spec.trials
+    tasks = [(study, spec, si, trial) for si in range(len(spec.n_values)) for trial in range(trials)]
     workers = min(worker_count(), len(tasks))
     if workers <= 1 or len(tasks) <= 2:
-        payloads = [_run_task(task) for task in tasks]
+        payloads = [_trial(*task) for task in tasks]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            payloads = list(pool.map(_run_task, tasks, chunksize=4))
-    return dict(zip(keys, payloads))
-
-
-def _collect_records(results: dict) -> tuple[TrialRecord, ...]:
-    return tuple(record for records, _ in results.values() for record in records)
+            payloads = list(pool.map(_trial, *zip(*tasks), chunksize=4))
+    records = tuple(record for trial_records, _ in payloads for record in trial_records)
+    aggregates = _aggregate(records)
+    extras: dict = {}
+    if study == "sweep":
+        # the aggregates already hold each (n, limit) mean over that size's trials
+        means = {(row.n, row.algo): row.mean_p for row in aggregates}
+        extras["sweep"] = {
+            str(n): {
+                "limits": list(spec.exchange_limit),
+                "mean_p": [means[n, f"pnn+p2opt@l={limit}"] for limit in spec.exchange_limit],
+            }
+            for n in spec.n_values
+        }
+    elif study == "noc":
+        # Entry k of a size's trace is the number of checks the k-th scan
+        # segment made, averaged over all trials; a converged trial counts
+        # zero for the segments after it stopped.
+        extras["mean_trace_per_loop"] = mean_traces = {}
+        for si, n in enumerate(spec.n_values):
+            traces = [trace for _, trace in payloads[si * trials : (si + 1) * trials]]
+            padded = np.zeros((trials, max(len(t) for t in traces)))
+            for row, trace in enumerate(traces):
+                padded[row, : len(trace)] = trace
+            mean_traces[str(n)] = [float(v) for v in padded.mean(axis=0)]
+    elif study == "start":
+        # Per size and algorithm: the mean over instances of the standard
+        # deviation of P across that instance's start nodes.
+        extras["mean_std_p_over_starts"] = summary = {}
+        for si, n in enumerate(spec.n_values):
+            block = payloads[si * trials : (si + 1) * trials]
+            for algo in ("pnn", "pnn+p2opt"):
+                stds = [
+                    float(np.std([r.p for r in rows if r.algo.startswith(f"{algo}@start=")]))
+                    for rows, _ in block
+                ]
+                summary.setdefault(str(n), {})[algo] = float(np.mean(stds))
+    return ExperimentReport(
+        study=study, spec=spec, records=records, aggregates=aggregates, extras=extras
+    )
 
 
 def run_performance_study(spec: ExperimentSpec) -> ExperimentReport:
     """Mean/std of the indicator per algorithm and element count."""
-    results = _run_study("perf", spec)
-    records = _collect_records(results)
-    return ExperimentReport(
-        study="perf", spec=spec, records=records, aggregates=_aggregate(records)
-    )
+    return run_study("perf", spec)
 
 
 def run_exchange_limit_sweep(spec: ExperimentSpec) -> ExperimentReport:
     """Indicator as a function of the exchange limit, shared trials per limit."""
-    results = _run_study("sweep", spec)
-    records = _collect_records(results)
-    series: dict[str, dict[str, list]] = {}
-    for n in spec.n_values:
-        means = []
-        for limit in spec.exchange_limit:
-            ps = [r.p for r in records if r.n == n and r.algo == f"pnn+p2opt@l={limit}"]
-            means.append(float(np.mean(ps)))
-        series[str(n)] = {"limits": list(spec.exchange_limit), "mean_p": means}
-    return ExperimentReport(
-        study="sweep",
-        spec=spec,
-        records=records,
-        aggregates=_aggregate(records),
-        extras={"sweep": series},
-    )
+    return run_study("sweep", spec)
 
 
 def run_noc_study(spec: ExperimentSpec) -> ExperimentReport:
-    """Check counts versus size, plus the mean per-scan trace.
-
-    The trace entry at index k is the number of checks the k-th scan segment
-    performed, averaged over all trials with converged trials contributing
-    zero once they have stopped.
-    """
-    results = _run_study("noc", spec)
-    records = _collect_records(results)
-    traces: dict[str, list[float]] = {}
-    for si, n in enumerate(spec.n_values):
-        per_trial = [results[(si, trial)][1] for trial in range(spec.trials)]
-        longest = max(len(t) for t in per_trial)
-        padded = np.zeros((len(per_trial), longest))
-        for row, t in enumerate(per_trial):
-            padded[row, : len(t)] = t
-        traces[str(n)] = [float(v) for v in padded.mean(axis=0)]
-    return ExperimentReport(
-        study="noc",
-        spec=spec,
-        records=records,
-        aggregates=_aggregate(records),
-        extras={"mean_trace_per_loop": traces},
-    )
+    """Check counts versus size, plus the mean per-scan trace."""
+    return run_study("noc", spec)
 
 
 def run_initial_node_study(spec: ExperimentSpec) -> ExperimentReport:
-    """Spread of the indicator across every possible start node.
-
-    For each instance the construction (and its refinement) runs once per
-    start node; the reported figure per size and algorithm is the mean over
-    instances of the per-instance standard deviation of P.
-    """
-    results = _run_study("start", spec)
-    records = _collect_records(results)
-    summary: dict[str, dict[str, float]] = {}
-    for si, n in enumerate(spec.n_values):
-        for algo in ("pnn", "pnn+p2opt"):
-            stds = []
-            for trial in range(spec.trials):
-                ps = [
-                    r.p
-                    for r in results[(si, trial)][0]
-                    if r.algo.startswith(f"{algo}@start=")
-                ]
-                stds.append(float(np.std(ps)))
-            summary.setdefault(str(n), {})[algo] = float(np.mean(stds))
-    return ExperimentReport(
-        study="start",
-        spec=spec,
-        records=records,
-        aggregates=_aggregate(records),
-        extras={"mean_std_p_over_starts": summary},
-    )
+    """Spread of the indicator across every possible start node."""
+    return run_study("start", spec)

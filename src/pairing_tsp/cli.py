@@ -26,7 +26,7 @@ from .core import (
     _check_symmetric_bounded,
     dumps_instance_json,
     dumps_instance_text,
-    exact_best_pairing,
+    enumerate_pairings,
     load_instance,
     loads_instance_json,
     loads_instance_text,
@@ -36,7 +36,7 @@ from .core import (
 from .observation import TildeMatrix, reconstruct_tilde
 from .oracle import ObservationOracle
 from .plan import execute_plan, minimal_observation_plan
-from .solvers import SolverConfig, solve_pnn, solve_pnn_p2opt, solve_random
+from .solvers import SolveResult, SolverConfig, solve_pnn, solve_pnn_p2opt, solve_random
 from .tsp_graph import build_graph
 
 #: Sizes above this need --full; keeps accidental runs desk-scale.
@@ -107,7 +107,7 @@ def _build_parser() -> _Parser:
     graph.add_argument("--out", type=Path, default=None)
 
     bench = sub.add_parser("bench", help="run a benchmark study from a spec file")
-    bench.add_argument("study", choices=("perf", "sweep", "noc", "start"))
+    bench.add_argument("study", choices=bench_mod.STUDIES)
     bench.add_argument("--spec", type=Path, required=True)
     bench.add_argument("--out", type=Path, default=None, help="output base path")
     bench.add_argument("--format", choices=("csv", "json", "both"), default="both")
@@ -212,25 +212,20 @@ def _cmd_solve(args) -> int:
     elif args.algo == "pnn+p2opt":
         result = solve_pnn_p2opt(solve_matrix, config)
     else:
-        if instance is not None:
-            pairing, _ = exact_best_pairing(instance, max_n=args.enumeration_cap)
-        else:
-            from .core import enumerate_pairings
-
-            pairing = max(
-                enumerate_pairings(n, max_n=args.enumeration_cap),
-                key=lambda p: pairing_sum(solve_matrix, p),
-            )
-        result = None
-        score_pairing = pairing
-    if result is not None:
-        score_pairing = result.pairing
+        # the first maximal pairing, on the matrix the mode solves on
+        pairing = max(
+            enumerate_pairings(n, max_n=args.enumeration_cap),
+            key=lambda p: pairing_sum(solve_matrix, p),
+        )
+        result = SolveResult(
+            pairing=pairing, score=pairing_sum(solve_matrix, pairing), noc=0, exchanges_used=0
+        )
 
     # score against the truth when we have it, else against the shadow sums
     if instance is not None:
-        score = total_compatibility(instance, score_pairing)
+        score = total_compatibility(instance, result.pairing)
     else:
-        score = pairing_sum(matrix, score_pairing)
+        score = pairing_sum(matrix, result.pairing)
     p_value = None
     if bounds is not None and bounds[1] > bounds[0]:
         p_value = bench_mod.performance_indicator(score, n, bounds[0], bounds[1])
@@ -241,11 +236,11 @@ def _cmd_solve(args) -> int:
         "mode": args.mode,
         "start_node": start if args.algo in ("pnn", "pnn+p2opt") else None,
         "exchange_limit": args.exchange_limit if args.algo == "pnn+p2opt" else None,
-        "pairing": [list(pair) for pair in score_pairing.pairs],
+        "pairing": [list(pair) for pair in result.pairing.pairs],
         "score": float(score),
         "p": p_value,
-        "noc": result.noc if result is not None else 0,
-        "exchanges": result.exchanges_used if result is not None else 0,
+        "noc": result.noc,
+        "exchanges": result.exchanges_used,
         "observations": observations,
     }
     _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
@@ -268,14 +263,6 @@ def _cmd_graph(args) -> int:
     return 0
 
 
-_STUDIES = {
-    "perf": bench_mod.run_performance_study,
-    "sweep": bench_mod.run_exchange_limit_sweep,
-    "noc": bench_mod.run_noc_study,
-    "start": bench_mod.run_initial_node_study,
-}
-
-
 def _cmd_bench(args) -> int:
     try:
         spec_data = json.loads(args.spec.read_text())
@@ -288,7 +275,7 @@ def _cmd_bench(args) -> int:
             f"sizes {oversized} exceed the desk-scale threshold "
             f"{FULL_SCALE_THRESHOLD}; pass --full to run them"
         )
-    report = _STUDIES[args.study](spec)
+    report = bench_mod.run_study(args.study, spec)
     base = args.out
     if base is None:
         base = Path(f"{args.study}_{time.strftime('%Y%m%d-%H%M%S')}")

@@ -67,16 +67,21 @@ def divide(value, k: int):
     return value / Fraction(k)
 
 
-def seeded_rng(seed, salt: int = 0) -> np.random.Generator:
-    """The PCG64 generator of `seed` ^ `salt`; the seed must be a non-negative
-    integer (`operator.index`), or a ValidationError names it."""
+def checked_seed(seed) -> int:
+    """`seed` as an int; it must be a non-negative integer (`operator.index`),
+    or a ValidationError names it."""
     try:
         value = operator.index(seed)
     except TypeError:
         value = -1
     if value < 0:
         raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
-    return np.random.Generator(np.random.PCG64(value ^ salt))
+    return value
+
+
+def seeded_rng(seed, salt: int = 0) -> np.random.Generator:
+    """The PCG64 generator of `checked_seed(seed)` ^ `salt`."""
+    return np.random.Generator(np.random.PCG64(checked_seed(seed) ^ salt))
 
 
 @dataclass(frozen=True)

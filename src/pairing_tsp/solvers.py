@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import InternalError, Pairing, ValidationError, pairing_sum, seeded_rng
+from .core import InternalError, Pairing, ValidationError, checked_seed, pairing_sum, seeded_rng
 from .tsp_graph import GraphNode, Tour
 
 
@@ -33,7 +33,8 @@ class SolverConfig:
     `start_node` is the first-layer node the construction starts from
     (defaults to 1 when omitted); `exchange_limit` caps accepted rewirings,
     with None meaning run to convergence. Both must be integers or None
-    (`operator.index`), so 2.5 is rejected rather than truncated.
+    (`operator.index`), so 2.5 is rejected rather than truncated. The seed
+    must be a non-negative integer, whether or not the solver draws from it.
     """
 
     seed: int = 0
@@ -41,6 +42,7 @@ class SolverConfig:
     exchange_limit: Optional[int] = 600
 
     def __post_init__(self):
+        object.__setattr__(self, "seed", checked_seed(self.seed))
         for name in ("start_node", "exchange_limit"):
             value = getattr(self, name)
             if value is None:

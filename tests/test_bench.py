@@ -232,10 +232,10 @@ class TestNocStudy:
         assert len(trace) >= 2
 
     def test_converged_trial_ends_with_full_scan(self):
-        from pairing_tsp.bench import _noc_trial
+        from pairing_tsp.bench import _trial
 
         spec = small_spec(n_values=(12,), trials=1, algorithms=("pnn+p2opt",))
-        records, trace = _noc_trial(spec, 0, 0)
+        records, trace = _trial("noc", spec, 0, 0)
         assert records[0].exchanges < 600
         assert trace[-1] == (12 // 2) * (12 // 2 - 1) // 2
 

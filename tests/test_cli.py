@@ -4,7 +4,7 @@ import pytest
 
 from pairing_tsp.bench import random_start_node
 from pairing_tsp.cli import main
-from pairing_tsp.core import load_instance
+from pairing_tsp.core import Pairing, exact_best_pairing, load_instance
 from pairing_tsp.observation import observation_budget
 from pairing_tsp.plan import plan_size
 
@@ -137,6 +137,24 @@ class TestSolve:
         data = json.loads(capsys.readouterr().out)
         assert 1 <= data["start_node"] <= 6
 
+    def test_observed_exact_never_reads_the_instance(self, tmp_path, capsys, monkeypatch):
+        import pairing_tsp.cli as cli
+
+        def no_truth(*args, **kwargs):
+            raise AssertionError("exact enumeration read the hidden instance")
+
+        path = tmp_path / "inst8.txt"
+        assert run_cli("gen", "-n", "8", "--seed", "5", "--out", str(path)) == 0
+        best, best_score = exact_best_pairing(load_instance(path))
+        monkeypatch.setattr(cli, "exact_best_pairing", no_truth, raising=False)
+        for mode in ("observed", "trusted"):
+            assert run_cli("solve", str(path), "--algo", "exact", "--mode", mode) == 0
+            data = json.loads(capsys.readouterr().out)
+            assert data["observations"] == (observation_budget(8) if mode == "observed" else None)
+            # shadow totals differ from the truth's by one constant, so the argmax agrees
+            assert Pairing(data["pairing"]) == best
+            assert data["score"] == pytest.approx(best_score)
+
     def test_enumeration_cap_guard(self, tmp_path, capsys):
         big = tmp_path / "big.txt"
         assert run_cli("gen", "-n", "14", "--seed", "0", "--out", str(big)) == 0
@@ -169,6 +187,7 @@ class TestRandomStartNode:
             ["--algo", "random", "--seed", "-1"],
             ["--algo", "pnn", "--seed", "-1"],
             ["--algo", "pnn+p2opt", "--seed", "-1"],
+            ["--algo", "exact", "--seed", "-1"],
             ["--algo", "pnn", "--start-node", "random", "--seed", "-3"],
             ["--algo", "random", "--start-node", "random", "--seed", "-3"],
         ],
@@ -295,10 +314,10 @@ class TestBenchSpecValidation:
     def test_rejected_before_any_trial(self, tmp_path, capsys, monkeypatch, study, overrides):
         import pairing_tsp.bench as bench
 
-        def no_trial(task):
+        def no_trial(*task):
             raise AssertionError("a trial ran")
 
-        monkeypatch.setattr(bench, "_run_task", no_trial)
+        monkeypatch.setattr(bench, "_trial", no_trial)
         spec = {"n_values": [10, 8], "trials": 1, "master_seed": 5, **overrides}
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(spec))

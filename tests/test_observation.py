@@ -218,15 +218,22 @@ class TestReconstruction:
         for pairing in enumerate_pairings(n):
             assert abs(tilde.total(pairing) - total_compatibility(inst, pairing)) <= tol
 
-    def test_float_totals_preserved_n200(self):
-        n = 200
-        inst = make_instance(n, seed=201)
+    @staticmethod
+    def assert_float_totals_preserved(n, seed):
+        # the n-1 round-robin pairings hold every pair once, plus 20 random ones
+        inst = make_instance(n, seed=seed)
         tilde, spent = reconstruct_tilde(ObservationOracle(inst))
         assert spent == observation_budget(n)
         tol = 1e-9 * (n / 2) * inst.c_max
-        checks = round_robin_pairings(n) + [solve_random(n, seed).pairing for seed in range(20)]
+        checks = round_robin_pairings(n) + [solve_random(n, k).pairing for k in range(20)]
         for pairing in checks:
             assert abs(tilde.total(pairing) - total_compatibility(inst, pairing)) <= tol
+
+    def test_float_totals_preserved_n200(self):
+        self.assert_float_totals_preserved(200, seed=201)
+
+    def test_float_totals_preserved_n400(self):
+        self.assert_float_totals_preserved(400, seed=401)
 
     def test_many_random_instances_all_sizes(self):
         for n in (4, 6, 8, 10):
@@ -295,7 +302,7 @@ class TestBatchedReconstruction:
 
 
 class TestNumericLayer:
-    @pytest.mark.parametrize("n", [4, 6, 30])
+    @pytest.mark.parametrize("n", [4, 6, 30, 100])
     def test_exact_shadows_hold_only_fractions_and_agree(self, n):
         from pairing_tsp.plan import execute_plan, minimal_observation_plan
 

@@ -483,6 +483,15 @@ class TestSolverInputErrors:
         with pytest.raises(ValidationError, match="seed must be a non-negative integer"):
             solve_random(4, seed, matrix=c)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3", None])
+    def test_config_checks_seed(self, seed):
+        with pytest.raises(ValidationError, match="seed must be a non-negative integer"):
+            SolverConfig(seed=seed)
+
+    def test_numpy_seed_stored_as_int(self):
+        config = SolverConfig(seed=np.uint64(7))
+        assert config == SolverConfig(seed=7) and type(config.seed) is int
+
     def test_numpy_integers_accepted(self):
         config = SolverConfig(start_node=np.int64(3), exchange_limit=np.int32(2))
         assert config == SolverConfig(start_node=3, exchange_limit=2)
