@@ -173,8 +173,9 @@ def pairings_from_canonical(first: np.ndarray, second: np.ndarray) -> tuple[Pair
 
 def row_totals(entries: np.ndarray) -> np.ndarray:
     """Each row's sum, added left to right (`.sum()` adds pairwise); every
-    pairing total goes through here, so it does not depend on the path."""
-    return np.cumsum(entries, axis=1)[:, -1]
+    pairing total goes through here, so it does not depend on the path.
+    The totals are copied out, so they do not keep the whole cumsum alive."""
+    return np.cumsum(entries, axis=1)[:, -1].copy()
 
 
 def pairing_sum(matrix: np.ndarray, pairing: Pairing):

@@ -14,13 +14,14 @@ then solves for the single remaining unknown. Observation cost is exactly
 2(N-3) + (N-2)(N-3) + 1 queries unless callers opt into memo sharing, which
 can only lower it.
 
-The reconstruction builds its rule pairings as index arrays, never as
-`Pairing` objects, and submits them through `ObservationOracle.observe_batch`
-in per-column blocks: one batch for the [1,j,3,2] rules, one per column j
-for the [1,i,2,j] rules, and one for the anchor. Each rule contributes its
-`after` and then its `before` pairing, so the oracle sees exactly the order
-in which `measure_exchange_rule` would submit them one at a time, and a block
-never holds more than O(N) pairings of N/2 pairs.
+The reconstruction builds one table of every rule it measures, in query
+order: the [1,j,3,2] rules for j = 4..N, then the [1,i,2,j] rules column by
+column (3 <= i < j). It turns the table into index arrays, never `Pairing`
+objects, and submits it through `ObservationOracle.observe_batch` in slices
+of N rules, then observes the anchor. Each rule contributes its `after` and
+then its `before` pairing, so the oracle sees exactly the order in which
+`measure_exchange_rule` would submit them one at a time, and a slice never
+holds more than 2N pairings of N/2 pairs.
 """
 
 from __future__ import annotations
@@ -164,11 +165,24 @@ def observation_budget(n: int) -> int:
 def _completion(n: int, fixed: np.ndarray) -> np.ndarray:
     """(R, n - F): per row, the elements of 0..n-1 outside the row's F distinct
     `fixed` ones, ascending, so consecutive pairs are `canonical_completion`.
-    The k-th unused element is k bumped past each fixed one in ascending order."""
-    rest = np.tile(np.arange(n - fixed.shape[1]), (len(fixed), 1))
-    for used in np.sort(fixed, axis=1).T:
-        rest += rest >= used[:, None]
-    return rest
+    One (R, n) mask clears each row's fixed elements; compressing 0..n-1
+    through it keeps the rest in order."""
+    free = np.ones((len(fixed), n), dtype=bool)
+    free[np.arange(len(fixed))[:, None], fixed] = False
+    return np.broadcast_to(np.arange(n), free.shape)[free].reshape(len(fixed), n - fixed.shape[1])
+
+
+def _rule_table(n: int) -> np.ndarray:
+    """(Q, 4): every rule the reconstruction measures, 1-based, in query
+    order: [1,j,3,2] for j = 4..n, then [1,i,2,j] for each j and 3 <= i < j."""
+    j, i = np.tril_indices(n + 1, k=-1)  # ordered by j, then i
+    keep = i >= 3
+    return np.concatenate(
+        [
+            np.column_stack(np.broadcast_arrays(1, np.arange(4, n + 1), 3, 2)),
+            np.column_stack(np.broadcast_arrays(1, i[keep], 2, j[keep])),
+        ]
+    )
 
 
 def _rule_rows(n: int, rules: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -213,10 +227,11 @@ def reconstruct_tilde(
     Procedure: measure rules [1,j,3,2] for 4 <= j <= N, rules [1,i,2,j] for
     4 <= j <= N and 3 <= i < j, observe the anchor pairing, then express every
     entry as x plus a measured offset with x the (2,3) entry and solve for x
-    from the anchor total. Queries go to the oracle in the per-column blocks
-    the module docstring describes. Without `share_observations` the query
-    count is exactly ``observation_budget(n)``; with it, a pairing already
-    observed is served from a memo and the count can only drop.
+    from the anchor total. Queries go to the oracle in the N-rule slices of
+    one rule table that the module docstring describes. Without
+    `share_observations` the query count is exactly ``observation_budget(n)``;
+    with it, a pairing already observed is served from a memo and the count
+    can only drop.
 
     Returns the shadow matrix and the number of oracle queries spent here.
     Arithmetic follows the oracle's value type: float instances reconstruct
@@ -228,18 +243,21 @@ def reconstruct_tilde(
     memo: Optional[dict] = {} if share_observations else None
     start_count = oracle.query_count
 
-    def measure(i, j, k, l) -> np.ndarray:
-        rules = np.column_stack(np.broadcast_arrays(i, j, k, l))
-        values = _observe_rows(oracle, *_rule_rows(n, rules), memo)
-        return values[0::2] - values[1::2]
-
+    rules = _rule_table(n)
+    values = np.concatenate(
+        [
+            _observe_rows(oracle, *_rule_rows(n, rules[start : start + n]), memo)
+            for start in range(0, len(rules), n)
+        ]
+    )
+    measured = values[0::2] - values[1::2]
     # offset[i, j] (1-based, 2 <= i < j) is entry (i, j) minus the unknown
     # x at (2, 3): the [1,j,3,2] rule, plus the [1,i,2,j] rule when i > 2
-    row_offset = measure(1, np.arange(4, n + 1), 3, 2)
-    offset = zeros((n + 1, n + 1), row_offset.dtype)
+    row_offset = measured[: n - 3]
+    offset = zeros((n + 1, n + 1), measured.dtype)
     offset[2, 4:] = row_offset
-    for j in range(4, n + 1):
-        offset[3:j, j] = row_offset[j - 4] + measure(1, np.arange(3, j), 2, j)
+    _, i, _, j = rules[n - 3 :].T
+    offset[i, j] = row_offset[j - 4] + measured[n - 3 :]
     anchor_rows, anchor_cols = anchor_pairing(n)._index_arrays
     anchor_total = _observe_rows(oracle, anchor_rows[None], anchor_cols[None], memo)[0]
     spent = oracle.query_count - start_count

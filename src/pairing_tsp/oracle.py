@@ -50,13 +50,13 @@ def canonical_pairs(rows, cols, n: int) -> tuple[np.ndarray, np.ndarray]:
         raise ValidationError(f"pair elements must lie in 0..{n - 1}")
     rows, cols = rows.astype(np.intp, copy=False), cols.astype(np.intp, copy=False)
     # partner[q*n + e] is e's partner in row q; -1 marks an element left
-    # out, which every repeated element forces since a row has n slots
+    # out, which every repeated element, a self-pair included, forces since
+    # a row has n slots
     base = np.arange(0, q * n, n)[:, None]
     partner = np.full(q * n, -1, dtype=np.intp)
     partner[base + rows] = cols
     partner[base + cols] = rows
-    grid = partner.reshape(q, n)
-    unmatched = (grid < 0) | (grid == np.arange(n))
+    unmatched = partner.reshape(q, n) < 0
     if unmatched.any():
         row, e = np.argwhere(unmatched)[0]
         raise ValidationError(f"row {row} is not a pairing: element {e} is not paired exactly once")
@@ -110,8 +110,9 @@ class ObservationOracle:
         Returns a float64 array for float instances and an object array of
         exact values for exact ones; value q equals `observe` on row q.
         """
-        first, second = canonical_pairs(rows, cols, self._hidden.n)
-        totals = row_totals(self._hidden.c[first, second])
+        n = self._hidden.n
+        first, second = canonical_pairs(rows, cols, n)
+        totals = row_totals(self._hidden.c.ravel().take(first * n + second))
         with self._lock:
             self._count += len(totals)
             if self._log is not None:

@@ -33,8 +33,9 @@ class SolverConfig:
     `start_node` is the first-layer node the construction starts from
     (defaults to 1 when omitted); `exchange_limit` caps accepted rewirings,
     with None meaning run to convergence. Both must be integers or None
-    (`operator.index`), so 2.5 is rejected rather than truncated. The seed
-    must be a non-negative integer, whether or not the solver draws from it.
+    (`operator.index`), so 2.5 is rejected rather than truncated, and the
+    limit must not be negative. The seed must be a non-negative integer,
+    whether or not the solver draws from it.
     """
 
     seed: int = 0
@@ -51,6 +52,8 @@ class SolverConfig:
                 object.__setattr__(self, name, operator.index(value))
             except TypeError as exc:
                 raise ValidationError(f"{name} must be an integer or None, got {value!r}") from exc
+        if self.exchange_limit is not None and self.exchange_limit < 0:
+            raise ValidationError(f"exchange_limit must be >= 0 or None, got {self.exchange_limit}")
 
 
 #: Layer of each tour position, by position mod 5: the construction rhythm.
@@ -77,6 +80,12 @@ class SolveResult:
         seq = [GraphNode(_RHYTHM_LAYERS[pos % 5], index) for pos, index in enumerate(indices)]
         seq.append(GraphNode(2, indices[0]))  # the preset closing slot
         return Tour(seq)
+
+
+def _built_pairing(pairs) -> Pairing:
+    """The `Pairing` of pairs a solver built as a permutation of 1..n, put in
+    canonical order without re-validating what construction guarantees."""
+    return Pairing._from_canonical(tuple(sorted((a, b) if a < b else (b, a) for a, b in pairs)))
 
 
 def _check_solver_matrix(matrix: np.ndarray) -> tuple[np.ndarray, int]:
@@ -166,7 +175,7 @@ def solve_pnn(matrix: np.ndarray, config: SolverConfig) -> SolveResult:
         # step 3 crosses to layer three and leaves s where it is
         visits.append(free_l3.pop(pick(len(free_l3))) if step == 3 else s)
 
-    pairing = Pairing(pairs)
+    pairing = _built_pairing(pairs)
     return SolveResult(
         pairing=pairing,
         score=pairing_sum(matrix, pairing),
@@ -238,9 +247,6 @@ def solve_p2opt(matrix: np.ndarray, initial: Pairing, config: SolverConfig) -> S
     if initial.n != n:
         raise ValidationError(f"initial pairing covers {initial.n} elements, matrix has {n}")
     limit = config.exchange_limit
-    if limit is not None and limit < 0:
-        raise ValidationError(f"exchange limit must be >= 0, got {limit}")
-
     if limit == 0:
         return SolveResult(
             pairing=initial,
@@ -277,7 +283,7 @@ def solve_p2opt(matrix: np.ndarray, initial: Pairing, config: SolverConfig) -> S
         # the shared pair (i, j) is listed twice and written twice
         stale = touching[[i, j]].ravel()
         improves[stale], b_wins[stale] = _outcomes(flat, n, slots, quads[stale])
-    pairing = Pairing((slots + 1).reshape(m, 2).tolist())
+    pairing = _built_pairing((slots + 1).reshape(m, 2).tolist())
     return SolveResult(
         pairing=pairing,
         score=pairing_sum(matrix, pairing),

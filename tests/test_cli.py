@@ -165,6 +165,12 @@ class TestSolve:
             "--out", str(tmp_path / "ok.json"),
         ) == 0
 
+    @pytest.mark.parametrize("algo", ["random", "pnn", "pnn+p2opt", "exact"])
+    def test_negative_exchange_limit_exits_one(self, instance_file, capsys, algo):
+        assert run_cli("solve", str(instance_file), "--algo", algo, "--exchange-limit", "-5") == 1
+        err = capsys.readouterr().err
+        assert "exchange_limit must be >= 0" in err and "internal error" not in err
+
 
 class TestRandomStartNode:
     # draws at n=10 for seeds 0, 1, 2, 3, 9, 17, as `solve` printed them

@@ -141,6 +141,19 @@ def test_array_completion_matches_canonical_completion():
                 assert pairs == canonical_completion(n, set((used + 1).tolist()))
 
 
+@pytest.mark.parametrize("width", range(1, 9))
+def test_mask_completion_matches_canonical_completion_any_width(width):
+    # odd fixed sets too, on an n of the same parity, up to n = 60
+    rng = np.random.default_rng(width)
+    for n in range(width + 2, 61, 2):
+        fixed = np.array([rng.choice(n, width, replace=False) for _ in range(5)])
+        rest = _completion(n, fixed)
+        assert rest.shape == (5, n - width)
+        for used, row in zip(fixed, rest):
+            pairs = list(zip((row[0::2] + 1).tolist(), (row[1::2] + 1).tolist()))
+            assert pairs == canonical_completion(n, set((used + 1).tolist()))
+
+
 class TestTildeMatrix:
     def test_first_row_must_be_zero(self):
         t = np.zeros((4, 4))
@@ -258,7 +271,8 @@ def reference_queries(n):
 
 
 class TestBatchedReconstruction:
-    @pytest.mark.parametrize("n", [4, 6, 8, 10])
+    # from n = 10 on, the n-rule slices end inside columns of [1,i,2,j] rules
+    @pytest.mark.parametrize("n", [4, 6, 8, 10, 12, 14, 28])
     @pytest.mark.parametrize("shared", [False, True])
     def test_query_log_is_the_one_at_a_time_sequence(self, n, shared):
         oracle = ObservationOracle(make_instance(n, seed=n + 3), log=True)
@@ -268,6 +282,20 @@ class TestBatchedReconstruction:
             expected = list(dict.fromkeys(expected))  # first occurrences, in order
         assert [pairing for pairing, _ in oracle.query_log] == expected
         assert spent == len(expected)
+
+    @pytest.mark.parametrize("n", [4, 12, 80])
+    def test_batches_hold_at_most_2n_rows(self, monkeypatch, n):
+        sizes = []
+        observe_batch = ObservationOracle.observe_batch
+
+        def spy(self, rows, cols):
+            sizes.append(len(rows))
+            return observe_batch(self, rows, cols)
+
+        monkeypatch.setattr(ObservationOracle, "observe_batch", spy)
+        _, spent = reconstruct_tilde(ObservationOracle(make_instance(n, seed=n)))
+        assert max(sizes) <= 2 * n
+        assert sum(sizes) == spent == observation_budget(n)
 
     @pytest.mark.parametrize("n,count", [(6, 12), (8, 29), (10, 54), (28, 639), (80, 5969)])
     def test_shared_query_counts_pinned(self, n, count):

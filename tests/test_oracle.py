@@ -166,6 +166,7 @@ class TestObserveBatch:
             ([[0, 2, 4]], [[1, 3, 6]]),  # out of range
             ([[0, 2, -1]], [[1, 3, 4]]),  # negative
             ([[0, 2, 4]], [[0, 3, 5]]),  # i == j
+            ([[0, 2, 0]], [[1, 3, 0]]),  # 0 paired with itself as well as with 1
             ([[0, 2]], [[1, 3]]),  # wrong width
             ([[0, 2, 4]], [[1, 3, 5], [1, 3, 5]]),  # mismatched shapes
             ([0, 2, 4], [1, 3, 5]),  # one-dimensional
@@ -206,6 +207,15 @@ class TestObserveBatch:
         pairings = [Pairing([(1, 2), (3, 4), (5, 6)]), Pairing([(1, 3), (2, 4), (5, 6)])]
         expected = [ObservationOracle(instance6).observe(p) for p in pairings]
         assert ObservationOracle(instance6).observe_batch(rows, cols).tolist() == expected
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_totals_own_their_data(self, exact):
+        # a view into the row sums' cumsum would keep the whole (Q, N/2) buffer alive
+        n = 20
+        inst = make_integer_instance(n, seed=6) if exact else make_instance(n, seed=6)
+        pairings = [solve_random(n, seed).pairing for seed in range(8)]
+        totals = ObservationOracle(inst).observe_batch(*shuffled_rows(pairings, seed=2))
+        assert totals.flags.owndata and totals.base is None
 
     def test_empty_batch(self, instance6):
         oracle = ObservationOracle(instance6)

@@ -345,9 +345,12 @@ class TestP2optAgainstScalarReference:
         ]
         exchanges = 0
         for initial in initials:
+            # solvers build their pairings unchecked; a checked one must equal them
+            assert initial == Pairing(initial.pairs)
             for limit in (None, 0, 1, 3, 600):
                 result = solve_p2opt(c, initial, SolverConfig(exchange_limit=limit))
                 pairing, noc, used, trace, score = reference_p2opt(c, initial, limit)
+                assert result.pairing == Pairing(result.pairing.pairs)
                 assert result.pairing.pairs == pairing.pairs
                 assert (result.noc, result.exchanges_used, result.trace) == (noc, used, trace)
                 assert result.score == score and type(result.score) is type(score)
@@ -471,6 +474,11 @@ class TestSolverInputErrors:
     @pytest.mark.parametrize("limit", [1.5, "2"])
     def test_non_integer_exchange_limit_rejected(self, limit):
         with pytest.raises(ValidationError, match="exchange_limit must be an integer"):
+            SolverConfig(exchange_limit=limit)
+
+    @pytest.mark.parametrize("limit", [-1, -5, np.int64(-2)])
+    def test_negative_exchange_limit_rejected(self, limit):
+        with pytest.raises(ValidationError, match="exchange_limit must be >= 0"):
             SolverConfig(exchange_limit=limit)
 
     @pytest.mark.parametrize("seed", [1.5, "3", -1, None])
