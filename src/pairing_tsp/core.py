@@ -7,8 +7,13 @@ selects. The exact enumeration oracle walks all (N-1)!! pairings and is the
 ground truth every heuristic is measured against.
 
 Arithmetic follows the matrix dtype: float64 computes in floating point, and
-an object array of ints or `Fraction`s computes exactly. `zeros` and `divide`
-are the only arithmetic in the pipeline that tells the two apart.
+an object array of ints or `Fraction`s computes exactly. The exact hot paths
+(plan recovery, the solvers' comparisons, the reconstruction's last step)
+do not add `Fraction`s: `integral` turns an exact array into Python-int
+numerators over one common denominator, the stage adds and compares those
+ints, and `divide` makes `Fraction`s only for the entries of the result.
+`zeros`, `divide` and `integral` are the only arithmetic in the pipeline that
+tells the two apart; on floats `integral` is the identity over 1.
 """
 
 from __future__ import annotations
@@ -61,10 +66,44 @@ def zeros(shape, dtype) -> np.ndarray:
 
 def divide(value, k: int):
     """value / k, in floating point for floats and as an exact Fraction
-    otherwise; elementwise on arrays."""
+    otherwise; elementwise on arrays. Each exact quotient is `Fraction(v, k)`,
+    which takes the constructor's fast path when v is an int."""
     if np.asarray(value).dtype.kind == "f":
         return value / k
-    return value / Fraction(k)
+    if not isinstance(value, np.ndarray):
+        return Fraction(value, k)
+    try:
+        quotients = [Fraction(v, k) for v in value.ravel().tolist()]
+    except TypeError:  # Python floats in an object array divide as floats
+        return value / k
+    out = np.empty(value.size, dtype=object)
+    out[:] = quotients
+    return out.reshape(value.shape)
+
+
+def integral(array) -> tuple[np.ndarray, int]:
+    """(numerators, denominator) with array == numerators / denominator.
+
+    An object (exact) array of ints or Fractions becomes Python-int
+    numerators over the least common denominator of its entries, so exact
+    stages add and compare ints instead of Fractions; numerators are never
+    narrowed, so they may exceed 2**63. Float and integer-dtype arrays, and
+    object arrays of Python floats, come back unchanged over 1.
+    """
+    array = np.asarray(array)
+    if array.dtype != object:
+        return array, 1
+    entries = array.ravel().tolist()
+    try:
+        denominator = math.lcm(*{v.denominator for v in entries})
+    except AttributeError:  # Python floats have no denominator
+        return array, 1
+    out = np.empty(len(entries), dtype=object)
+    if denominator == 1:
+        out[:] = [int(v.numerator) for v in entries]
+    else:
+        out[:] = [int(v.numerator) * (denominator // v.denominator) for v in entries]
+    return out.reshape(array.shape), denominator
 
 
 def checked_seed(seed) -> int:
@@ -243,8 +282,8 @@ class Instance:
             raise ValidationError(f"bounds c_min={self.c_min}, c_max={self.c_max} must be finite")
         if self.c_min > self.c_max:
             raise ValidationError(f"c_min={self.c_min} exceeds c_max={self.c_max}")
-        if c.dtype != object:
-            c = c.astype(np.float64, copy=True)
+        # a copy either way, so freezing it leaves the caller's array writable
+        c = c.copy() if c.dtype == object else c.astype(np.float64)
         _check_symmetric_bounded(c, self.n, self.c_min, self.c_max)
         c.setflags(write=False)
         object.__setattr__(self, "c", c)

@@ -31,7 +31,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Pairing, ValidationError, divide, pairing_sum, row_totals, zeros
+from .core import Pairing, ValidationError, divide, integral, pairing_sum, row_totals, zeros
 from .oracle import ObservationOracle, canonical_pairs
 
 
@@ -116,8 +116,8 @@ class TildeMatrix:
             raise ValidationError(f"matrix shape {t.shape} does not match n={self.n}")
         if np.any(t[0] != 0) or np.any(t[:, 0] != 0):
             raise ValidationError("first row and column must be exactly zero")
-        if t.dtype != object:
-            t = t.astype(np.float64, copy=True)
+        # a copy either way, so freezing it leaves the caller's array writable
+        t = t.copy() if t.dtype == object else t.astype(np.float64)
         t.setflags(write=False)
         object.__setattr__(self, "t", t)
 
@@ -131,6 +131,21 @@ class TildeMatrix:
         return pairing_sum(self.t, pairing)
 
 
+def _free_entries(n: int) -> np.ndarray:
+    """(n, n) mask of a shadow's free entries (i, j), 0 < i < j, 0-based."""
+    k = np.arange(n)
+    return (0 < k[:, None]) & (k[:, None] < k)
+
+
+def _mirrored(upper: np.ndarray, entries: np.ndarray) -> TildeMatrix:
+    """The shadow with `entries`, row by row, at the `upper` mask and mirrored
+    below the diagonal; every other entry is zero."""
+    n = len(upper)
+    t = zeros((n, n), entries.dtype)
+    t[upper] = t.T[upper] = entries
+    return TildeMatrix(n=n, t=t)
+
+
 def definitional_tilde(matrix: np.ndarray) -> TildeMatrix:
     """Shadow matrix computed directly from a known matrix (no oracle).
 
@@ -141,13 +156,9 @@ def definitional_tilde(matrix: np.ndarray) -> TildeMatrix:
     n = matrix.shape[0]
     row1 = matrix[0]
     correction = divide(2 * row_totals(row1[None, 1:])[0], n - 2)
-    i, j = np.triu_indices(n - 1, k=1)
-    i, j = i + 1, j + 1
-    values = matrix[i, j] - row1[i] - row1[j] + correction
-    t = zeros((n, n), values.dtype)
-    t[i, j] = values
-    t[j, i] = values
-    return TildeMatrix(n=n, t=t)
+    upper = _free_entries(n)
+    i, j = np.nonzero(upper)
+    return _mirrored(upper, matrix[i, j] - row1[i] - row1[j] + correction)
 
 
 def anchor_pairing(n: int) -> Pairing:
@@ -265,12 +276,7 @@ def reconstruct_tilde(
     # anchor total = (N/2 - 1) * x + sum of offsets over {3,4},{5,6},...
     k = np.arange(3, n, 2)
     offset_sum = row_totals(offset[k, k + 1][None])[0]
-    x = divide(anchor_total - offset_sum, n // 2 - 1)
-    t = zeros((n, n), offset.dtype)
-    i, j = np.triu_indices(n + 1, k=1)
-    keep = i >= 2
-    i, j = i[keep], j[keep]
-    values = x + offset[i, j]
-    t[i - 1, j - 1] = values
-    t[j - 1, i - 1] = values
-    return TildeMatrix(n=n, t=t), spent
+    # x as a numerator over its denominator, so each entry is one exact division
+    x, scale = integral(divide(anchor_total - offset_sum, n // 2 - 1))
+    upper = _free_entries(n)
+    return _mirrored(upper, divide(x + scale * offset[1:, 1:][upper], scale)), spent

@@ -36,9 +36,16 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import InternalError, Pairing, ValidationError, divide, pairings_from_canonical, zeros
+from .core import (
+    InternalError,
+    Pairing,
+    ValidationError,
+    divide,
+    integral,
+    pairings_from_canonical,
+)
 from .oracle import ObservationOracle, canonical_pairs
-from .observation import TildeMatrix, _completion
+from .observation import TildeMatrix, _completion, _free_entries, _mirrored
 
 
 class PlanRankError(InternalError):
@@ -73,14 +80,14 @@ def _sweep(n: int, values: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.nd
     vanish exactly when `u` is the true one.
     """
     batch = values.shape[1:]
-    t = zeros((n + 1, n + 1) + batch, values.dtype)
-    zero_row = zeros((1,) + batch, values.dtype)
+    t = np.zeros((n + 1, n + 1) + batch, values.dtype)
+    zero_row = np.zeros((1,) + batch, values.dtype)
     # tau[k] = sum of u_l over levels above the k-th; tau[0] serves the base
     tau = np.concatenate([np.cumsum(u[::-1], axis=0)[::-1], zero_row])
     odd = np.arange(5, n, 2)
     t[odd, odd + 1] = u
     t[3, 4], t[2, 4], t[2, 3] = values[0] - tau[0], values[1] - tau[0], values[2] - tau[0]
-    residuals = zeros(u.shape, values.dtype)
+    residuals = np.zeros(u.shape, values.dtype)
     pos = 3
     for k, level in enumerate(range(6, n + 1, 2)):
         a = np.arange(2, level - 1)
@@ -99,22 +106,25 @@ def _sweep(n: int, values: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.nd
     return t, residuals
 
 
-def _recover_entries(n: int, values: Sequence) -> np.ndarray:
+def _recover_entries(n: int, values: Sequence) -> tuple[np.ndarray, int]:
     """Solve the plan's observation system for every shadow entry.
 
     `values` is parallel to the rows of `_plan_rows(n)`, optionally with trailing
     axes of independent right-hand sides, and its dtype sets the arithmetic:
-    float64 in floating point, object (ints or Fractions) exactly. Returns
-    the 1-based upper triangle of the shadow matrix.
+    float64 in floating point, object (ints or Fractions) exactly, on the
+    Python-int numerators of `integral`. Returns the 1-based upper triangle
+    of the shadow matrix as (numerators, denominator); the denominator is 1
+    for floats, and the caller divides only the entries it keeps.
     """
-    values = np.asarray(values)
+    values, scale = integral(values)
     if len(values) != plan_size(n):
         raise InternalError(f"plan for n={n} needs {plan_size(n)} observations, got {len(values)}")
     m = len(range(6, n + 1, 2))
-    _, r = _sweep(n, values, zeros((m,) + values.shape[1:], values.dtype))
-    u = divide(r.sum(axis=0), m + 1) - r
-    t, _ = _sweep(n, values, u)
-    return t
+    _, r = _sweep(n, values, np.zeros((m,) + values.shape[1:], values.dtype))
+    # u in units of 1/scale, as numerators over the level solve's denominator
+    u, u_scale = integral(divide(r.sum(axis=0), m + 1) - r)
+    t, _ = _sweep(n, values * u_scale, u)
+    return t, scale * u_scale
 
 
 def _t_coefficients(n: int) -> np.ndarray:
@@ -154,12 +164,13 @@ class ObservationPlan:
     def derivations(self) -> dict[str, tuple[tuple[Fraction, int], ...]]:
         # recover once per observation slot: column s is the response to
         # observation s alone, so entry (i, j) is sum(t[i, j, s] * v_s)
-        unit = zeros((self.size, self.size), object)
-        np.fill_diagonal(unit, Fraction(1))
-        t = _recover_entries(self.n, unit)
+        unit = np.zeros((self.size, self.size), object)
+        np.fill_diagonal(unit, 1)
+        t, scale = _recover_entries(self.n, unit)
 
         def combo(coefs: np.ndarray) -> tuple[tuple[Fraction, int], ...]:
-            return tuple((coefs[idx], int(idx)) for idx in np.flatnonzero(coefs != 0))
+            nonzero = np.flatnonzero(coefs != 0)
+            return tuple(zip(divide(coefs[nonzero], scale).tolist(), nonzero.tolist()))
 
         out: dict[str, tuple[tuple[Fraction, int], ...]] = {
             # the anchor pairing is scheduled first, so its total is direct
@@ -211,5 +222,6 @@ def execute_plan(oracle: ObservationOracle, plan: ObservationPlan) -> TildeMatri
     if plan.n != oracle.n:
         raise ValidationError(f"plan is for n={plan.n} but oracle hides n={oracle.n}")
     values = oracle.observe_batch(*plan._index_arrays)
-    upper = _recover_entries(plan.n, values)[1:, 1:]
-    return TildeMatrix(n=plan.n, t=upper + upper.T)
+    t, scale = _recover_entries(plan.n, values)
+    upper = _free_entries(plan.n)
+    return _mirrored(upper, divide(t[1:, 1:][upper], scale))

@@ -22,7 +22,15 @@ from typing import Optional
 
 import numpy as np
 
-from .core import InternalError, Pairing, ValidationError, checked_seed, pairing_sum, seeded_rng
+from .core import (
+    InternalError,
+    Pairing,
+    ValidationError,
+    checked_seed,
+    integral,
+    pairing_sum,
+    seeded_rng,
+)
 from .tsp_graph import GraphNode, Tour
 
 
@@ -138,6 +146,8 @@ def solve_pnn(matrix: np.ndarray, config: SolverConfig) -> SolveResult:
     if not 1 <= start <= n:
         raise ValidationError(f"start node {start} is outside 1..{n}")
     rng = seeded_rng(config.seed)
+    # ties are found on integer numerators: a positive scale keeps every ==
+    numerators = integral(matrix)[0]
 
     free_l1 = np.ones(n + 1, dtype=bool)  # 1-based; slot 0 unused
     free_l1[0] = free_l1[start] = False
@@ -158,7 +168,7 @@ def solve_pnn(matrix: np.ndarray, config: SolverConfig) -> SolveResult:
         step = t % 5
         if step == 1:
             candidates = np.flatnonzero(free_l1)
-            values = matrix[s - 1][candidates - 1]
+            values = numerators[s - 1][candidates - 1]
             ties = candidates[values == values.max()]
             partner = int(ties[pick(len(ties))])
             free_l1[partner] = False
@@ -256,9 +266,11 @@ def solve_p2opt(matrix: np.ndarray, initial: Pairing, config: SolverConfig) -> S
             trace=(),
         )
 
-    # any other dtype is summed as Python scalars, as matrix.tolist() would be
+    # any other dtype is summed as Python scalars, as matrix.tolist() would be;
+    # exact entries are compared as integer numerators, which a positive
+    # common denominator leaves in the same order
     native = matrix.dtype in (np.float64, object)
-    flat = (matrix if native else matrix.astype(object)).ravel()
+    flat = integral(matrix if native else matrix.astype(object))[0].ravel()
     # slot layout: pair k occupies slots 2k and 2k+1 (0-based elements)
     slots = np.array([e - 1 for pair in initial.pairs for e in pair], dtype=np.intp)
     m = n // 2

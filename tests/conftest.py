@@ -10,6 +10,7 @@ that cannot share their bugs.
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -35,6 +36,17 @@ def make_integer_instance(n: int, seed: int, lo: int = 0, hi: int = 10000) -> In
             c[i][j] = int(raw[min(i, j)][max(i, j)])
         c[i][i] = 0
     return Instance(n=n, c=c, c_min=lo, c_max=hi)
+
+
+def make_fraction_instance(n: int, seed: int, low: int = 0, high: int = 10000) -> Instance:
+    """Entries numerator / denominator with numerators in [low, high) and
+    denominators 1..9, so the shadow's common denominator is a real lcm."""
+    rnd = random.Random(seed)
+    c = np.zeros((n, n), dtype=object)
+    for i in range(n):
+        for j in range(i + 1, n):
+            c[i][j] = c[j][i] = Fraction(rnd.randrange(low, high), rnd.randint(1, 9))
+    return Instance(n=n, c=c, c_min=0, c_max=high)
 
 
 def matrix_from_pairs(n: int, entries: dict[tuple[int, int], float]) -> np.ndarray:

@@ -16,6 +16,7 @@ from pairing_tsp.core import (
     dumps_instance_text,
     enumerate_pairings,
     exact_best_pairing,
+    integral,
     loads_instance_json,
     loads_instance_text,
     pairing_count,
@@ -178,6 +179,16 @@ class TestInstance:
         with pytest.raises(ValueError):
             inst.c[0][1] = 5.0
 
+    def test_object_matrix_copied_before_freezing(self):
+        c = np.zeros((4, 4), dtype=object)
+        c[0][1] = c[1][0] = 7
+        inst = Instance(n=4, c=c, c_min=0, c_max=10)
+        assert c.flags.writeable
+        c[0][1] = 9
+        assert inst.value(1, 2) == 7
+        with pytest.raises(ValueError):
+            inst.c[0][1] = 5
+
     def test_diagonal_not_validated(self):
         c = np.zeros((4, 4))
         np.fill_diagonal(c, 123456.0)
@@ -244,3 +255,55 @@ class TestNumericHelpers:
         assert halves.dtype == object
         assert halves.tolist() == [Fraction(1, 2), Fraction(3, 4)]
         assert {type(v) for v in halves} == {Fraction}
+
+    def test_divide_exact_integers_beyond_int64(self):
+        big = np.array([[2**70 + 1, -3], [0, 6]], dtype=object)
+        quotients = divide(big, 3)
+        assert quotients.shape == (2, 2)
+        assert quotients.tolist() == [[Fraction(2**70 + 1, 3), -1], [0, 2]]
+        assert {type(v) for v in quotients.flat} == {Fraction}
+
+    def test_integral_passes_float_bytes_through(self):
+        values = np.array([[0.1, -2.5], [1e300, 0.0]])
+        numerators, denominator = integral(values)
+        assert denominator == 1
+        assert numerators.dtype == np.float64
+        assert numerators.tobytes() == values.tobytes()
+
+    def test_integral_of_object_ints(self):
+        numerators, denominator = integral(np.array([[3, -4], [0, 5]], dtype=object))
+        assert denominator == 1
+        assert numerators.tolist() == [[3, -4], [0, 5]]
+        assert {type(v) for v in numerators.flat} == {int}
+
+    def test_integral_of_mixed_fractions_uses_the_lcm(self):
+        values = np.array([Fraction(1, 6), Fraction(3, 4), 2], dtype=object)
+        numerators, denominator = integral(values)
+        assert denominator == 12
+        assert numerators.tolist() == [2, 9, 24]
+        assert {type(v) for v in numerators} == {int}
+
+    def test_integral_passes_object_floats_through(self):
+        # what solve_p2opt's astype(object) makes of a float32 matrix
+        values = np.array([1.5, -0.25], dtype=np.float32).astype(object)
+        numerators, denominator = integral(values)
+        assert denominator == 1
+        assert numerators.tolist() == [1.5, -0.25]
+        assert {type(v) for v in numerators} == {float}
+        assert divide(values, 2).tolist() == [0.75, -0.125]
+
+    def test_integral_of_empty_arrays(self):
+        for empty in (np.empty((0, 3), dtype=object), np.empty(0)):
+            numerators, denominator = integral(empty)
+            assert denominator == 1
+            assert numerators.shape == empty.shape
+
+    def test_integral_keeps_numerators_beyond_int64_exact(self):
+        values = np.array([2**70 + 1, Fraction(-(2**64), 3)], dtype=object)
+        numerators, denominator = integral(values)
+        assert denominator == 3
+        assert numerators.tolist() == [3 * (2**70 + 1), -(2**64)]
+        assert {type(v) for v in numerators} == {int}
+        numpy_ints = np.array([np.int64(2**62), np.int64(3)], dtype=object)
+        assert integral(numpy_ints)[0].tolist() == [2**62, 3]
+        assert {type(v) for v in integral(numpy_ints)[0]} == {int}

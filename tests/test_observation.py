@@ -1,4 +1,5 @@
 import hashlib
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +11,9 @@ from pairing_tsp.core import (
     Pairing,
     ValidationError,
     enumerate_pairings,
+    pairing_sum,
     total_compatibility,
+    zeros,
 )
 from pairing_tsp.observation import (
     TildeMatrix,
@@ -26,9 +29,15 @@ from pairing_tsp.observation import (
 )
 from pairing_tsp.oracle import ObservationOracle
 
-from pairing_tsp.solvers import solve_random
+from pairing_tsp.solvers import SolverConfig, solve_p2opt, solve_pnn, solve_random
 
-from conftest import make_instance, make_integer_instance, matrix_from_pairs
+from conftest import (
+    make_fraction_instance,
+    make_instance,
+    make_integer_instance,
+    matrix_from_pairs,
+    reference_p2opt,
+)
 from test_plan import round_robin_pairings
 
 
@@ -160,6 +169,16 @@ class TestTildeMatrix:
         t[0][2] = 1.0
         with pytest.raises(ValidationError):
             TildeMatrix(n=4, t=t)
+
+    def test_object_matrix_copied_before_freezing(self):
+        t = zeros((4, 4), object)
+        t[2][3] = t[3][2] = Fraction(5, 2)
+        tilde = TildeMatrix(n=4, t=t)
+        assert t.flags.writeable
+        t[2][3] = Fraction(0)
+        assert tilde.t[2][3] == Fraction(5, 2)
+        with pytest.raises(ValueError):
+            tilde.t[2][3] = 1
 
     def test_free_entry_count(self):
         assert TildeMatrix(n=6, t=np.zeros((6, 6))).free_entry_count == 10
@@ -358,3 +377,57 @@ class TestNumericLayer:
 
         tilde = definitional_tilde(generate_instance(80, 0, 10000, seed).c)
         assert hashlib.sha256(tilde.t.tobytes()).hexdigest() == digest
+
+
+class TestFractionInstances:
+    """Fraction-valued instances, whose shadows have a real lcm denominator.
+
+    The pinned digests are of the solver outputs computed with Fraction
+    arithmetic throughout, before the exact stages moved to integer
+    numerators.
+    """
+
+    @pytest.mark.parametrize(
+        "n,seed,low,high,digest",
+        [
+            (20, 3, 0, 10000, "516801327d175a2bcda6c85d0f3de0195cb8d7d53a5023d56de750b0e416386c"),
+            (30, 4, 0, 10000, "af30ecf43c03e9c99fd249c817973275384727b8672aec912ac492b27c47d983"),
+            # three numerators over nine denominators: ties everywhere
+            (16, 6, 0, 3, "4488d12682f321cb445738cdd687a1e11af3663517c9d3d54265138d2097ab36"),
+            (12, 5, 2**70 - 2**60, 2**70 + 2**60, "16c3620bb3aefe7836d012a6cb387eb932864a3069b8cdd89aa52ed4e111a05b"),
+        ],
+    )
+    def test_exact_stages_and_solvers_agree(self, n, seed, low, high, digest):
+        from pairing_tsp.plan import execute_plan, minimal_observation_plan
+
+        inst = make_fraction_instance(n, seed, low, high)
+        shadows = [
+            definitional_tilde(inst.c).t,
+            reconstruct_tilde(ObservationOracle(inst))[0].t,
+            execute_plan(ObservationOracle(inst), minimal_observation_plan(n)).t,
+        ]
+        for t in shadows:
+            assert {type(v) for v in t.flat} == {Fraction}
+            assert np.array_equal(t, shadows[0])
+        t = shadows[0]
+        for pairing in round_robin_pairings(n):
+            assert total_compatibility(inst, pairing) == pairing_sum(t, pairing)
+
+        config = SolverConfig(seed=seed, exchange_limit=None)
+        pnn = solve_pnn(t, config)
+        refined = solve_p2opt(t, pnn.pairing, config)
+        pairing, noc, exchanges, trace, score = reference_p2opt(t, pnn.pairing, None)
+        assert (refined.pairing, refined.noc, refined.exchanges_used) == (pairing, noc, exchanges)
+        assert refined.trace == tuple(trace)
+        assert refined.score == score
+        assert type(pnn.score) is Fraction and type(refined.score) is Fraction
+        outputs = [
+            pnn.pairing.pairs,
+            str(pnn.score),
+            refined.pairing.pairs,
+            refined.noc,
+            refined.trace,
+            refined.exchanges_used,
+            str(refined.score),
+        ]
+        assert hashlib.sha256(json.dumps(outputs).encode()).hexdigest() == digest
