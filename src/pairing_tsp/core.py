@@ -203,7 +203,8 @@ class Pairing:
 
 
 def pairings_from_canonical(first: np.ndarray, second: np.ndarray) -> tuple[Pairing, ...]:
-    """Trusted pairings of canonical 0-based (Q, N/2) arrays from `oracle.canonical_pairs`."""
+    """Trusted pairings of canonical 0-based (Q, N/2) (first, second) arrays,
+    as `oracle.canonical_pairs` returns them."""
     return tuple(
         Pairing._from_canonical(tuple(zip(a, b)))
         for a, b in zip((first + 1).tolist(), (second + 1).tolist())
@@ -211,10 +212,18 @@ def pairings_from_canonical(first: np.ndarray, second: np.ndarray) -> tuple[Pair
 
 
 def row_totals(entries: np.ndarray) -> np.ndarray:
-    """Each row's sum, added left to right (`.sum()` adds pairwise); every
-    pairing total goes through here, so it does not depend on the path.
-    The totals are copied out, so they do not keep the whole cumsum alive."""
-    return np.cumsum(entries, axis=1)[:, -1].copy()
+    """Each row's sum of a (Q, M) array, added left to right; every pairing
+    total goes through here, so it does not depend on the path.
+
+    `.sum(axis=1)` adds along a contiguous row pairwise. Reducing over axis 0
+    of the C-contiguous (M, Q) transpose instead adds one column into all Q
+    accumulators at a time, so each row is folded left to right. With one
+    row numpy would reduce that single column pairwise again, so Q < 2 takes
+    the last column of `cumsum`.
+    """
+    if len(entries) < 2:
+        return np.cumsum(entries, axis=1)[:, -1].copy()
+    return np.add.reduce(np.ascontiguousarray(entries.T), axis=0)
 
 
 def pairing_sum(matrix: np.ndarray, pairing: Pairing):

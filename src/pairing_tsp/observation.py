@@ -32,7 +32,7 @@ from typing import Optional
 import numpy as np
 
 from .core import Pairing, ValidationError, divide, integral, pairing_sum, row_totals, zeros
-from .oracle import ObservationOracle, canonical_pairs
+from .oracle import ObservationOracle, pair_keys
 
 
 def exchange_rule_value(i: int, j: int, k: int, l: int, matrix: np.ndarray):
@@ -218,16 +218,16 @@ def _observe_rows(oracle: ObservationOracle, rows, cols, memo: Optional[dict]) -
     """observe_batch, serving rows already in `memo` without re-submitting them."""
     if memo is None:
         return oracle.observe_batch(rows, cols)
-    first, second = canonical_pairs(rows, cols, oracle.n)
-    keys = [a.tobytes() + b.tobytes() for a, b in zip(first, second)]
+    n = oracle.n
+    keys = pair_keys(rows, cols, n)
+    row_keys = [row.tobytes() for row in keys]
     fresh: dict[bytes, int] = {}  # first occurrence of each unseen row
-    for q, key in enumerate(keys):
+    for q, key in enumerate(row_keys):
         if key not in memo and key not in fresh:
             fresh[key] = q
-    at = list(fresh.values())
-    values = oracle.observe_batch(first[at], second[at])
+    values = oracle.observe_batch(*np.divmod(keys[list(fresh.values())], n))
     memo.update(zip(fresh, values))
-    return np.array([memo[key] for key in keys], dtype=values.dtype)
+    return np.array([memo[key] for key in row_keys], dtype=values.dtype)
 
 
 def reconstruct_tilde(

@@ -9,12 +9,18 @@ reconstruction algorithms own their own observation budgets.
 Queries arrive one at a time (`observe`, a `Pairing`) or as a batch
 (`observe_batch`): Q pairings given as two (Q, N/2) integer arrays of 0-based
 elements, row q pairing rows[q, k] with cols[q, k], in any pair order and
-either orientation. Both take one path. Every row is checked to be a perfect
-matching of 0..N-1 before the counter moves, so a bad batch costs nothing;
-each row is then summed in canonical pair order (i < j inside a pair, pairs
-sorted by first element), left to right by `core.row_totals`, which is
-exactly Python's `sum` over `Pairing.pairs` and `total_compatibility`, bit
-for bit.
+either orientation. Both take one path, `pair_keys`, and every row is checked
+to be a perfect matching of 0..N-1 before the counter moves, so a bad batch
+costs nothing. The check casts the ends to intp, takes each pair's smaller
+end lo and larger end hi, range-checks them, and marks both ends of every
+pair in one (Q*N) bool array: a row is a pairing exactly when it covers all
+N of its slots. Each pair is then one key lo*N + hi; sorting a row's keys
+puts its pairs in canonical order (i < j inside a pair, pairs sorted by first
+element, which are distinct in a valid row), and the keys are the flat
+indices of the pairs' entries, so the oracle gathers with them directly.
+`core.row_totals` adds each row's entries left to right in canonical pair
+order, the order `total_compatibility` adds in too, so a total is the same
+value bit for bit whichever path computed it.
 """
 
 from __future__ import annotations
@@ -27,13 +33,15 @@ import numpy as np
 from .core import Instance, Pairing, ValidationError, pairings_from_canonical, row_totals
 
 
-def canonical_pairs(rows, cols, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Check (Q, n/2) pair-end arrays and return them in canonical order.
+def pair_keys(rows, cols, n: int) -> np.ndarray:
+    """Check (Q, n/2) pair-end arrays and return each row's sorted pair keys.
 
     Raises a ValidationError unless both arrays are integer, of one shape,
     n/2 wide, in 0..n-1, and every row pairs each element exactly once.
-    Returns (first, second): per row the smaller ends in ascending order and
-    their partners.
+    Returns a (Q, n/2) intp array: per row, lo * n + hi for each pair's
+    smaller end lo and larger end hi, ascending. A valid row's smaller ends
+    are distinct, so this is canonical pair order, and the keys are the flat
+    indices of the pairs' entries in an (n, n) matrix.
     """
     rows, cols = np.asarray(rows), np.asarray(cols)
     if rows.ndim != 2 or rows.shape != cols.shape:
@@ -45,23 +53,32 @@ def canonical_pairs(rows, cols, n: int) -> tuple[np.ndarray, np.ndarray]:
         raise ValidationError(f"pairing covers {2 * rows.shape[1]} elements, oracle hides {n}")
     if not (np.issubdtype(rows.dtype, np.integer) and np.issubdtype(cols.dtype, np.integer)):
         raise ValidationError(f"pair elements must be integers, got {rows.dtype} and {cols.dtype}")
-    q = len(rows)
-    if q and (min(rows.min(), cols.min()) < 0 or max(rows.max(), cols.max()) >= n):
-        raise ValidationError(f"pair elements must lie in 0..{n - 1}")
+    # cast before any arithmetic, so lo * n + hi cannot overflow a narrow
+    # dtype; an unsigned end beyond intp's range turns negative and fails below
     rows, cols = rows.astype(np.intp, copy=False), cols.astype(np.intp, copy=False)
-    # partner[q*n + e] is e's partner in row q; -1 marks an element left
-    # out, which every repeated element, a self-pair included, forces since
-    # a row has n slots
+    lo, hi = np.minimum(rows, cols), np.maximum(rows, cols)
+    q = len(rows)
+    if q and (lo.min() < 0 or hi.max() >= n):
+        raise ValidationError(f"pair elements must lie in 0..{n - 1}")
+    # a row has n slots, so it is a pairing exactly when its n ends cover
+    # 0..n-1; a repeated element, a self-pair included, leaves one uncovered
     base = np.arange(0, q * n, n)[:, None]
-    partner = np.full(q * n, -1, dtype=np.intp)
-    partner[base + rows] = cols
-    partner[base + cols] = rows
-    unmatched = partner.reshape(q, n) < 0
-    if unmatched.any():
-        row, e = np.argwhere(unmatched)[0]
+    covered = np.zeros(q * n, dtype=bool)
+    covered[base + lo] = True
+    covered[base + hi] = True
+    if not covered.all():
+        row, e = np.argwhere(~covered.reshape(q, n))[0]
         raise ValidationError(f"row {row} is not a pairing: element {e} is not paired exactly once")
-    first = np.sort(np.minimum(rows, cols), axis=1)
-    return first, partner[base + first]
+    keys = lo * n + hi
+    keys.sort(axis=1)
+    return keys
+
+
+def canonical_pairs(rows, cols, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Check (Q, n/2) pair-end arrays, as `pair_keys` does, and return them in
+    canonical order: (first, second), per row the smaller ends in ascending
+    order and their partners."""
+    return np.divmod(pair_keys(rows, cols, n), n)
 
 
 class ObservationOracle:
@@ -111,12 +128,13 @@ class ObservationOracle:
         exact values for exact ones; value q equals `observe` on row q.
         """
         n = self._hidden.n
-        first, second = canonical_pairs(rows, cols, n)
-        totals = row_totals(self._hidden.c.ravel().take(first * n + second))
+        keys = pair_keys(rows, cols, n)
+        totals = row_totals(self._hidden.c.ravel().take(keys))
         with self._lock:
             self._count += len(totals)
             if self._log is not None:
-                self._log.extend(zip(pairings_from_canonical(first, second), totals.tolist()))
+                pairings = pairings_from_canonical(*np.divmod(keys, n))
+                self._log.extend(zip(pairings, totals.tolist()))
         return totals
 
     def reset(self) -> None:

@@ -16,7 +16,7 @@ entry. The completion of {2..l-2} minus a is a prefix of the even-start pairs
 (2,3), (4,5), ..., at most one bridging pair (a-1, a+1) and a suffix of the
 odd-start pairs, so a whole level costs a few array operations. The rows
 are index arrays, fixed pairs plus the reconstruction's completion, checked
-and ordered once by the oracle's `canonical_pairs`; the plan keeps only them.
+and ordered once by the oracle's `pair_keys`; the plan keeps only them.
 
 Recovery is linear in the observations and the u_l, and the T equations'
 coefficient matrix in the u_l is I + J (identity plus all-ones). Execution
@@ -44,7 +44,7 @@ from .core import (
     integral,
     pairings_from_canonical,
 )
-from .oracle import ObservationOracle, canonical_pairs
+from .oracle import ObservationOracle, pair_keys
 from .observation import TildeMatrix, _completion, _free_entries, _mirrored
 
 
@@ -194,14 +194,14 @@ def minimal_observation_plan(n: int) -> ObservationPlan:
     if n % 2 != 0 or n < 4:
         raise ValidationError(f"element count must be even and >= 4, got {n}")
     try:
-        first, second = canonical_pairs(*_plan_rows(n), n)
+        keys = pair_keys(*_plan_rows(n), n)
     except ValidationError as exc:
         raise InternalError(f"plan construction for n={n}: {exc}") from exc
     expected = plan_size(n)
-    distinct = {a.tobytes() + b.tobytes() for a, b in zip(first, second)}
-    if len(first) != expected or len(distinct) != expected:
+    distinct = len({row.tobytes() for row in keys})
+    if len(keys) != expected or distinct != expected:
         raise PlanRankError(
-            f"plan construction for n={n} produced {len(first)} pairings, "
+            f"plan construction for n={n} produced {len(keys)} pairings, "
             f"expected {expected} distinct"
         )
     coefficients = _t_coefficients(n)
@@ -211,6 +211,7 @@ def minimal_observation_plan(n: int) -> ObservationPlan:
             f"observation plan for n={n}: the T equations are not the nonsingular "
             f"I + J system the closed-form level solve inverts"
         )
+    first, second = np.divmod(keys, n)
     first.setflags(write=False)
     second.setflags(write=False)
     return ObservationPlan(n=n, _index_arrays=(first, second))

@@ -1,4 +1,6 @@
+import functools
 import json
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -20,6 +22,7 @@ from pairing_tsp.core import (
     loads_instance_json,
     loads_instance_text,
     pairing_count,
+    row_totals,
     total_compatibility,
     zeros,
 )
@@ -307,3 +310,59 @@ class TestNumericHelpers:
         numpy_ints = np.array([np.int64(2**62), np.int64(3)], dtype=object)
         assert integral(numpy_ints)[0].tolist() == [2**62, 3]
         assert {type(v) for v in integral(numpy_ints)[0]} == {int}
+
+
+def fold(row):
+    """The reference order: left to right from 0, one addition at a time."""
+    return functools.reduce(operator.add, row, 0)
+
+
+def cancelling_rows(q, width, seed):
+    """(q, width) floats mixing 1e16, 1 and -1e16, where each addition's
+    rounding depends on the order; row 0 is 1e16, then ones, then -1e16,
+    which left to right is 0 but pairwise keeps the ones."""
+    rng = np.random.default_rng(seed)
+    rows = rng.choice([1e16, 1.0, -1e16, 0.5, 3.0], size=(q, width))
+    if width >= 9:
+        rows[0] = 1.0
+        rows[0, 0], rows[0, -1] = 1e16, -1e16
+    return rows
+
+
+class TestRowTotals:
+    @pytest.mark.parametrize("width", [1, 9, 40, 200])
+    @pytest.mark.parametrize("q", [1, 2, 3, 160])
+    def test_floats_fold_left_to_right_bit_for_bit(self, q, width):
+        entries = cancelling_rows(q, width, seed=q * 1000 + width)
+        totals = row_totals(entries)
+        expected = [fold(row) for row in entries.tolist()]
+        assert totals.shape == (q,) and totals.dtype == np.float64
+        assert [v.hex() for v in totals.tolist()] == [v.hex() for v in expected]
+        if width >= 9:
+            # numpy's own row sum adds pairwise and so differs on this data;
+            # if it ever stops doing so, the order above needs a new look
+            pairwise = entries.sum(axis=1)
+            assert [v.hex() for v in pairwise.tolist()] != [v.hex() for v in expected]
+
+    @pytest.mark.parametrize("width", [1, 9, 40, 200])
+    @pytest.mark.parametrize("q", [1, 2, 3, 160])
+    def test_exact_values_fold_left_to_right(self, q, width):
+        rng = np.random.default_rng(q * 1000 + width)
+        ints = rng.integers(-(10**6), 10**6, size=(q, width)).astype(object) * 2**70
+        dens = rng.integers(1, 10, size=(q, width))
+        fractions = np.array(
+            [[Fraction(int(v), int(d)) for v, d in zip(r, e)] for r, e in zip(ints, dens)],
+            dtype=object,
+        ).reshape(q, width)
+        for entries in (ints, fractions):
+            totals = row_totals(entries)
+            expected = [fold(row) for row in entries.tolist()]
+            assert totals.dtype == object
+            assert totals.tolist() == expected
+            assert [type(v) for v in totals] == [type(v) for v in expected]
+
+    def test_object_floats_fold_left_to_right(self):
+        # Python floats in an object array add in the same order
+        entries = cancelling_rows(3, 40, seed=5).astype(object)
+        expected = [fold(row) for row in entries.tolist()]
+        assert [v.hex() for v in row_totals(entries).tolist()] == [v.hex() for v in expected]

@@ -1,3 +1,5 @@
+import functools
+import operator
 import threading
 
 import numpy as np
@@ -5,7 +7,7 @@ import pytest
 
 from pairing_tsp.core import Instance, Pairing, ValidationError, total_compatibility
 from pairing_tsp.observation import observation_budget, reconstruct_tilde
-from pairing_tsp.oracle import ObservationOracle
+from pairing_tsp.oracle import ObservationOracle, canonical_pairs, pair_keys
 from pairing_tsp.solvers import solve_random
 
 from conftest import make_instance, make_integer_instance, reference_score
@@ -122,10 +124,11 @@ def test_concurrent_observation_counts_exactly():
 
 
 def python_sum(instance, pairing):
-    # the summation the batch must reproduce: Python's sum over the
-    # canonical pairs, left to right from 0
+    # the summation the batch must reproduce: the canonical pairs' entries
+    # folded left to right from 0 (not `sum`, which compensates floats on
+    # Python 3.12 and later)
     rows = instance.c.tolist()
-    return sum(rows[i - 1][j - 1] for i, j in pairing.pairs)
+    return functools.reduce(operator.add, (rows[i - 1][j - 1] for i, j in pairing.pairs), 0)
 
 
 def shuffled_rows(pairings, seed):
@@ -207,6 +210,52 @@ class TestObserveBatch:
         pairings = [Pairing([(1, 2), (3, 4), (5, 6)]), Pairing([(1, 3), (2, 4), (5, 6)])]
         expected = [ObservationOracle(instance6).observe(p) for p in pairings]
         assert ObservationOracle(instance6).observe_batch(rows, cols).tolist() == expected
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int8])
+    def test_narrow_dtype_keys_do_not_overflow(self, dtype):
+        # keys lo * n + hi reach n * n - 2 = 1598, beyond both dtypes, so
+        # they must be made after the cast to intp
+        n = 40
+        inst = make_instance(n, seed=9)
+        rows, cols = shuffled_rows([solve_random(n, seed).pairing for seed in range(30)], seed=4)
+        wide = ObservationOracle(inst).observe_batch(rows.astype(np.intp), cols.astype(np.intp))
+        narrow = ObservationOracle(inst).observe_batch(rows.astype(dtype), cols.astype(dtype))
+        assert [v.hex() for v in narrow.tolist()] == [v.hex() for v in wide.tolist()]
+
+    @pytest.mark.parametrize("bad", [-1, 6])
+    def test_out_of_range_end_in_a_later_row_raises_the_range_error(self, instance6, bad):
+        # without the range check, -1 in row 1 would mark row 0's last slot
+        # and 6 would mark a slot past the end of the coverage array
+        oracle = ObservationOracle(instance6, log=True)
+        rows = [[0, 2, 4], [0, 2, 4]]
+        cols = [[1, 3, 5], [1, 3, bad]]
+        with pytest.raises(ValidationError, match="must lie in 0..5"):
+            oracle.observe_batch(rows, cols)
+        assert oracle.query_count == 0
+        assert oracle.query_log == []
+
+    def test_unsigned_end_beyond_intp_raises_the_range_error(self, instance6):
+        rows = np.array([[0, 2, 4]], dtype=np.uint64)
+        cols = np.array([[1, 3, 2**64 - 1]], dtype=np.uint64)
+        with pytest.raises(ValidationError, match="must lie in 0..5"):
+            ObservationOracle(instance6).observe_batch(rows, cols)
+
+    def test_pair_given_in_both_orientations_raises(self, instance6):
+        # (0, 1) and (1, 0) are one pair twice: elements 4 and 5 go unpaired
+        oracle = ObservationOracle(instance6)
+        with pytest.raises(ValidationError, match="row 0 is not a pairing"):
+            oracle.observe_batch([[0, 1, 2]], [[1, 0, 3]])
+        assert oracle.query_count == 0
+
+    def test_canonical_pairs_decode_the_sorted_keys(self):
+        n = 12
+        pairings = [solve_random(n, seed).pairing for seed in range(20)]
+        keys = pair_keys(*shuffled_rows(pairings, seed=3), n)
+        first, second = canonical_pairs(*shuffled_rows(pairings, seed=3), n)
+        assert keys.dtype == np.intp
+        assert np.array_equal(keys, first * n + second)
+        decoded = [list(zip(a, b)) for a, b in zip((first + 1).tolist(), (second + 1).tolist())]
+        assert decoded == [list(p.pairs) for p in pairings]
 
     @pytest.mark.parametrize("exact", [False, True])
     def test_totals_own_their_data(self, exact):
