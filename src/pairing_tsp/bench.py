@@ -31,7 +31,6 @@ from __future__ import annotations
 import json
 import math
 import numbers
-import operator
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -40,7 +39,17 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import Instance, ValidationError, seeded_rng, total_compatibility
+from .core import (
+    Instance,
+    ValidationError,
+    _checked,
+    _instance_from_upper,
+    checked_count,
+    checked_seed,
+    integer,
+    seeded_rng,
+    total_compatibility,
+)
 from .observation import reconstruct_tilde
 from .oracle import ObservationOracle
 from .solvers import SolverConfig, solve_p2opt, solve_pnn, solve_pnn_p2opt, solve_random
@@ -69,25 +78,11 @@ def performance_indicator(score: float, n: int, c_min: float, c_max: float) -> f
 
 def generate_instance(n: int, c_min: float, c_max: float, seed: int) -> Instance:
     """Uniform random symmetric instance, deterministic per seed."""
-    if n % 2 != 0 or n < 4:
-        raise ValidationError(f"element count must be even and >= 4, got {n}")
+    n = checked_count(n)
     if not (math.isfinite(c_min) and math.isfinite(c_max) and c_min <= c_max):
         raise ValidationError(f"bounds [{c_min}, {c_max}] must be finite with c_min <= c_max")
-    rng = seeded_rng(seed)
-    c = np.zeros((n, n), dtype=np.float64)
-    iu, ju = np.triu_indices(n, k=1)
-    values = rng.uniform(c_min, c_max, len(iu))
-    c[iu, ju] = values
-    c[ju, iu] = values
-    return Instance(n=n, c=c, c_min=c_min, c_max=c_max)
-
-
-def _checked(name: str, expected: str, convert, value):
-    """convert(value), or a ValidationError naming the spec field it came from."""
-    try:
-        return convert(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"{name} must be {expected}, got {value!r}") from exc
+    values = seeded_rng(seed).uniform(c_min, c_max, n * (n - 1) // 2)
+    return _instance_from_upper(n, c_min, c_max, values)
 
 
 def _finite_pair(value) -> tuple:
@@ -107,8 +102,8 @@ class ExperimentSpec:
     Field types are checked here, so a malformed field fails with a
     ValidationError naming it before any trial runs. Scalars are kept as
     given, since the report echoes them; sequences become tuples. Sizes,
-    trials, limits and an integer start node must be integers
-    (`operator.index`), so 8.7 or "8" is rejected rather than truncated.
+    trials, limits, the seed and an integer start node must pass
+    `core.integer`, so 8.7, "8", true or [1, 2] is rejected, not truncated.
     """
 
     n_values: tuple[int, ...]
@@ -121,7 +116,7 @@ class ExperimentSpec:
 
     def __post_init__(self):
         n_values = _checked(
-            "n_values", "a list of integers", lambda v: tuple(map(operator.index, v)), self.n_values
+            "n_values", "a list of integers", lambda v: tuple(map(integer, v)), self.n_values
         )
         object.__setattr__(self, "n_values", n_values)
         if isinstance(self.algorithms, str):
@@ -131,24 +126,21 @@ class ExperimentSpec:
         )
         limit = self.exchange_limit
         if isinstance(limit, Iterable) and not isinstance(limit, str):
-            limits = _checked(
-                "exchange_limit", _LIMIT, lambda v: tuple(map(operator.index, v)), limit
-            )
+            limits = _checked("exchange_limit", _LIMIT, lambda v: tuple(map(integer, v)), limit)
             object.__setattr__(self, "exchange_limit", limits)
         elif limit is not None:
-            limits = (_checked("exchange_limit", _LIMIT, operator.index, limit),)
+            limits = (_checked("exchange_limit", _LIMIT, integer, limit),)
         else:
             limits = ()
         if any(v < 0 for v in limits):
             raise ValidationError(f"exchange_limit must be >= 0, got {limit}")
-        if _checked("trials", "an integer", operator.index, self.trials) < 1:
+        if _checked("trials", "an integer", integer, self.trials) < 1:
             raise ValidationError(f"trials must be >= 1, got {self.trials}")
-        _checked("master_seed", "a non-negative integer", np.random.SeedSequence, self.master_seed)
+        checked_seed(self.master_seed, "master_seed")
         if self.start_node not in (None, "random"):
-            _checked("start_node", 'an integer, null or "random"', operator.index, self.start_node)
+            _checked("start_node", 'an integer, null or "random"', integer, self.start_node)
         for n in self.n_values:
-            if n % 2 != 0 or n < 4:
-                raise ValidationError(f"element count must be even and >= 4, got {n}")
+            checked_count(n)
         for algo in self.algorithms:
             if algo not in KNOWN_ALGORITHMS:
                 raise ValidationError(
@@ -315,7 +307,7 @@ def _resolve_start(spec: ExperimentSpec, n: int, solver_seed: int) -> int:
         return 1
     if spec.start_node == "random":
         return random_start_node(solver_seed, n)
-    return int(spec.start_node)
+    return spec.start_node
 
 
 def _observed_matrix(instance: Instance) -> tuple[np.ndarray, int]:
@@ -416,7 +408,7 @@ def run_study(study: str, spec: ExperimentSpec) -> ExperimentReport:
         raise ValidationError(f"the {study} study needs a single exchange_limit, not a list")
     # every study but start resolves start_node, on every size
     if study != "start" and spec.start_node not in (None, "random"):
-        start = int(spec.start_node)
+        start = spec.start_node
         outside = [n for n in spec.n_values if not 1 <= start <= n]
         if outside:
             raise ValidationError(

@@ -24,9 +24,11 @@ from .core import (
     Instance,
     ValidationError,
     _check_symmetric_bounded,
+    _checked,
     dumps_instance_json,
     dumps_instance_text,
     enumerate_pairings,
+    integer,
     load_instance,
     loads_instance_json,
     loads_instance_text,
@@ -169,13 +171,13 @@ def _load_solve_input(path: Path):
             raise ValidationError(f"malformed JSON in {path}: {exc}") from exc
         if isinstance(data, dict) and "tilde" in data:
             try:
-                n = int(data["n"])
-                matrix = np.asarray(data["tilde"], dtype=np.float64)
-                bounds = None
-                if "c_min" in data and "c_max" in data:
-                    bounds = (float(data["c_min"]), float(data["c_max"]))
+                n, matrix = data["n"], np.asarray(data["tilde"], dtype=np.float64)
             except (KeyError, TypeError, ValueError) as exc:
                 raise ValidationError(f"malformed shadow file {path}: {exc!r}") from exc
+            n = _checked("n", "an integer", integer, n)
+            bounds = None
+            if "c_min" in data and "c_max" in data:
+                bounds = tuple(_checked(k, "a number", float, data[k]) for k in ("c_min", "c_max"))
             if bounds is not None and not np.isfinite(bounds).all():
                 raise ValidationError(f"bounds c_min={bounds[0]}, c_max={bounds[1]} must be finite")
             # validates shape and the zero first row and column

@@ -14,6 +14,12 @@ numerators over one common denominator, the stage adds and compares those
 ints, and `divide` makes `Fraction`s only for the entries of the result.
 `zeros`, `divide` and `integral` are the only arithmetic in the pipeline that
 tells the two apart; on floats `integral` is the identity over 1.
+
+Outside input is admitted by three helpers: `checked_count` for element
+counts, `_checked` with the `integer` converter for every other integer (seeds,
+limits, spec fields, numbers read from files), and `_check_symmetric_bounded`
+for matrix entries. `frozen_matrix` makes the one dtype choice at admission:
+an `Instance` or `TildeMatrix` keeps an object array and casts others to float64.
 """
 
 from __future__ import annotations
@@ -50,11 +56,33 @@ def double_factorial(n: int) -> int:
     return result
 
 
+def integer(value) -> int:
+    """`operator.index(value)`, refusing bools: JSON `true` is not a count."""
+    if isinstance(value, bool):
+        raise TypeError(f"{value!r} is a bool, not an integer")
+    return operator.index(value)
+
+
+def _checked(name: str, expected: str, convert, value):
+    """convert(value), or a ValidationError naming the field it came from."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"{name} must be {expected}, got {value!r}") from exc
+
+
+def checked_count(n, minimum: int = 4) -> int:
+    """`n` as an int if it is an even `integer` >= `minimum`, else a ValidationError."""
+    expected = f"even and >= {minimum}"
+    value = _checked("element count", expected, integer, n)
+    if value % 2 != 0 or value < minimum:
+        raise ValidationError(f"element count must be {expected}, got {value}")
+    return value
+
+
 def pairing_count(n: int) -> int:
     """Number of distinct pairings of n elements, i.e. (n-1)!!."""
-    if n % 2 != 0:
-        raise ValidationError(f"element count must be even, got {n}")
-    return double_factorial(n - 1)
+    return double_factorial(checked_count(n, 0) - 1)
 
 
 def zeros(shape, dtype) -> np.ndarray:
@@ -106,15 +134,11 @@ def integral(array) -> tuple[np.ndarray, int]:
     return out.reshape(array.shape), denominator
 
 
-def checked_seed(seed) -> int:
-    """`seed` as an int; it must be a non-negative integer (`operator.index`),
-    or a ValidationError names it."""
-    try:
-        value = operator.index(seed)
-    except TypeError:
-        value = -1
+def checked_seed(seed, name: str = "seed") -> int:
+    """`seed` as an int if it is a non-negative `integer`, else a ValidationError naming it."""
+    value = _checked(name, "a non-negative integer", integer, seed)
     if value < 0:
-        raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
+        raise ValidationError(f"{name} must be a non-negative integer, got {seed!r}")
     return value
 
 
@@ -238,33 +262,36 @@ def pairing_sum(matrix: np.ndarray, pairing: Pairing):
     return total if matrix.dtype == object else float(total)
 
 
+def frozen_matrix(c, n: int) -> np.ndarray:
+    """A read-only copy of the (n, n) matrix `c`, so the caller's array stays
+    writable: object (exact) arrays keep their dtype, others become float64."""
+    c = np.asarray(c)
+    if c.shape != (n, n):
+        raise ValidationError(f"matrix shape {c.shape} does not match n={n}")
+    c = c.copy() if c.dtype == object else c.astype(np.float64)
+    c.setflags(write=False)
+    return c
+
+
 def _check_symmetric_bounded(c: np.ndarray, n: int, c_min, c_max) -> None:
-    if c.dtype == object:
-        for i in range(n):
-            for j in range(i + 1, n):
-                if c[i][j] != c[j][i]:
-                    raise ValidationError(f"matrix is not symmetric at c[{i + 1}][{j + 1}]")
-                if not c_min <= c[i][j] <= c_max:
-                    raise ValidationError(
-                        f"c[{i + 1}][{j + 1}]={c[i][j]} is outside [{c_min}, {c_max}]"
-                    )
-        return
-    bad = np.argwhere(~np.isfinite(c) & ~np.eye(n, dtype=bool))
-    if len(bad):
-        i, j = bad[0]
-        raise ValidationError(f"c[{i + 1}][{j + 1}]={c[i][j]} is not finite")
-    mism = np.argwhere(c != c.T)
+    """Name the first off-diagonal fault of a float or object (n, n) matrix:
+    a non-finite float, then an asymmetry, then an entry outside [c_min, c_max]."""
+    k = np.arange(n)
+    if c.dtype != object:
+        bad = np.argwhere(~np.isfinite(c) & (k[:, None] != k))
+        if len(bad):
+            i, j = bad[0]
+            raise ValidationError(f"c[{i + 1}][{j + 1}]={c[i][j]} is not finite")
+    upper = k[:, None] < k
+    vals = c[upper]  # row by row, so the first fault found is the first named
+    mism = np.flatnonzero(vals != c.T[upper])
     if len(mism):
-        i, j = mism[0]
+        i, j = np.argwhere(upper)[mism[0]]
         raise ValidationError(f"matrix is not symmetric at c[{i + 1}][{j + 1}]")
-    iu, ju = np.triu_indices(n, k=1)
-    vals = c[iu, ju]
-    bad = np.flatnonzero((vals < c_min) | (vals > c_max))
+    bad = np.flatnonzero(~((c_min <= vals) & (vals <= c_max)))
     if len(bad):
-        k = bad[0]
-        raise ValidationError(
-            f"c[{iu[k] + 1}][{ju[k] + 1}]={vals[k]} is outside [{c_min}, {c_max}]"
-        )
+        i, j = np.argwhere(upper)[bad[0]]
+        raise ValidationError(f"c[{i + 1}][{j + 1}]={c[i][j]} is outside [{c_min}, {c_max}]")
 
 
 @dataclass(frozen=True)
@@ -282,19 +309,13 @@ class Instance:
     c_max: float
 
     def __post_init__(self):
-        if self.n % 2 != 0 or self.n < 4:
-            raise ValidationError(f"element count must be even and >= 4, got {self.n}")
-        c = np.asarray(self.c)
-        if c.shape != (self.n, self.n):
-            raise ValidationError(f"matrix shape {c.shape} does not match n={self.n}")
+        object.__setattr__(self, "n", checked_count(self.n))
+        c = frozen_matrix(self.c, self.n)
         if not (math.isfinite(self.c_min) and math.isfinite(self.c_max)):
             raise ValidationError(f"bounds c_min={self.c_min}, c_max={self.c_max} must be finite")
         if self.c_min > self.c_max:
             raise ValidationError(f"c_min={self.c_min} exceeds c_max={self.c_max}")
-        # a copy either way, so freezing it leaves the caller's array writable
-        c = c.copy() if c.dtype == object else c.astype(np.float64)
         _check_symmetric_bounded(c, self.n, self.c_min, self.c_max)
-        c.setflags(write=False)
         object.__setattr__(self, "c", c)
 
     def value(self, i: int, j: int):
@@ -317,8 +338,7 @@ def enumerate_pairings(n: int, *, max_n: int = DEFAULT_ENUMERATION_CAP) -> Itera
     Refuses n above `max_n` (pass a bigger cap explicitly to override): the
     stream has (n-1)!! entries and grows double-factorially.
     """
-    if n % 2 != 0 or n < 2:
-        raise ValidationError(f"element count must be even and >= 2, got {n}")
+    n = checked_count(n, 2)
     if n > max_n:
         raise ValidationError(
             f"enumerating {n} elements means {pairing_count(n)} pairings; "
@@ -367,9 +387,8 @@ def exact_best_pairing(
 # ---------------------------------------------------------------------------
 
 
-def _instance_from_upper(n: int, c_min: float, c_max: float, values: list[float]) -> Instance:
-    if n % 2 != 0 or n < 4:
-        raise ValidationError(f"element count must be even and >= 4, got {n}")
+def _instance_from_upper(n: int, c_min: float, c_max: float, values) -> Instance:
+    n = checked_count(n)
     expected = n * (n - 1) // 2
     if len(values) != expected:
         raise ValidationError(
@@ -405,11 +424,12 @@ def loads_instance_json(text: str) -> Instance:
     for key in ("n", "c_min", "c_max", "upper_triangle"):
         if key not in data:
             raise ValidationError(f"instance JSON is missing field '{key}'")
+    upper = _checked("upper_triangle", "a list of numbers", list, data["upper_triangle"])
     return _instance_from_upper(
-        int(data["n"]),
-        float(data["c_min"]),
-        float(data["c_max"]),
-        [float(v) for v in data["upper_triangle"]],
+        _checked("n", "an integer", integer, data["n"]),
+        _checked("c_min", "a number", float, data["c_min"]),
+        _checked("c_max", "a number", float, data["c_max"]),
+        [_checked("upper_triangle entry", "a number", float, v) for v in upper],
     )
 
 

@@ -31,7 +31,17 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Pairing, ValidationError, divide, integral, pairing_sum, row_totals, zeros
+from .core import (
+    Pairing,
+    ValidationError,
+    checked_count,
+    divide,
+    frozen_matrix,
+    integral,
+    pairing_sum,
+    row_totals,
+    zeros,
+)
 from .oracle import ObservationOracle, pair_keys
 
 
@@ -111,14 +121,9 @@ class TildeMatrix:
     t: np.ndarray
 
     def __post_init__(self):
-        t = np.asarray(self.t)
-        if t.shape != (self.n, self.n):
-            raise ValidationError(f"matrix shape {t.shape} does not match n={self.n}")
+        t = frozen_matrix(self.t, self.n)
         if np.any(t[0] != 0) or np.any(t[:, 0] != 0):
             raise ValidationError("first row and column must be exactly zero")
-        # a copy either way, so freezing it leaves the caller's array writable
-        t = t.copy() if t.dtype == object else t.astype(np.float64)
-        t.setflags(write=False)
         object.__setattr__(self, "t", t)
 
     @property
@@ -163,8 +168,7 @@ def definitional_tilde(matrix: np.ndarray) -> TildeMatrix:
 
 def anchor_pairing(n: int) -> Pairing:
     """The pairing {{1,2},{3,4},...,{N-1,N}}."""
-    if n % 2 != 0 or n < 2:
-        raise ValidationError(f"element count must be even and >= 2, got {n}")
+    n = checked_count(n, 2)
     return Pairing._from_canonical(tuple((k, k + 1) for k in range(1, n, 2)))
 
 
@@ -248,9 +252,7 @@ def reconstruct_tilde(
     Arithmetic follows the oracle's value type: float instances reconstruct
     in floating point, integer or fractional instances reconstruct exactly.
     """
-    n = oracle.n
-    if n < 4 or n % 2 != 0:
-        raise ValidationError(f"reconstruction needs an even element count >= 4, got {n}")
+    n = checked_count(oracle.n)
     memo: Optional[dict] = {} if share_observations else None
     start_count = oracle.query_count
 

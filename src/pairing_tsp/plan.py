@@ -40,6 +40,7 @@ from .core import (
     InternalError,
     Pairing,
     ValidationError,
+    checked_count,
     divide,
     integral,
     pairings_from_canonical,
@@ -191,8 +192,7 @@ def minimal_observation_plan(n: int) -> ObservationPlan:
     T equations' coefficient matrix, computed in integers, is exactly I + J:
     nonsingular, and the system the closed-form level solve inverts.
     """
-    if n % 2 != 0 or n < 4:
-        raise ValidationError(f"element count must be even and >= 4, got {n}")
+    n = checked_count(n)
     try:
         keys = pair_keys(*_plan_rows(n), n)
     except ValidationError as exc:

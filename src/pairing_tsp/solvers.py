@@ -15,7 +15,6 @@ shadow matrix preserves exactly.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Optional
@@ -26,7 +25,10 @@ from .core import (
     InternalError,
     Pairing,
     ValidationError,
+    _checked,
+    checked_count,
     checked_seed,
+    integer,
     integral,
     pairing_sum,
     seeded_rng,
@@ -40,9 +42,9 @@ class SolverConfig:
 
     `start_node` is the first-layer node the construction starts from
     (defaults to 1 when omitted); `exchange_limit` caps accepted rewirings,
-    with None meaning run to convergence. Both must be integers or None
-    (`operator.index`), so 2.5 is rejected rather than truncated, and the
-    limit must not be negative. The seed must be a non-negative integer,
+    with None meaning run to convergence. Both must be None or pass
+    `core.integer`, so 2.5 or True is rejected rather than truncated, and
+    the limit must not be negative. The seed must be a non-negative integer,
     whether or not the solver draws from it.
     """
 
@@ -54,12 +56,8 @@ class SolverConfig:
         object.__setattr__(self, "seed", checked_seed(self.seed))
         for name in ("start_node", "exchange_limit"):
             value = getattr(self, name)
-            if value is None:
-                continue
-            try:
-                object.__setattr__(self, name, operator.index(value))
-            except TypeError as exc:
-                raise ValidationError(f"{name} must be an integer or None, got {value!r}") from exc
+            if value is not None:
+                object.__setattr__(self, name, _checked(name, "an integer or None", integer, value))
         if self.exchange_limit is not None and self.exchange_limit < 0:
             raise ValidationError(f"exchange_limit must be >= 0 or None, got {self.exchange_limit}")
 
@@ -103,10 +101,7 @@ def _check_solver_matrix(matrix: np.ndarray) -> tuple[np.ndarray, int]:
         raise ValidationError(f"matrix is not a rectangular array: {exc}") from exc
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValidationError(f"matrix must be square, got shape {matrix.shape}")
-    n = matrix.shape[0]
-    if n % 2 != 0 or n < 4:
-        raise ValidationError(f"element count must be even and >= 4, got {n}")
-    return matrix, n
+    return matrix, checked_count(matrix.shape[0])
 
 
 def solve_random(n: int, seed: int, matrix: Optional[np.ndarray] = None) -> SolveResult:
@@ -116,8 +111,7 @@ def solve_random(n: int, seed: int, matrix: Optional[np.ndarray] = None) -> Solv
     outcome is uniform over all (n-1)!! pairings. Score is filled in when a
     matrix is supplied.
     """
-    if n % 2 != 0 or n < 4:
-        raise ValidationError(f"element count must be even and >= 4, got {n}")
+    n = checked_count(n)
     rng = seeded_rng(seed)
     order = rng.permutation(n) + 1
     pairing = Pairing.from_permutation(int(v) for v in order)
@@ -256,15 +250,6 @@ def solve_p2opt(matrix: np.ndarray, initial: Pairing, config: SolverConfig) -> S
     matrix, n = _check_solver_matrix(matrix)
     if initial.n != n:
         raise ValidationError(f"initial pairing covers {initial.n} elements, matrix has {n}")
-    limit = config.exchange_limit
-    if limit == 0:
-        return SolveResult(
-            pairing=initial,
-            score=pairing_sum(matrix, initial),
-            noc=0,
-            exchanges_used=0,
-            trace=(),
-        )
 
     # any other dtype is summed as Python scalars, as matrix.tolist() would be;
     # exact entries are compared as integer numerators, which a positive
@@ -278,7 +263,8 @@ def solve_p2opt(matrix: np.ndarray, initial: Pairing, config: SolverConfig) -> S
     improves, b_wins = _outcomes(flat, n, slots, quads)
     exchanges = 0
     trace: list[int] = []
-    while True:
+    # the limit is tested before each scan; None never equals a count
+    while exchanges != config.exchange_limit:
         # the restarted scan checks every pair up to the first improving one
         first = int(improves.argmax())
         if not improves[first]:
@@ -290,8 +276,6 @@ def solve_p2opt(matrix: np.ndarray, initial: Pairing, config: SolverConfig) -> S
         y, other = 2 * i + 1, 2 * j + (1 if b_wins[first] else 0)
         slots[y], slots[other] = slots[other], slots[y]
         exchanges += 1
-        if limit is not None and exchanges >= limit:
-            break
         # the shared pair (i, j) is listed twice and written twice
         stale = touching[[i, j]].ravel()
         improves[stale], b_wins[stale] = _outcomes(flat, n, slots, quads[stale])

@@ -20,7 +20,7 @@ from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
-from .core import InternalError, Pairing, ValidationError, zeros
+from .core import InternalError, Pairing, ValidationError, checked_count, zeros
 
 
 class GraphNode(NamedTuple):
@@ -30,15 +30,6 @@ class GraphNode(NamedTuple):
     @property
     def label(self) -> str:
         return f"L{self.layer}:{self.index}"
-
-
-def _check_matrix(matrix: np.ndarray, n: int) -> np.ndarray:
-    matrix = np.asarray(matrix)
-    if n % 2 != 0 or n < 4:
-        raise ValidationError(f"element count must be even and >= 4, got {n}")
-    if matrix.shape != (n, n):
-        raise ValidationError(f"matrix shape {matrix.shape} does not match n={n}")
-    return matrix
 
 
 @dataclass(frozen=True)
@@ -117,7 +108,10 @@ class PairingTspGraph:
 
 def build_graph(matrix: np.ndarray, n: int) -> PairingTspGraph:
     """Assemble the layered graph over a symmetric value matrix."""
-    matrix = _check_matrix(matrix, n)
+    n = checked_count(n)
+    matrix = np.asarray(matrix)
+    if matrix.shape != (n, n):
+        raise ValidationError(f"matrix shape {matrix.shape} does not match n={n}")
     return PairingTspGraph(n=n, c=matrix)
 
 

@@ -295,6 +295,11 @@ class TestBenchSpecValidation:
             ("n_values", "16"),
             ("n_values", [8.7]),
             ("start_node", 2.7),
+            ("trials", True),
+            ("exchange_limit", True),
+            ("master_seed", True),
+            ("master_seed", [1, 2]),
+            ("n_values", [True]),
         ],
     )
     def test_bad_field_exits_one_naming_it(self, tmp_path, capsys, field, value):
@@ -399,6 +404,27 @@ class TestSolveInputHardening:
         shadow.write_text(json.dumps({"n": 4, "tilde": t, "c_min": float("nan"), "c_max": 10}))
         assert run_cli("solve", str(shadow), "--algo", "pnn") == 1
         assert "must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "field,value", [("n", "x"), ("n", 6.9), ("upper_triangle", [[1.0]] + [1.0] * 14)]
+    )
+    def test_bad_instance_json_number_exits_one_naming_it(self, tmp_path, capsys, field, value):
+        data = {"n": 6, "c_min": 0, "c_max": 10, "upper_triangle": [1.0] * 15, field: value}
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(data))
+        assert run_cli("solve", str(path), "--algo", "pnn") == 1
+        err = capsys.readouterr().err
+        assert f"error: {field}" in err
+        assert "internal error" not in err
+
+    def test_non_integer_shadow_n_exits_one_naming_it(self, tmp_path, capsys):
+        shadow = tmp_path / "shadow.json"
+        t = [[0, 0, 0, 0], [0, 0, 5, 1], [0, 5, 0, 2], [0, 1, 2, 0]]
+        shadow.write_text(json.dumps({"n": 4.5, "tilde": t, "c_min": 0, "c_max": 10}))
+        assert run_cli("solve", str(shadow), "--algo", "pnn") == 1
+        err = capsys.readouterr().err
+        assert "error: n must be an integer" in err
+        assert "internal error" not in err
 
     @pytest.mark.parametrize(
         "entry,message", [(float("nan"), "c[2][3]=nan is not finite"), (7.0, "not symmetric at c[2][3]")]

@@ -12,12 +12,14 @@ from pairing_tsp.core import (
     Instance,
     Pairing,
     ValidationError,
+    checked_count,
     divide,
     double_factorial,
     dumps_instance_json,
     dumps_instance_text,
     enumerate_pairings,
     exact_best_pairing,
+    integer,
     integral,
     loads_instance_json,
     loads_instance_text,
@@ -161,6 +163,24 @@ def test_pair_swap_difference_equals_exchange_rule():
     assert delta == pytest.approx(exchange_rule_value(1, 2, 3, 4, inst.c))
 
 
+class TestAdmission:
+    @pytest.mark.parametrize("n", [5, 2, -4, 6.0, True, "6", None])
+    def test_checked_count_rejects(self, n):
+        with pytest.raises(ValidationError, match="element count must be even and >= 4, got"):
+            checked_count(n)
+
+    def test_checked_count_returns_int(self):
+        assert type(checked_count(np.int64(6))) is int
+        assert checked_count(0, 0) == 0 and checked_count(2, 2) == 2
+        with pytest.raises(ValidationError, match="even and >= 0, got 5"):
+            pairing_count(5)
+
+    @pytest.mark.parametrize("value", [True, False, np.True_, 1.0, "1", [1], None])
+    def test_integer_refuses_non_integers(self, value):
+        with pytest.raises(TypeError):
+            integer(value)
+
+
 class TestInstance:
     def test_asymmetric_rejected(self):
         c = np.zeros((4, 4))
@@ -193,9 +213,32 @@ class TestInstance:
             inst.c[0][1] = 5
 
     def test_diagonal_not_validated(self):
-        c = np.zeros((4, 4))
-        np.fill_diagonal(c, 123456.0)
-        Instance(n=4, c=c, c_min=0, c_max=1)
+        for diagonal in (123456.0, float("nan")):
+            c = np.zeros((4, 4))
+            np.fill_diagonal(c, diagonal)
+            Instance(n=4, c=c, c_min=0, c_max=1)
+
+    @pytest.mark.parametrize(
+        "upper,lower,message",
+        [
+            (Fraction(1, 2), Fraction(1, 3), r"not symmetric at c\[3\]\[4\]"),
+            (Fraction(7, 2), Fraction(7, 2), r"c\[3\]\[4\]=7/2 is outside \[0, 1\]"),
+            (float("nan"), float("nan"), r"c\[3\]\[4\]"),
+        ],
+    )
+    def test_object_matrix_fault_named(self, upper, lower, message):
+        c = np.full((4, 4), Fraction(1, 3), dtype=object)
+        c[2][3], c[3][2] = upper, lower
+        with pytest.raises(ValidationError, match=message):
+            Instance(n=4, c=c, c_min=0, c_max=1)
+
+    @pytest.mark.parametrize("dtype", [np.float64, object])
+    def test_asymmetry_named_before_an_earlier_bounds_fault(self, dtype):
+        c = np.zeros((4, 4), dtype=dtype)
+        c[0][1] = c[1][0] = 11
+        c[2][3] = 1
+        with pytest.raises(ValidationError, match=r"not symmetric at c\[3\]\[4\]"):
+            Instance(n=4, c=c, c_min=0, c_max=10)
 
 
 class TestInstanceFiles:

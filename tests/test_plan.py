@@ -75,6 +75,10 @@ class TestPlanConstruction:
         with pytest.raises(ValidationError):
             minimal_observation_plan(7)
 
+    def test_float_n_rejected(self):
+        with pytest.raises(ValidationError, match="element count"):
+            minimal_observation_plan(6.0)
+
     def test_rank_deficiency_raises_never_silent(self):
         # a duplicated observation cannot determine all entries: the solver
         # must refuse with the dedicated error, not return garbage

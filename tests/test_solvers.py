@@ -466,12 +466,12 @@ class TestSolverInputErrors:
         with pytest.raises(ValidationError):
             solve_random(4, 0, matrix=matrix)
 
-    @pytest.mark.parametrize("start", [2.5, "3", [1]])
+    @pytest.mark.parametrize("start", [2.5, "3", [1], True])
     def test_non_integer_start_node_rejected(self, start):
         with pytest.raises(ValidationError, match="start_node must be an integer"):
             SolverConfig(start_node=start)
 
-    @pytest.mark.parametrize("limit", [1.5, "2"])
+    @pytest.mark.parametrize("limit", [1.5, "2", True])
     def test_non_integer_exchange_limit_rejected(self, limit):
         with pytest.raises(ValidationError, match="exchange_limit must be an integer"):
             SolverConfig(exchange_limit=limit)
@@ -491,10 +491,14 @@ class TestSolverInputErrors:
         with pytest.raises(ValidationError, match="seed must be a non-negative integer"):
             solve_random(4, seed, matrix=c)
 
-    @pytest.mark.parametrize("seed", [-1, 1.5, "3", None])
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3", None, True])
     def test_config_checks_seed(self, seed):
         with pytest.raises(ValidationError, match="seed must be a non-negative integer"):
             SolverConfig(seed=seed)
+
+    def test_float_element_count_rejected(self):
+        with pytest.raises(ValidationError, match="element count must be even and >= 4, got 6.0"):
+            solve_random(6.0, 0)
 
     def test_numpy_seed_stored_as_int(self):
         config = SolverConfig(seed=np.uint64(7))
