@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -44,9 +43,11 @@ from .core import (
     ValidationError,
     _checked,
     _instance_from_upper,
+    checked_bounds,
     checked_count,
     checked_seed,
     integer,
+    real,
     seeded_rng,
     total_compatibility,
 )
@@ -79,15 +80,14 @@ def performance_indicator(score: float, n: int, c_min: float, c_max: float) -> f
 def generate_instance(n: int, c_min: float, c_max: float, seed: int) -> Instance:
     """Uniform random symmetric instance, deterministic per seed."""
     n = checked_count(n)
-    if not (math.isfinite(c_min) and math.isfinite(c_max) and c_min <= c_max):
-        raise ValidationError(f"bounds [{c_min}, {c_max}] must be finite with c_min <= c_max")
+    checked_bounds(c_min, c_max)
     values = seeded_rng(seed).uniform(c_min, c_max, n * (n - 1) // 2)
     return _instance_from_upper(n, c_min, c_max, values)
 
 
 def _finite_pair(value) -> tuple:
     lo, hi = value
-    if not all(isinstance(v, numbers.Real) and math.isfinite(v) for v in (lo, hi)):
+    if not all(math.isfinite(real(v)) for v in (lo, hi)):
         raise ValueError(value)
     return lo, hi
 

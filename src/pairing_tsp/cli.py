@@ -25,6 +25,7 @@ from .core import (
     ValidationError,
     _check_symmetric_bounded,
     _checked,
+    checked_bounds,
     dumps_instance_json,
     dumps_instance_text,
     enumerate_pairings,
@@ -33,6 +34,7 @@ from .core import (
     loads_instance_json,
     loads_instance_text,
     pairing_sum,
+    real,
     total_compatibility,
 )
 from .observation import TildeMatrix, reconstruct_tilde
@@ -175,11 +177,12 @@ def _load_solve_input(path: Path):
             except (KeyError, TypeError, ValueError) as exc:
                 raise ValidationError(f"malformed shadow file {path}: {exc!r}") from exc
             n = _checked("n", "an integer", integer, n)
+            # the float64 cast above would take true and "1" too
+            for v in np.asarray(data["tilde"], dtype=object).flat:
+                _checked("tilde entry", "a number", real, v)
             bounds = None
             if "c_min" in data and "c_max" in data:
-                bounds = tuple(_checked(k, "a number", float, data[k]) for k in ("c_min", "c_max"))
-            if bounds is not None and not np.isfinite(bounds).all():
-                raise ValidationError(f"bounds c_min={bounds[0]}, c_max={bounds[1]} must be finite")
+                bounds = checked_bounds(data["c_min"], data["c_max"])
             # validates shape and the zero first row and column
             tilde = TildeMatrix(n=n, t=matrix)
             _check_symmetric_bounded(tilde.t, n, -np.inf, np.inf)

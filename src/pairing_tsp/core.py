@@ -15,17 +15,22 @@ ints, and `divide` makes `Fraction`s only for the entries of the result.
 `zeros`, `divide` and `integral` are the only arithmetic in the pipeline that
 tells the two apart; on floats `integral` is the identity over 1.
 
-Outside input is admitted by three helpers: `checked_count` for element
-counts, `_checked` with the `integer` converter for every other integer (seeds,
-limits, spec fields, numbers read from files), and `_check_symmetric_bounded`
-for matrix entries. `frozen_matrix` makes the one dtype choice at admission:
-an `Instance` or `TildeMatrix` keeps an object array and casts others to float64.
+Outside input is admitted by one rule each: `checked_count` for element
+counts; `_checked` with the `integer` converter for every other integer (seeds,
+limits, spec fields, numbers read from files) and with the `real` converter
+for every real number read from a file or spec, both refusing bools and
+strings; `checked_bounds` for a pair of value bounds (finite, c_min <= c_max);
+`checked_matrix` for a matrix's shape (rectangular, square, an element count);
+and `_check_symmetric_bounded` for matrix entries. `frozen_matrix` makes the
+one dtype choice at admission: an `Instance` or `TildeMatrix` keeps an object
+array and casts others to float64.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -63,6 +68,14 @@ def integer(value) -> int:
     return operator.index(value)
 
 
+def real(value) -> float:
+    """`float(value)` for a real number, refusing bools and strings: JSON
+    `true` or "1" is not a number."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{value!r} is not a real number")
+    return float(value)
+
+
 def _checked(name: str, expected: str, convert, value):
     """convert(value), or a ValidationError naming the field it came from."""
     try:
@@ -78,6 +91,33 @@ def checked_count(n, minimum: int = 4) -> int:
     if value % 2 != 0 or value < minimum:
         raise ValidationError(f"element count must be {expected}, got {value}")
     return value
+
+
+def checked_bounds(c_min, c_max) -> tuple[float, float]:
+    """The bounds as floats if both are finite `real`s with c_min <= c_max,
+    else a ValidationError."""
+    lo = _checked("c_min", "a number", real, c_min)
+    hi = _checked("c_max", "a number", real, c_max)
+    if not (math.isfinite(lo) and math.isfinite(hi) and c_min <= c_max):
+        raise ValidationError(
+            f"bounds c_min={c_min}, c_max={c_max} must be finite with c_min <= c_max"
+        )
+    return lo, hi
+
+
+def checked_matrix(matrix, n: int | None = None) -> tuple[np.ndarray, int]:
+    """`matrix` as an array and its element count, if it is a rectangular,
+    square array of a valid count (n x n when `n` is given), else a
+    ValidationError. Checks the shape only, never the entries."""
+    try:
+        matrix = np.asarray(matrix)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"matrix is not a rectangular array: {exc}") from exc
+    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+        raise ValidationError(f"matrix must be square, got shape {matrix.shape}")
+    if n is not None and matrix.shape[0] != n:
+        raise ValidationError(f"matrix shape {matrix.shape} does not match n={n}")
+    return matrix, checked_count(matrix.shape[0])
 
 
 def pairing_count(n: int) -> int:
@@ -166,7 +206,7 @@ class Pairing:
             if len(t) != 2:
                 raise ValidationError(f"pair {t} does not contain exactly two elements")
             for e in t:
-                if not isinstance(e, (int, np.integer)):
+                if isinstance(e, bool) or not isinstance(e, (int, np.integer)):
                     raise ValidationError(f"element {e!r} is not an integer")
             a, b = sorted(int(e) for e in t)
             if a == b:
@@ -228,7 +268,7 @@ class Pairing:
 
 def pairings_from_canonical(first: np.ndarray, second: np.ndarray) -> tuple[Pairing, ...]:
     """Trusted pairings of canonical 0-based (Q, N/2) (first, second) arrays,
-    as `oracle.canonical_pairs` returns them."""
+    as `np.divmod` decodes the oracle's `pair_keys`."""
     return tuple(
         Pairing._from_canonical(tuple(zip(a, b)))
         for a, b in zip((first + 1).tolist(), (second + 1).tolist())
@@ -265,9 +305,7 @@ def pairing_sum(matrix: np.ndarray, pairing: Pairing):
 def frozen_matrix(c, n: int) -> np.ndarray:
     """A read-only copy of the (n, n) matrix `c`, so the caller's array stays
     writable: object (exact) arrays keep their dtype, others become float64."""
-    c = np.asarray(c)
-    if c.shape != (n, n):
-        raise ValidationError(f"matrix shape {c.shape} does not match n={n}")
+    c, _ = checked_matrix(c, n)
     c = c.copy() if c.dtype == object else c.astype(np.float64)
     c.setflags(write=False)
     return c
@@ -311,10 +349,7 @@ class Instance:
     def __post_init__(self):
         object.__setattr__(self, "n", checked_count(self.n))
         c = frozen_matrix(self.c, self.n)
-        if not (math.isfinite(self.c_min) and math.isfinite(self.c_max)):
-            raise ValidationError(f"bounds c_min={self.c_min}, c_max={self.c_max} must be finite")
-        if self.c_min > self.c_max:
-            raise ValidationError(f"c_min={self.c_min} exceeds c_max={self.c_max}")
+        checked_bounds(self.c_min, self.c_max)
         _check_symmetric_bounded(c, self.n, self.c_min, self.c_max)
         object.__setattr__(self, "c", c)
 
@@ -427,9 +462,8 @@ def loads_instance_json(text: str) -> Instance:
     upper = _checked("upper_triangle", "a list of numbers", list, data["upper_triangle"])
     return _instance_from_upper(
         _checked("n", "an integer", integer, data["n"]),
-        _checked("c_min", "a number", float, data["c_min"]),
-        _checked("c_max", "a number", float, data["c_max"]),
-        [_checked("upper_triangle entry", "a number", float, v) for v in upper],
+        *checked_bounds(data["c_min"], data["c_max"]),
+        [_checked("upper_triangle entry", "a number", real, v) for v in upper],
     )
 
 

@@ -11,8 +11,9 @@ rewiring {i,j},{k,l} into {i,k},{j,l}; two queries realize one rule. The
 reconstruction below measures the rules [1,j,3,2] (row offsets along element
 2), the rules [1,i,2,j] (column offsets), and one direct anchor observation,
 then solves for the single remaining unknown. Observation cost is exactly
-2(N-3) + (N-2)(N-3) + 1 queries unless callers opt into memo sharing, which
-can only lower it.
+2(N-3) + (N-2)(N-3) + 1 queries unless callers opt into memo sharing
+(`reconstruct_tilde(share_observations=True)`), which can only lower it;
+`measure_exchange_rule` keeps no memo and always spends two.
 
 The reconstruction builds one table of every rule it measures, in query
 order: the [1,j,3,2] rules for j = 4..N, then the [1,i,2,j] rules column by
@@ -34,9 +35,11 @@ import numpy as np
 from .core import (
     Pairing,
     ValidationError,
+    _checked,
     checked_count,
     divide,
     frozen_matrix,
+    integer,
     integral,
     pairing_sum,
     row_totals,
@@ -45,15 +48,21 @@ from .core import (
 from .oracle import ObservationOracle, pair_keys
 
 
-def exchange_rule_value(i: int, j: int, k: int, l: int, matrix: np.ndarray):
-    """(m[i][k] + m[j][l]) - (m[i][j] + m[k][l]) on a symmetric matrix, 1-based."""
-    n = matrix.shape[0]
-    indices = (i, j, k, l)
+def _rule_indices(n: int, *indices) -> tuple[int, int, int, int]:
+    """The rule's four 1-based indices as ints, if each is an `integer`,
+    they are distinct and all lie in 1..n, else a ValidationError."""
+    indices = tuple(_checked("rule index", "an integer", integer, e) for e in indices)
     if len(set(indices)) != 4:
         raise ValidationError(f"exchange rule needs four distinct indices, got {indices}")
     for e in indices:
         if not 1 <= e <= n:
             raise ValidationError(f"index {e} is outside 1..{n}")
+    return indices
+
+
+def exchange_rule_value(i: int, j: int, k: int, l: int, matrix: np.ndarray):
+    """(m[i][k] + m[j][l]) - (m[i][j] + m[k][l]) on a symmetric matrix, 1-based."""
+    i, j, k, l = _rule_indices(matrix.shape[0], i, j, k, l)
     m = matrix
     return (m[i - 1][k - 1] + m[j - 1][l - 1]) - (m[i - 1][j - 1] + m[k - 1][l - 1])
 
@@ -72,13 +81,9 @@ def rule_pairings(n: int, i: int, j: int, k: int, l: int) -> tuple[Pairing, Pair
     Both share the canonical completion of the remaining elements, so the
     difference cancels everything except the rewired pairs.
     """
-    indices = (i, j, k, l)
-    if len(set(indices)) != 4:
-        raise ValidationError(f"exchange rule needs four distinct indices, got {indices}")
-    for e in indices:
-        if not 1 <= e <= n:
-            raise ValidationError(f"index {e} is outside 1..{n}")
-    completion = canonical_completion(n, indices)
+    n = checked_count(n)
+    i, j, k, l = _rule_indices(n, i, j, k, l)
+    completion = canonical_completion(n, (i, j, k, l))
 
     def assemble(a: int, b: int, c: int, d: int) -> Pairing:
         pairs = [(a, b) if a < b else (b, a), (c, d) if c < d else (d, c)]
@@ -89,28 +94,11 @@ def rule_pairings(n: int, i: int, j: int, k: int, l: int) -> tuple[Pairing, Pair
     return assemble(i, j, k, l), assemble(i, k, j, l)
 
 
-def _observe(oracle: ObservationOracle, pairing: Pairing, memo: Optional[dict]):
-    if memo is None:
-        return oracle.observe(pairing)
-    if pairing not in memo:
-        memo[pairing] = oracle.observe(pairing)
-    return memo[pairing]
-
-
-def measure_exchange_rule(
-    oracle: ObservationOracle,
-    i: int,
-    j: int,
-    k: int,
-    l: int,
-    memo: Optional[dict] = None,
-):
-    """Realize rule [i,j,k,l] as the difference of two oracle queries.
-
-    With a memo dict, pairings already observed are not re-submitted.
-    """
+def measure_exchange_rule(oracle: ObservationOracle, i: int, j: int, k: int, l: int):
+    """Realize rule [i,j,k,l] as the difference of two oracle queries, the
+    `after` pairing first."""
     before, after = rule_pairings(oracle.n, i, j, k, l)
-    return _observe(oracle, after, memo) - _observe(oracle, before, memo)
+    return oracle.observe(after) - oracle.observe(before)
 
 
 @dataclass(frozen=True)

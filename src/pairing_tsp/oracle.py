@@ -9,7 +9,9 @@ reconstruction algorithms own their own observation budgets.
 Queries arrive one at a time (`observe`, a `Pairing`) or as a batch
 (`observe_batch`): Q pairings given as two (Q, N/2) integer arrays of 0-based
 elements, row q pairing rows[q, k] with cols[q, k], in any pair order and
-either orientation. Both take one path, `pair_keys`, and every row is checked
+either orientation. Every query passes through `observe_batch` (`observe` is
+a one-row batch), so overriding that one method sees them all; the oracle
+keeps no log of them. Rows go through `pair_keys`, and every row is checked
 to be a perfect matching of 0..N-1 before the counter moves, so a bad batch
 costs nothing. The check casts the ends to intp, takes each pair's smaller
 end lo and larger end hi, range-checks them, and marks both ends of every
@@ -26,11 +28,10 @@ value bit for bit whichever path computed it.
 from __future__ import annotations
 
 import threading
-from typing import Optional
 
 import numpy as np
 
-from .core import Instance, Pairing, ValidationError, pairings_from_canonical, row_totals
+from .core import Instance, Pairing, ValidationError, row_totals
 
 
 def pair_keys(rows, cols, n: int) -> np.ndarray:
@@ -41,7 +42,8 @@ def pair_keys(rows, cols, n: int) -> np.ndarray:
     Returns a (Q, n/2) intp array: per row, lo * n + hi for each pair's
     smaller end lo and larger end hi, ascending. A valid row's smaller ends
     are distinct, so this is canonical pair order, and the keys are the flat
-    indices of the pairs' entries in an (n, n) matrix.
+    indices of the pairs' entries in an (n, n) matrix; `np.divmod(keys, n)`
+    decodes them to the canonical (first, second) ends.
     """
     rows, cols = np.asarray(rows), np.asarray(cols)
     if rows.ndim != 2 or rows.shape != cols.shape:
@@ -74,26 +76,17 @@ def pair_keys(rows, cols, n: int) -> np.ndarray:
     return keys
 
 
-def canonical_pairs(rows, cols, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Check (Q, n/2) pair-end arrays, as `pair_keys` does, and return them in
-    canonical order: (first, second), per row the smaller ends in ascending
-    order and their partners."""
-    return np.divmod(pair_keys(rows, cols, n), n)
-
-
 class ObservationOracle:
     """Counts total-compatibility queries against a hidden instance.
 
     Answers are exact sums of the hidden entries, with no noise. The counter
-    (and optional query log) is guarded by a lock so benchmark workers may
-    share one oracle.
+    is guarded by a lock so benchmark workers may share one oracle.
     """
 
-    def __init__(self, instance: Instance, *, log: bool = False):
+    def __init__(self, instance: Instance):
         self._hidden = instance
         self._lock = threading.Lock()
         self._count = 0
-        self._log: Optional[list[tuple[Pairing, float]]] = [] if log else None
 
     @property
     def n(self) -> int:
@@ -104,13 +97,6 @@ class ObservationOracle:
     def query_count(self) -> int:
         with self._lock:
             return self._count
-
-    @property
-    def query_log(self) -> Optional[list[tuple[Pairing, float]]]:
-        if self._log is None:
-            return None
-        with self._lock:
-            return list(self._log)
 
     def observe(self, pairing: Pairing):
         """Total compatibility of `pairing`; increments the query counter.
@@ -127,19 +113,13 @@ class ObservationOracle:
         Returns a float64 array for float instances and an object array of
         exact values for exact ones; value q equals `observe` on row q.
         """
-        n = self._hidden.n
-        keys = pair_keys(rows, cols, n)
+        keys = pair_keys(rows, cols, self._hidden.n)
         totals = row_totals(self._hidden.c.ravel().take(keys))
         with self._lock:
             self._count += len(totals)
-            if self._log is not None:
-                pairings = pairings_from_canonical(*np.divmod(keys, n))
-                self._log.extend(zip(pairings, totals.tolist()))
         return totals
 
     def reset(self) -> None:
-        """Zero the counter and clear the log."""
+        """Zero the counter."""
         with self._lock:
             self._count = 0
-            if self._log is not None:
-                self._log.clear()

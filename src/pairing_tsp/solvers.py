@@ -27,6 +27,7 @@ from .core import (
     ValidationError,
     _checked,
     checked_count,
+    checked_matrix,
     checked_seed,
     integer,
     integral,
@@ -94,16 +95,6 @@ def _built_pairing(pairs) -> Pairing:
     return Pairing._from_canonical(tuple(sorted((a, b) if a < b else (b, a) for a, b in pairs)))
 
 
-def _check_solver_matrix(matrix: np.ndarray) -> tuple[np.ndarray, int]:
-    try:
-        matrix = np.asarray(matrix)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"matrix is not a rectangular array: {exc}") from exc
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise ValidationError(f"matrix must be square, got shape {matrix.shape}")
-    return matrix, checked_count(matrix.shape[0])
-
-
 def solve_random(n: int, seed: int, matrix: Optional[np.ndarray] = None) -> SolveResult:
     """A uniformly random pairing: shuffle 1..n, pair adjacent entries.
 
@@ -115,7 +106,7 @@ def solve_random(n: int, seed: int, matrix: Optional[np.ndarray] = None) -> Solv
     rng = seeded_rng(seed)
     order = rng.permutation(n) + 1
     pairing = Pairing.from_permutation(int(v) for v in order)
-    score = None if matrix is None else pairing_sum(_check_solver_matrix(matrix)[0], pairing)
+    score = None if matrix is None else pairing_sum(checked_matrix(matrix)[0], pairing)
     return SolveResult(pairing=pairing, score=score, noc=0, exchanges_used=0)
 
 
@@ -135,7 +126,7 @@ def solve_pnn(matrix: np.ndarray, config: SolverConfig) -> SolveResult:
     `Tour` itself is built only when `result.tour` is read, and is valid by
     construction (the tests validate it against the layered graph).
     """
-    matrix, n = _check_solver_matrix(matrix)
+    matrix, n = checked_matrix(matrix)
     start = 1 if config.start_node is None else config.start_node
     if not 1 <= start <= n:
         raise ValidationError(f"start node {start} is outside 1..{n}")
@@ -247,7 +238,7 @@ def solve_p2opt(matrix: np.ndarray, initial: Pairing, config: SolverConfig) -> S
     entry, so the first-improvement order, and every count, is that of the
     plain rescan. Float64 and exact object matrices take the same path.
     """
-    matrix, n = _check_solver_matrix(matrix)
+    matrix, n = checked_matrix(matrix)
     if initial.n != n:
         raise ValidationError(f"initial pairing covers {initial.n} elements, matrix has {n}")
 

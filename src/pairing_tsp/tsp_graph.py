@@ -20,7 +20,7 @@ from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
-from .core import InternalError, Pairing, ValidationError, checked_count, zeros
+from .core import InternalError, Pairing, ValidationError, checked_count, checked_matrix, zeros
 
 
 class GraphNode(NamedTuple):
@@ -108,10 +108,7 @@ class PairingTspGraph:
 
 def build_graph(matrix: np.ndarray, n: int) -> PairingTspGraph:
     """Assemble the layered graph over a symmetric value matrix."""
-    n = checked_count(n)
-    matrix = np.asarray(matrix)
-    if matrix.shape != (n, n):
-        raise ValidationError(f"matrix shape {matrix.shape} does not match n={n}")
+    matrix, n = checked_matrix(matrix, checked_count(n))
     return PairingTspGraph(n=n, c=matrix)
 
 

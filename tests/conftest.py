@@ -17,6 +17,27 @@ import numpy as np
 import pytest
 
 from pairing_tsp.core import Instance, Pairing, pairing_sum
+from pairing_tsp.oracle import ObservationOracle
+
+
+class RecordingOracle(ObservationOracle):
+    """An oracle that records every accepted query as (canonical Pairing,
+    value), in submission order. Every query passes through `observe_batch`,
+    so overriding it alone sees them all; a rejected batch records nothing."""
+
+    def __init__(self, instance: Instance):
+        super().__init__(instance)
+        self.queries: list[tuple[Pairing, object]] = []
+
+    def observe_batch(self, rows, cols):
+        totals = super().observe_batch(rows, cols)
+        for r, c, value in zip(np.asarray(rows).tolist(), np.asarray(cols).tolist(), totals.tolist()):
+            self.queries.append((Pairing((a + 1, b + 1) for a, b in zip(r, c)), value))
+        return totals
+
+    @property
+    def pairings(self) -> list[Pairing]:
+        return [pairing for pairing, _ in self.queries]
 
 
 def make_instance(n: int, seed: int, c_min: float = 0.0, c_max: float = 10000.0) -> Instance:

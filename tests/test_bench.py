@@ -67,6 +67,9 @@ class TestGenerateInstance:
             (float("nan"), 1, 0, "finite"),
             (0, float("inf"), 0, "finite"),
             (float("-inf"), 0, 0, "finite"),
+            (False, True, 0, "c_min must be a number"),
+            ("0", 1, 0, "c_min must be a number"),
+            (0, "1", 0, "c_max must be a number"),
         ],
     )
     def test_bad_seed_or_bounds_named(self, c_min, c_max, seed, message):
@@ -128,6 +131,14 @@ class TestSpecValidation:
     def test_unknown_field_rejected(self):
         with pytest.raises(ValidationError, match="unknown"):
             ExperimentSpec.from_json_dict({"n_values": [4], "trials": 1, "bogus": 2})
+
+    @pytest.mark.parametrize("value_range", [(False, True), (0, True)])
+    def test_bool_or_string_value_range_rejected(self, value_range):
+        with pytest.raises(ValidationError, match="value_range must be two finite numbers"):
+            small_spec(value_range=value_range)
+
+    def test_accepted_value_range_keeps_its_type(self):
+        assert small_spec(value_range=[0, 10000]).to_json_dict()["value_range"] == [0, 10000]
 
 
 class TestPerformanceStudy:

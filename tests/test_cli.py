@@ -300,6 +300,7 @@ class TestBenchSpecValidation:
             ("master_seed", True),
             ("master_seed", [1, 2]),
             ("n_values", [True]),
+            ("value_range", [False, True]),
         ],
     )
     def test_bad_field_exits_one_naming_it(self, tmp_path, capsys, field, value):
@@ -406,7 +407,17 @@ class TestSolveInputHardening:
         assert "must be finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "field,value", [("n", "x"), ("n", 6.9), ("upper_triangle", [[1.0]] + [1.0] * 14)]
+        "field,value",
+        [
+            ("n", "x"),
+            ("n", 6.9),
+            ("upper_triangle", [[1.0]] + [1.0] * 14),
+            ("c_min", False),
+            ("c_min", True),
+            ("c_max", "1e1"),
+            ("upper_triangle", [True] + [1.0] * 14),
+            ("upper_triangle", ["1"] + [1.0] * 14),
+        ],
     )
     def test_bad_instance_json_number_exits_one_naming_it(self, tmp_path, capsys, field, value):
         data = {"n": 6, "c_min": 0, "c_max": 10, "upper_triangle": [1.0] * 15, field: value}
@@ -427,7 +438,13 @@ class TestSolveInputHardening:
         assert "internal error" not in err
 
     @pytest.mark.parametrize(
-        "entry,message", [(float("nan"), "c[2][3]=nan is not finite"), (7.0, "not symmetric at c[2][3]")]
+        "entry,message",
+        [
+            (float("nan"), "c[2][3]=nan is not finite"),
+            (7.0, "not symmetric at c[2][3]"),
+            (True, "tilde entry must be a number, got True"),
+            ("1", "tilde entry must be a number, got '1'"),
+        ],
     )
     def test_bad_shadow_entry_named(self, tmp_path, capsys, entry, message):
         shadow = tmp_path / "shadow.json"
@@ -436,3 +453,20 @@ class TestSolveInputHardening:
         shadow.write_text(json.dumps({"n": 4, "tilde": t, "c_min": 0, "c_max": 10}))
         assert run_cli("solve", str(shadow), "--algo", "pnn") == 1
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "bounds,message",
+        [
+            ({"c_min": True}, "c_min must be a number, got True"),
+            ({"c_max": "100"}, "c_max must be a number, got '100'"),
+            ({"c_min": 10, "c_max": 1}, "c_min <= c_max"),
+        ],
+    )
+    def test_bad_shadow_bounds_exit_one(self, tmp_path, capsys, bounds, message):
+        shadow = tmp_path / "shadow.json"
+        t = [[0, 0, 0, 0], [0, 0, 5, 1], [0, 5, 0, 2], [0, 1, 2, 0]]
+        shadow.write_text(json.dumps({"n": 4, "tilde": t, "c_min": 0, "c_max": 10, **bounds}))
+        assert run_cli("solve", str(shadow), "--algo", "pnn") == 1
+        err = capsys.readouterr().err
+        assert message in err
+        assert "internal error" not in err

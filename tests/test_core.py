@@ -60,6 +60,10 @@ class TestPairing:
         with pytest.raises(ValidationError, match="paired with itself"):
             Pairing([(1, 1), (2, 3)])
 
+    def test_bool_element_rejected(self):
+        with pytest.raises(ValidationError, match="element True is not an integer"):
+            Pairing([(True, 2), (3, 4)])
+
     def test_from_permutation(self):
         assert Pairing.from_permutation([3, 1, 4, 2]) == Pairing([(1, 3), (2, 4)])
 
@@ -197,6 +201,24 @@ class TestInstance:
         with pytest.raises(ValidationError):
             Instance(n=5, c=np.zeros((5, 5)), c_min=0, c_max=1)
 
+    @pytest.mark.parametrize(
+        "c_min,c_max,message",
+        [
+            ("0", 1, "c_min must be a number"),
+            (False, 1, "c_min must be a number"),
+            (0, True, "c_max must be a number"),
+            (0, None, "c_max must be a number"),
+            (2, 1, "c_min <= c_max"),
+        ],
+    )
+    def test_bad_bounds_named(self, c_min, c_max, message):
+        with pytest.raises(ValidationError, match=message):
+            Instance(n=4, c=np.zeros((4, 4)), c_min=c_min, c_max=c_max)
+
+    def test_ragged_matrix_named(self):
+        with pytest.raises(ValidationError, match="matrix is not a rectangular array"):
+            Instance(n=4, c=[[0, 1], [1, 0, 3]], c_min=0, c_max=3)
+
     def test_matrix_read_only(self):
         inst = make_instance(4, seed=0)
         with pytest.raises(ValueError):
@@ -266,6 +288,20 @@ class TestInstanceFiles:
     def test_json_missing_field_rejected(self):
         with pytest.raises(ValidationError, match="upper_triangle"):
             loads_instance_json(json.dumps({"n": 4, "c_min": 0, "c_max": 1}))
+
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [
+            ("c_min", False, "c_min must be a number, got False"),
+            ("c_max", "1e1", "c_max must be a number, got '1e1'"),
+            ("upper_triangle", [True] + [1] * 5, "upper_triangle entry must be a number, got True"),
+            ("upper_triangle", ["1"] + [1] * 5, "upper_triangle entry must be a number, got '1'"),
+        ],
+    )
+    def test_json_bool_or_string_number_named(self, field, value, message):
+        data = {"n": 4, "c_min": 0, "c_max": 10, "upper_triangle": [1] * 6, field: value}
+        with pytest.raises(ValidationError, match=message):
+            loads_instance_json(json.dumps(data))
 
 
 @settings(max_examples=50, deadline=None)

@@ -32,6 +32,7 @@ from pairing_tsp.oracle import ObservationOracle
 from pairing_tsp.solvers import SolverConfig, solve_p2opt, solve_pnn, solve_random
 
 from conftest import (
+    RecordingOracle,
     make_fraction_instance,
     make_instance,
     make_integer_instance,
@@ -66,6 +67,11 @@ class TestExchangeRuleValue:
         with pytest.raises(ValidationError):
             exchange_rule_value(1, 2, 3, 7, c)
 
+    @pytest.mark.parametrize("index", [1.0, True, "1"])
+    def test_rejects_non_integer_index(self, index):
+        with pytest.raises(ValidationError, match="rule index must be an integer"):
+            exchange_rule_value(index, 2, 3, 4, np.zeros((6, 6)))
+
     @settings(max_examples=100, deadline=None)
     @given(distinct_quadruples(8), st.integers(min_value=0, max_value=2**31))
     def test_antisymmetry_under_jk_swap(self, quad, seed):
@@ -90,10 +96,10 @@ class TestExchangeRuleValue:
 class TestMeasureExchangeRule:
     def test_paired_observations_at_n8(self):
         inst = make_instance(8, seed=2)
-        oracle = ObservationOracle(inst, log=True)
+        oracle = RecordingOracle(inst)
         value = measure_exchange_rule(oracle, 1, 2, 3, 4)
         assert oracle.query_count == 2
-        (p1, v1), (p2, v2) = oracle.query_log
+        (p1, v1), (p2, v2) = oracle.queries
         # completion {5..8} in ascending adjacent order on both sides
         assert p1 == Pairing([(1, 3), (2, 4), (5, 6), (7, 8)])
         assert p2 == Pairing([(1, 2), (3, 4), (5, 6), (7, 8)])
@@ -116,13 +122,20 @@ class TestMeasureExchangeRule:
             got = measure_exchange_rule(oracle, i, j, k, l)
             assert got == pytest.approx(exchange_rule_value(i, j, k, l, inst.c))
 
-    def test_memo_avoids_resubmission(self):
-        inst = make_instance(8, seed=4)
-        oracle = ObservationOracle(inst)
-        memo = {}
-        measure_exchange_rule(oracle, 1, 2, 3, 4, memo)
-        measure_exchange_rule(oracle, 1, 2, 3, 4, memo)
-        assert oracle.query_count == 2
+    @pytest.mark.parametrize("index", [True, 1.0])
+    def test_rule_pairings_reject_non_integer_index(self, index):
+        with pytest.raises(ValidationError, match="rule index must be an integer"):
+            rule_pairings(8, index, 2, 3, 4)
+
+    @pytest.mark.parametrize("n", [8.0, "8"])
+    def test_rule_pairings_reject_non_integer_count(self, n):
+        with pytest.raises(ValidationError, match="element count must be"):
+            rule_pairings(n, 1, 2, 3, 4)
+
+    def test_rule_pairings_hold_python_ints(self):
+        before, after = rule_pairings(8, np.int64(1), 2, np.int32(3), 4)
+        assert before == Pairing([(1, 2), (3, 4), (5, 6), (7, 8)])
+        assert {type(e) for p in (before, after) for pair in p.pairs for e in pair} == {int}
 
     def test_rule_pairings_share_completion(self):
         before, after = rule_pairings(10, 1, 5, 2, 8)
@@ -180,6 +193,10 @@ class TestTildeMatrix:
         with pytest.raises(ValueError):
             tilde.t[2][3] = 1
 
+    def test_ragged_matrix_named(self):
+        with pytest.raises(ValidationError, match="matrix is not a rectangular array"):
+            TildeMatrix(n=4, t=[[0, 1], [1, 0, 3]])
+
     def test_free_entry_count(self):
         assert TildeMatrix(n=6, t=np.zeros((6, 6))).free_entry_count == 10
         assert TildeMatrix(n=10, t=np.zeros((10, 10))).free_entry_count == 36
@@ -217,9 +234,9 @@ class TestReconstruction:
         n, v = 6, 12.5
         c = np.full((n, n), v)
         inst = Instance(n=n, c=c, c_min=v, c_max=v)
-        oracle = ObservationOracle(inst, log=True)
+        oracle = RecordingOracle(inst)
         tilde, _ = reconstruct_tilde(oracle)
-        anchor_obs = dict((p, val) for p, val in oracle.query_log)[anchor_pairing(n)]
+        anchor_obs = dict(oracle.queries)[anchor_pairing(n)]
         assert anchor_obs == (n / 2) * v
         for pairing in enumerate_pairings(n):
             assert tilde.total(pairing) == pytest.approx((n / 2) * v)
@@ -294,12 +311,12 @@ class TestBatchedReconstruction:
     @pytest.mark.parametrize("n", [4, 6, 8, 10, 12, 14, 28])
     @pytest.mark.parametrize("shared", [False, True])
     def test_query_log_is_the_one_at_a_time_sequence(self, n, shared):
-        oracle = ObservationOracle(make_instance(n, seed=n + 3), log=True)
+        oracle = RecordingOracle(make_instance(n, seed=n + 3))
         _, spent = reconstruct_tilde(oracle, share_observations=shared)
         expected = reference_queries(n)
         if shared:
             expected = list(dict.fromkeys(expected))  # first occurrences, in order
-        assert [pairing for pairing, _ in oracle.query_log] == expected
+        assert oracle.pairings == expected
         assert spent == len(expected)
 
     @pytest.mark.parametrize("n", [4, 12, 80])

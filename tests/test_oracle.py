@@ -7,7 +7,7 @@ import pytest
 
 from pairing_tsp.core import Instance, Pairing, ValidationError, total_compatibility
 from pairing_tsp.observation import observation_budget, reconstruct_tilde
-from pairing_tsp.oracle import ObservationOracle, canonical_pairs, pair_keys
+from pairing_tsp.oracle import ObservationOracle, pair_keys
 from pairing_tsp.solvers import solve_random
 
 from conftest import make_instance, make_integer_instance, reference_score
@@ -84,20 +84,11 @@ def test_invalid_pairing_not_counted(instance6):
     assert oracle.query_count == 0
 
 
-def test_reset_and_log(instance6):
-    oracle = ObservationOracle(instance6, log=True)
-    pairing = Pairing([(1, 4), (2, 5), (3, 6)])
-    value = oracle.observe(pairing)
-    assert oracle.query_log == [(pairing, value)]
+def test_reset_zeroes_the_count(instance6):
+    oracle = ObservationOracle(instance6)
+    oracle.observe(Pairing([(1, 4), (2, 5), (3, 6)]))
     oracle.reset()
     assert oracle.query_count == 0
-    assert oracle.query_log == []
-
-
-def test_log_disabled_by_default(instance6):
-    oracle = ObservationOracle(instance6)
-    oracle.observe(Pairing([(1, 2), (3, 4), (5, 6)]))
-    assert oracle.query_log is None
 
 
 def test_budget_after_full_reconstruction_n6(instance6):
@@ -177,11 +168,10 @@ class TestObserveBatch:
         ],
     )
     def test_bad_rows_raise_before_counting(self, instance6, rows, cols):
-        oracle = ObservationOracle(instance6, log=True)
+        oracle = ObservationOracle(instance6)
         with pytest.raises(ValidationError):
             oracle.observe_batch(rows, cols)
         assert oracle.query_count == 0
-        assert oracle.query_log == []
 
     def test_one_bad_row_spoils_the_batch(self, instance6):
         oracle = ObservationOracle(instance6)
@@ -190,18 +180,6 @@ class TestObserveBatch:
                 [[0, 2, 4], [0, 1, 2], [0, 2, 4]], [[1, 3, 5], [5, 4, 3], [1, 3, 2]]
             )
         assert oracle.query_count == 0
-
-    def test_log_holds_canonical_pairings_in_row_order(self, instance6):
-        oracle = ObservationOracle(instance6, log=True)
-        values = oracle.observe_batch([[5, 0, 3], [0, 1, 2]], [[4, 2, 1], [5, 4, 3]])
-        assert oracle.query_count == 2
-        assert oracle.query_log == [
-            (Pairing([(1, 3), (2, 4), (5, 6)]), values[0]),
-            (Pairing([(1, 6), (2, 5), (3, 4)]), values[1]),
-        ]
-        logged = oracle.query_log[0][0]
-        assert logged.pairs == ((1, 3), (2, 4), (5, 6))
-        assert [type(v) for _, v in oracle.query_log] == [float, float]
 
     @pytest.mark.parametrize("dtype", [np.uint8, np.int32, np.uint64, np.int64])
     def test_any_integer_dtype(self, instance6, dtype):
@@ -226,13 +204,12 @@ class TestObserveBatch:
     def test_out_of_range_end_in_a_later_row_raises_the_range_error(self, instance6, bad):
         # without the range check, -1 in row 1 would mark row 0's last slot
         # and 6 would mark a slot past the end of the coverage array
-        oracle = ObservationOracle(instance6, log=True)
+        oracle = ObservationOracle(instance6)
         rows = [[0, 2, 4], [0, 2, 4]]
         cols = [[1, 3, 5], [1, 3, bad]]
         with pytest.raises(ValidationError, match="must lie in 0..5"):
             oracle.observe_batch(rows, cols)
         assert oracle.query_count == 0
-        assert oracle.query_log == []
 
     def test_unsigned_end_beyond_intp_raises_the_range_error(self, instance6):
         rows = np.array([[0, 2, 4]], dtype=np.uint64)
@@ -247,11 +224,11 @@ class TestObserveBatch:
             oracle.observe_batch([[0, 1, 2]], [[1, 0, 3]])
         assert oracle.query_count == 0
 
-    def test_canonical_pairs_decode_the_sorted_keys(self):
+    def test_pair_keys_decode_to_canonical_pairs(self):
         n = 12
         pairings = [solve_random(n, seed).pairing for seed in range(20)]
         keys = pair_keys(*shuffled_rows(pairings, seed=3), n)
-        first, second = canonical_pairs(*shuffled_rows(pairings, seed=3), n)
+        first, second = np.divmod(keys, n)
         assert keys.dtype == np.intp
         assert np.array_equal(keys, first * n + second)
         decoded = [list(zip(a, b)) for a, b in zip((first + 1).tolist(), (second + 1).tolist())]

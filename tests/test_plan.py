@@ -18,7 +18,7 @@ from pairing_tsp.observation import (
     exchange_rule_value,
     observation_budget,
 )
-from pairing_tsp.oracle import ObservationOracle, canonical_pairs
+from pairing_tsp.oracle import ObservationOracle, pair_keys
 from pairing_tsp.plan import (
     PlanRankError,
     _recover_entries,
@@ -27,7 +27,7 @@ from pairing_tsp.plan import (
     plan_size,
 )
 
-from conftest import make_instance, make_integer_instance, reference_rank
+from conftest import RecordingOracle, make_instance, make_integer_instance, reference_rank
 
 
 def observation_rows(plan) -> list[list[int]]:
@@ -238,10 +238,10 @@ class TestRecoveryAtScale:
 
     def test_observes_each_planned_pairing_once_in_order(self):
         inst = make_instance(12, seed=12)
-        oracle = ObservationOracle(inst, log=True)
+        oracle = RecordingOracle(inst)
         plan = minimal_observation_plan(12)
         execute_plan(oracle, plan)
-        assert [pairing for pairing, _ in oracle.query_log] == list(plan.pairings)
+        assert oracle.pairings == list(plan.pairings)
 
 
 class TestCertification:
@@ -324,7 +324,7 @@ class TestStructuredPlan:
     def test_index_arrays_read_only_and_canonical(self, n):
         rows, cols = minimal_observation_plan(n)._index_arrays
         assert not rows.flags.writeable and not cols.flags.writeable
-        first, second = canonical_pairs(rows, cols, n)
+        first, second = np.divmod(pair_keys(rows, cols, n), n)
         assert np.array_equal(first, rows) and np.array_equal(second, cols)
 
     def test_row_that_is_not_a_pairing_fails_the_build(self, monkeypatch):

@@ -74,6 +74,10 @@ class TestGraphShape:
         with pytest.raises(ValidationError):
             build_graph(np.zeros((5, 5)), 5)
 
+    def test_ragged_matrix_named(self):
+        with pytest.raises(ValidationError, match="matrix is not a rectangular array"):
+            build_graph([[0, 1], [1, 0, 3]], 4)
+
 
 class TestValidateTour:
     def test_constructed_tours_accepted(self):
