@@ -43,9 +43,9 @@ from .core import (
     ValidationError,
     _checked,
     _instance_from_upper,
-    checked_bounds,
     checked_count,
     checked_seed,
+    float_bounds,
     integer,
     real,
     seeded_rng,
@@ -80,7 +80,7 @@ def performance_indicator(score: float, n: int, c_min: float, c_max: float) -> f
 def generate_instance(n: int, c_min: float, c_max: float, seed: int) -> Instance:
     """Uniform random symmetric instance, deterministic per seed."""
     n = checked_count(n)
-    checked_bounds(c_min, c_max)
+    float_bounds(c_min, c_max)
     values = seeded_rng(seed).uniform(c_min, c_max, n * (n - 1) // 2)
     return _instance_from_upper(n, c_min, c_max, values)
 

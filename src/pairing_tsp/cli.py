@@ -25,10 +25,10 @@ from .core import (
     ValidationError,
     _check_symmetric_bounded,
     _checked,
-    checked_bounds,
     dumps_instance_json,
     dumps_instance_text,
     enumerate_pairings,
+    float_bounds,
     integer,
     load_instance,
     loads_instance_json,
@@ -182,7 +182,7 @@ def _load_solve_input(path: Path):
                 _checked("tilde entry", "a number", real, v)
             bounds = None
             if "c_min" in data and "c_max" in data:
-                bounds = checked_bounds(data["c_min"], data["c_max"])
+                bounds = float_bounds(data["c_min"], data["c_max"])
             # validates shape and the zero first row and column
             tilde = TildeMatrix(n=n, t=matrix)
             _check_symmetric_bounded(tilde.t, n, -np.inf, np.inf)

@@ -11,15 +11,19 @@ an object array of ints or `Fraction`s computes exactly. The exact hot paths
 (plan recovery, the solvers' comparisons, the reconstruction's last step)
 do not add `Fraction`s: `integral` turns an exact array into Python-int
 numerators over one common denominator, the stage adds and compares those
-ints, and `divide` makes `Fraction`s only for the entries of the result.
-`zeros`, `divide` and `integral` are the only arithmetic in the pipeline that
-tells the two apart; on floats `integral` is the identity over 1.
+ints, and `quotients` makes the result's `Fraction`s once, as a
+`FractionArray` that keeps the numerators, so the next stage's `integral`
+returns them without reading a `Fraction`. `zeros`, `divide`, `quotients` and
+`integral` are the only arithmetic in the pipeline that tells the two apart;
+on floats `integral` is the identity over 1.
 
 Outside input is admitted by one rule each: `checked_count` for element
 counts; `_checked` with the `integer` converter for every other integer (seeds,
 limits, spec fields, numbers read from files) and with the `real` converter
 for every real number read from a file or spec, both refusing bools and
-strings; `checked_bounds` for a pair of value bounds (finite, c_min <= c_max);
+strings; `checked_bounds` for a pair of value bounds (finite, c_min <= c_max),
+exactly for ints and `Fraction`s and through `real` for the rest, and
+`float_bounds` for a pair read from a file or spec, as floats;
 `checked_matrix` for a matrix's shape (rectangular, square, an element count);
 and `_check_symmetric_bounded` for matrix entries. `frozen_matrix` makes the
 one dtype choice at admission: an `Instance` or `TildeMatrix` keeps an object
@@ -32,6 +36,7 @@ import json
 import math
 import numbers
 import operator
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -93,15 +98,28 @@ def checked_count(n, minimum: int = 4) -> int:
     return value
 
 
-def checked_bounds(c_min, c_max) -> tuple[float, float]:
-    """The bounds as floats if both are finite `real`s with c_min <= c_max,
-    else a ValidationError."""
-    lo = _checked("c_min", "a number", real, c_min)
-    hi = _checked("c_max", "a number", real, c_max)
-    if not (math.isfinite(lo) and math.isfinite(hi) and c_min <= c_max):
+def checked_bounds(c_min, c_max) -> None:
+    """A ValidationError unless both bounds are finite reals with c_min <=
+    c_max. Ints and `Fraction`s are always finite and are compared exactly,
+    never through `float`, so an exact instance may declare bounds beyond
+    float range; any other bound must pass `real`."""
+    finite = True
+    for name, value in (("c_min", c_min), ("c_max", c_max)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Rational):
+            finite = math.isfinite(_checked(name, "a number", real, value)) and finite
+    if not (finite and c_min <= c_max):
         raise ValidationError(
             f"bounds c_min={c_min}, c_max={c_max} must be finite with c_min <= c_max"
         )
+
+
+def float_bounds(c_min, c_max) -> tuple[float, float]:
+    """`checked_bounds` for numbers read from a file or spec, which compute
+    in floating point: each bound must pass `real`, so a bound beyond float
+    range is not a number there."""
+    lo = _checked("c_min", "a number", real, c_min)
+    hi = _checked("c_max", "a number", real, c_max)
+    checked_bounds(c_min, c_max)
     return lo, hi
 
 
@@ -109,10 +127,11 @@ def checked_matrix(matrix, n: int | None = None) -> tuple[np.ndarray, int]:
     """`matrix` as an array and its element count, if it is a rectangular,
     square array of a valid count (n x n when `n` is given), else a
     ValidationError. Checks the shape only, never the entries."""
-    try:
-        matrix = np.asarray(matrix)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"matrix is not a rectangular array: {exc}") from exc
+    if not isinstance(matrix, FractionArray):  # keep the numerators it carries
+        try:
+            matrix = np.asarray(matrix)
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"matrix is not a rectangular array: {exc}") from exc
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValidationError(f"matrix must be square, got shape {matrix.shape}")
     if n is not None and matrix.shape[0] != n:
@@ -141,12 +160,65 @@ def divide(value, k: int):
     if not isinstance(value, np.ndarray):
         return Fraction(value, k)
     try:
-        quotients = [Fraction(v, k) for v in value.ravel().tolist()]
+        entries = [Fraction(v, k) for v in value.ravel().tolist()]
     except TypeError:  # Python floats in an object array divide as floats
         return value / k
     out = np.empty(value.size, dtype=object)
-    out[:] = quotients
+    out[:] = entries
     return out.reshape(value.shape)
+
+
+class FractionArray(np.ndarray):
+    """A read-only object array of `Fraction`s that keeps the (numerators,
+    denominator) pair it was built from, as `integral` would compute it.
+
+    Only `quotients` attaches the pair. Arrays derived from one (views,
+    slices, copies, arithmetic results) are FractionArrays without it, so
+    `integral` reads their `Fraction`s afresh. `np.asarray` drops the
+    subclass, which is why `checked_matrix` and `integral` test for it first.
+    """
+
+    _integral: tuple[np.ndarray, int] | None = None
+
+    def __array_finalize__(self, obj) -> None:
+        self._integral = None
+
+
+def quotients(numerators: np.ndarray, denominator: int) -> np.ndarray:
+    """numerators / denominator as a read-only array, for a pair as
+    `integral` returns it.
+
+    Float numerators divide in float64. Python-int numerators become a
+    `FractionArray` that keeps the pair reduced by the gcd of the
+    denominator and every numerator, which is exactly `integral`'s pair of
+    the result: the same ints over the lcm of the entries' denominators.
+    Each distinct value's `Fraction` is made once and shared. Python floats
+    in an object array divide as floats.
+    """
+    if numerators.dtype != object:
+        out = np.true_divide(numerators, denominator, dtype=np.float64)
+        out.setflags(write=False)
+        return out
+    flat = numerators.ravel().tolist()
+    try:
+        common = math.gcd(denominator, *flat)
+    except TypeError:  # Python floats have no gcd
+        out = numerators / denominator
+        out.setflags(write=False)
+        return out
+    if common > 1:
+        denominator //= common
+        flat = [v // common for v in flat]
+    # fromiter stores each object as it is; assigning a list into an object
+    # array would inspect every Fraction for an array interface
+    kept = np.fromiter(flat, object, len(flat)).reshape(numerators.shape)
+    kept.setflags(write=False)
+    made = {v: Fraction(v, denominator) for v in set(flat)}
+    base = np.fromiter(map(made.__getitem__, flat), object, len(flat))
+    base.setflags(write=False)  # so the view below cannot be made writable
+    out = base.reshape(numerators.shape).view(FractionArray)
+    out._integral = (kept, denominator)
+    return out
 
 
 def integral(array) -> tuple[np.ndarray, int]:
@@ -156,12 +228,18 @@ def integral(array) -> tuple[np.ndarray, int]:
     numerators over the least common denominator of its entries, so exact
     stages add and compare ints instead of Fractions; numerators are never
     narrowed, so they may exceed 2**63. Float and integer-dtype arrays, and
-    object arrays of Python floats, come back unchanged over 1.
+    object arrays of only Python ints or of Python floats, come back
+    unchanged over 1. A `FractionArray` from `quotients` returns the
+    read-only pair it keeps.
     """
+    if isinstance(array, FractionArray) and array._integral is not None:
+        return array._integral
     array = np.asarray(array)
     if array.dtype != object:
         return array, 1
     entries = array.ravel().tolist()
+    if set(map(type, entries)) == {int}:  # Python ints are their own numerators
+        return array, 1
     try:
         denominator = math.lcm(*{v.denominator for v in entries})
     except AttributeError:  # Python floats have no denominator
@@ -315,18 +393,24 @@ def _check_symmetric_bounded(c: np.ndarray, n: int, c_min, c_max) -> None:
     """Name the first off-diagonal fault of a float or object (n, n) matrix:
     a non-finite float, then an asymmetry, then an entry outside [c_min, c_max]."""
     k = np.arange(n)
+    lo, hi = c_min, c_max
     if c.dtype != object:
         bad = np.argwhere(~np.isfinite(c) & (k[:, None] != k))
         if len(bad):
             i, j = bad[0]
             raise ValidationError(f"c[{i + 1}][{j + 1}]={c[i][j]} is not finite")
+        # an exact bound beyond float range compares with every float as an infinity
+        lo, hi = (
+            (math.inf if b > 0 else -math.inf) if abs(b) > sys.float_info.max else b
+            for b in (lo, hi)
+        )
     upper = k[:, None] < k
     vals = c[upper]  # row by row, so the first fault found is the first named
     mism = np.flatnonzero(vals != c.T[upper])
     if len(mism):
         i, j = np.argwhere(upper)[mism[0]]
         raise ValidationError(f"matrix is not symmetric at c[{i + 1}][{j + 1}]")
-    bad = np.flatnonzero(~((c_min <= vals) & (vals <= c_max)))
+    bad = np.flatnonzero(~((lo <= vals) & (vals <= hi)))
     if len(bad):
         i, j = np.argwhere(upper)[bad[0]]
         raise ValidationError(f"c[{i + 1}][{j + 1}]={c[i][j]} is outside [{c_min}, {c_max}]")
@@ -462,7 +546,7 @@ def loads_instance_json(text: str) -> Instance:
     upper = _checked("upper_triangle", "a list of numbers", list, data["upper_triangle"])
     return _instance_from_upper(
         _checked("n", "an integer", integer, data["n"]),
-        *checked_bounds(data["c_min"], data["c_max"]),
+        *float_bounds(data["c_min"], data["c_max"]),
         [_checked("upper_triangle entry", "a number", real, v) for v in upper],
     )
 

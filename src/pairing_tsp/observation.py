@@ -28,6 +28,7 @@ holds more than 2N pairings of N/2 pairs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -42,8 +43,8 @@ from .core import (
     integer,
     integral,
     pairing_sum,
+    quotients,
     row_totals,
-    zeros,
 )
 from .oracle import ObservationOracle, pair_keys
 
@@ -101,18 +102,39 @@ def measure_exchange_rule(oracle: ObservationOracle, i: int, j: int, k: int, l: 
     return oracle.observe(after) - oracle.observe(before)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class TildeMatrix:
-    """Shadow compatibilities: zero first row/column, pairing sums preserved."""
+    """Shadow compatibilities: zero first row/column, pairing sums preserved.
+
+    `TildeMatrix(n=..., t=...)` admits a given matrix and keeps a read-only
+    copy of it. The shadows the library computes come from `_of_integral`
+    as numerators over one denominator, and `t` is built from them by
+    `core.quotients` the first time it is read: an exact shadow's `t` is
+    then a `FractionArray`, whose numerators `integral` returns as kept.
+    """
 
     n: int
-    t: np.ndarray
 
-    def __post_init__(self):
-        t = frozen_matrix(self.t, self.n)
+    def __init__(self, n: int, t) -> None:
+        t = frozen_matrix(t, n)
         if np.any(t[0] != 0) or np.any(t[:, 0] != 0):
             raise ValidationError("first row and column must be exactly zero")
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "t", t)
+
+    @classmethod
+    def _of_integral(cls, numerators: np.ndarray, denominator: int) -> "TildeMatrix":
+        """The shadow numerators / denominator, trusted: the caller computed
+        an (n, n) array with a zero first row and column."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "n", len(numerators))
+        object.__setattr__(self, "_integral", (numerators, denominator))
+        return self
+
+    @cached_property
+    def t(self) -> np.ndarray:
+        # the pair is dropped once read: an exact `t` keeps its own copy
+        return quotients(*self.__dict__.pop("_integral"))
 
     @property
     def free_entry_count(self) -> int:
@@ -130,13 +152,14 @@ def _free_entries(n: int) -> np.ndarray:
     return (0 < k[:, None]) & (k[:, None] < k)
 
 
-def _mirrored(upper: np.ndarray, entries: np.ndarray) -> TildeMatrix:
-    """The shadow with `entries`, row by row, at the `upper` mask and mirrored
-    below the diagonal; every other entry is zero."""
+def _mirrored(upper: np.ndarray, numerators: np.ndarray, denominator: int) -> TildeMatrix:
+    """The shadow of `numerators` over `denominator`, row by row at the
+    `upper` mask and mirrored below the diagonal; every other entry is zero.
+    Every shadow the library computes is made here."""
     n = len(upper)
-    t = zeros((n, n), entries.dtype)
-    t[upper] = t.T[upper] = entries
-    return TildeMatrix(n=n, t=t)
+    full = np.zeros((n, n), numerators.dtype)
+    full[upper] = full.T[upper] = numerators
+    return TildeMatrix._of_integral(full, denominator)
 
 
 def definitional_tilde(matrix: np.ndarray) -> TildeMatrix:
@@ -148,10 +171,13 @@ def definitional_tilde(matrix: np.ndarray) -> TildeMatrix:
     """
     n = matrix.shape[0]
     row1 = matrix[0]
-    correction = divide(2 * row_totals(row1[None, 1:])[0], n - 2)
+    # the correction as a numerator over its denominator, so that an integer
+    # matrix gives integer numerators; on floats the scale is 1
+    correction, scale = integral(divide(2 * row_totals(row1[None, 1:])[0], n - 2))
     upper = _free_entries(n)
     i, j = np.nonzero(upper)
-    return _mirrored(upper, matrix[i, j] - row1[i] - row1[j] + correction)
+    numerators, denominator = integral((matrix[i, j] - row1[i] - row1[j]) * scale + correction)
+    return _mirrored(upper, numerators, denominator * scale)
 
 
 def anchor_pairing(n: int) -> Pairing:
@@ -251,22 +277,25 @@ def reconstruct_tilde(
             for start in range(0, len(rules), n)
         ]
     )
-    measured = values[0::2] - values[1::2]
-    # offset[i, j] (1-based, 2 <= i < j) is entry (i, j) minus the unknown
-    # x at (2, 3): the [1,j,3,2] rule, plus the [1,i,2,j] rule when i > 2
-    row_offset = measured[: n - 3]
-    offset = zeros((n + 1, n + 1), measured.dtype)
-    offset[2, 4:] = row_offset
-    _, i, _, j = rules[n - 3 :].T
-    offset[i, j] = row_offset[j - 4] + measured[n - 3 :]
     anchor_rows, anchor_cols = anchor_pairing(n)._index_arrays
     anchor_total = _observe_rows(oracle, anchor_rows[None], anchor_cols[None], memo)[0]
     spent = oracle.query_count - start_count
+    # the rule values and the anchor total as numerators over one denominator
+    measured, denominator = integral(np.append(values[0::2] - values[1::2], anchor_total))
+    measured, anchor_total = measured[:-1], measured[-1]
+
+    # offset[i, j] (1-based, 2 <= i < j) is entry (i, j) minus the unknown
+    # x at (2, 3): the [1,j,3,2] rule, plus the [1,i,2,j] rule when i > 2
+    row_offset = measured[: n - 3]
+    offset = np.zeros((n + 1, n + 1), measured.dtype)
+    offset[2, 4:] = row_offset
+    _, i, _, j = rules[n - 3 :].T
+    offset[i, j] = row_offset[j - 4] + measured[n - 3 :]
 
     # anchor total = (N/2 - 1) * x + sum of offsets over {3,4},{5,6},...
     k = np.arange(3, n, 2)
     offset_sum = row_totals(offset[k, k + 1][None])[0]
-    # x as a numerator over its denominator, so each entry is one exact division
+    # x as a numerator over its denominator, so every entry is a numerator too
     x, scale = integral(divide(anchor_total - offset_sum, n // 2 - 1))
     upper = _free_entries(n)
-    return _mirrored(upper, divide(x + scale * offset[1:, 1:][upper], scale)), spent
+    return _mirrored(upper, x + scale * offset[1:, 1:][upper], scale * denominator), spent

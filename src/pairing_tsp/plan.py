@@ -225,4 +225,4 @@ def execute_plan(oracle: ObservationOracle, plan: ObservationPlan) -> TildeMatri
     values = oracle.observe_batch(*plan._index_arrays)
     t, scale = _recover_entries(plan.n, values)
     upper = _free_entries(plan.n)
-    return _mirrored(upper, divide(t[1:, 1:][upper], scale))
+    return _mirrored(upper, t[1:, 1:][upper], scale)

@@ -110,6 +110,44 @@ def solve_random(n: int, seed: int, matrix: Optional[np.ndarray] = None) -> Solv
     return SolveResult(pairing=pairing, score=score, noc=0, exchanges_used=0)
 
 
+class _BlockDraws:
+    """The bounded draws of a pnn walk, made in blocks of one numpy call.
+
+    `bounds` lists every layer-three and layer-two draw bound in walk order;
+    they do not depend on the data. `rng.integers(array)` draws each bound
+    in turn and leaves the generator where as many `rng.integers(k)` calls
+    would (a bound of 1 draws nothing), so `next` hands out the values of
+    one block drawn ahead. A layer-one tie draws between two of them:
+    `tie` restores the state saved before the block, replays the draws
+    handed out so far, draws the tie and drops the rest of the block, so
+    the values and the stream are those of one call per draw.
+    """
+
+    def __init__(self, rng: np.random.Generator, bounds: np.ndarray):
+        self.rng = rng
+        self.bounds = bounds
+        self.pos = 0  # bounds handed out
+        self.block: list[int] = []
+        self.used = 0  # of the block
+        self.saved = None
+
+    def next(self) -> int:
+        if self.used == len(self.block):
+            self.saved = self.rng.bit_generator.state
+            self.block, self.used = self.rng.integers(self.bounds[self.pos :]).tolist(), 0
+        self.used += 1
+        self.pos += 1
+        return self.block[self.used - 1]
+
+    def tie(self, k: int) -> int:
+        if self.used < len(self.block):
+            self.rng.bit_generator.state = self.saved
+            if self.used:
+                self.rng.integers(self.bounds[self.pos - self.used : self.pos])
+            self.block, self.used = [], 0
+        return int(self.rng.integers(k))
+
+
 def solve_pnn(matrix: np.ndarray, config: SolverConfig) -> SolveResult:
     """Nearest-neighbor tour construction on the layered graph.
 
@@ -121,54 +159,56 @@ def solve_pnn(matrix: np.ndarray, config: SolverConfig) -> SolveResult:
     node; (4) to a uniformly random unvisited layer-two node, which decides
     the next pair's lead element; (0) down to that node's layer-one twin.
     The layer-two and layer-three draws come from the same seeded generator
-    as the tie-breaks, so a seed pins down the full trajectory. Runs in
-    O(n^2). The visited node indices are kept as an integer array; the
-    `Tour` itself is built only when `result.tour` is read, and is valid by
-    construction (the tests validate it against the layered graph).
+    as the tie-breaks, so a seed pins down the full trajectory; they are
+    drawn in blocks (`_BlockDraws`), which gives the values and stream of
+    one `rng.integers` call per draw. Runs in O(n^2). The visited node
+    indices are kept as an integer array; the `Tour` itself is built only
+    when `result.tour` is read, and is valid by construction (the tests
+    validate it against the layered graph).
     """
     matrix, n = checked_matrix(matrix)
     start = 1 if config.start_node is None else config.start_node
     if not 1 <= start <= n:
         raise ValidationError(f"start node {start} is outside 1..{n}")
-    rng = seeded_rng(config.seed)
     # ties are found on integer numerators: a positive scale keeps every ==
     numerators = integral(matrix)[0]
+    m = n // 2
+    cycle = np.arange(m)
+    # cycle c draws among m - c layer-three and then n - 2 - 2c layer-two
+    # nodes; the last cycle ends at layer three
+    bounds = np.column_stack([m - cycle, n - 2 - 2 * cycle]).ravel()[:-1]
+    draws = _BlockDraws(seeded_rng(config.seed), bounds)
 
     free_l1 = np.ones(n + 1, dtype=bool)  # 1-based; slot 0 unused
     free_l1[0] = free_l1[start] = False
     # unvisited layer-two and layer-three nodes, ascending; the closing
     # layer-two slot of the start node is already taken
     free_l2 = [v for v in range(1, n + 1) if v != start]
-    free_l3 = list(range(1, n // 2 + 1))
-
-    def pick(k: int) -> int:
-        # candidates[pick(len(candidates))] is the draw rng.choice(candidates) makes
-        return 0 if k == 1 else int(rng.integers(k))
+    free_l3 = list(range(1, m + 1))
 
     visits = [start]
     pairs = []
     s = start
-    total_moves = 5 * n // 2 - 2
-    for t in range(1, total_moves + 1):
-        step = t % 5
-        if step == 1:
-            candidates = np.flatnonzero(free_l1)
-            values = numerators[s - 1][candidates - 1]
-            ties = candidates[values == values.max()]
-            partner = int(ties[pick(len(ties))])
-            free_l1[partner] = False
-            pairs.append((s, partner))
-            s = partner
-        elif step == 2:
-            free_l2.remove(s)
-        elif step == 4:
-            s = free_l2.pop(pick(len(free_l2)))
-        elif step == 0:  # forced descent to the layer-one twin
-            if not free_l1[s]:
-                raise InternalError(f"first-layer node {s} revisited during construction")
-            free_l1[s] = False
-        # step 3 crosses to layer three and leaves s where it is
-        visits.append(free_l3.pop(pick(len(free_l3))) if step == 3 else s)
+    for c in range(m):
+        # (1) the best unvisited layer-one partner, (2) up to its twin
+        candidates = np.flatnonzero(free_l1)
+        values = numerators[s - 1][candidates - 1]
+        ties = candidates[values == values.max()]
+        partner = int(ties[0] if len(ties) == 1 else ties[draws.tie(len(ties))])
+        free_l1[partner] = False
+        pairs.append((s, partner))
+        s = partner
+        free_l2.remove(s)
+        # (3) across to layer three, leaving s where it is
+        visits += [s, s, free_l3.pop(draws.next())]
+        if c == m - 1:
+            break
+        # (4) to a layer-two node, (0) forced descent to its layer-one twin
+        s = free_l2.pop(draws.next())
+        if not free_l1[s]:
+            raise InternalError(f"first-layer node {s} revisited during construction")
+        free_l1[s] = False
+        visits += [s, s]
 
     pairing = _built_pairing(pairs)
     return SolveResult(

@@ -3,8 +3,9 @@
 The reference helpers here deliberately do not reuse library code paths:
 enumeration matches the largest element first (the library matches the
 smallest), scoring is a nested loop, the rank check is a from-scratch
-Gaussian elimination over fractions, and two-pair rewiring is the plain
-scalar rescan. They exist so library results are checked against something
+Gaussian elimination over fractions, two-pair rewiring is the plain scalar
+rescan, and nearest-neighbor construction is the step loop with one
+draw per call. They exist so library results are checked against something
 that cannot share their bugs.
 """
 
@@ -16,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from pairing_tsp.core import Instance, Pairing, pairing_sum
+from pairing_tsp.core import Instance, InternalError, Pairing, integral, pairing_sum, seeded_rng
 from pairing_tsp.oracle import ObservationOracle
 
 
@@ -153,6 +154,58 @@ def reference_p2opt(matrix: np.ndarray, initial: Pairing, limit) -> tuple:
             break
     pairing = Pairing((s[2 * k] + 1, s[2 * k + 1] + 1) for k in range(m))
     return pairing, noc, exchanges, tuple(trace), pairing_sum(matrix, pairing)
+
+
+def reference_pnn(matrix: np.ndarray, config) -> tuple:
+    """Nearest-neighbor construction as the plain step loop, one draw per call.
+
+    The loop the library's block draws replace: every layer-two and
+    layer-three step, and every layer-one tie of k > 1 nodes, makes its own
+    `rng.integers(k)` call. Ties are found on numerators computed afresh from
+    a plain copy of the matrix, never on numerators an array carries.
+    Returns (pairing, visits, score); the score is the library's
+    `pairing_sum`, so a float result compares bit for bit.
+    """
+    matrix = np.array(matrix)  # a plain copy, which carries no numerators
+    n = matrix.shape[0]
+    start = 1 if config.start_node is None else config.start_node
+    rng = seeded_rng(config.seed)
+    numerators = integral(matrix)[0]
+
+    free_l1 = np.ones(n + 1, dtype=bool)  # 1-based; slot 0 unused
+    free_l1[0] = free_l1[start] = False
+    free_l2 = [v for v in range(1, n + 1) if v != start]
+    free_l3 = list(range(1, n // 2 + 1))
+
+    def pick(k: int) -> int:
+        return 0 if k == 1 else int(rng.integers(k))
+
+    visits = [start]
+    pairs = []
+    s = start
+    total_moves = 5 * n // 2 - 2
+    for t in range(1, total_moves + 1):
+        step = t % 5
+        if step == 1:
+            candidates = np.flatnonzero(free_l1)
+            values = numerators[s - 1][candidates - 1]
+            ties = candidates[values == values.max()]
+            partner = int(ties[pick(len(ties))])
+            free_l1[partner] = False
+            pairs.append((s, partner))
+            s = partner
+        elif step == 2:
+            free_l2.remove(s)
+        elif step == 4:
+            s = free_l2.pop(pick(len(free_l2)))
+        elif step == 0:
+            if not free_l1[s]:
+                raise InternalError(f"first-layer node {s} revisited during construction")
+            free_l1[s] = False
+        visits.append(free_l3.pop(pick(len(free_l3))) if step == 3 else s)
+
+    pairing = Pairing(pairs)
+    return pairing, visits, pairing_sum(matrix, pairing)
 
 
 def reference_rank(rows: list[list[int]]) -> int:

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pairing_tsp.core import (
+    FractionArray,
     Instance,
     Pairing,
     ValidationError,
@@ -24,10 +25,12 @@ from pairing_tsp.core import (
     loads_instance_json,
     loads_instance_text,
     pairing_count,
+    quotients,
     row_totals,
     total_compatibility,
     zeros,
 )
+from pairing_tsp.bench import generate_instance
 from pairing_tsp.observation import exchange_rule_value
 
 from conftest import make_instance, matrix_from_pairs, reference_pairings, reference_score
@@ -215,6 +218,30 @@ class TestInstance:
         with pytest.raises(ValidationError, match=message):
             Instance(n=4, c=np.zeros((4, 4)), c_min=c_min, c_max=c_max)
 
+    def test_exact_bounds_beyond_float_range(self):
+        exact = np.zeros((4, 4), dtype=object)
+        exact[1, 2] = exact[2, 1] = 10**399
+        inst = Instance(n=4, c=exact, c_min=0, c_max=10**400)
+        assert inst.c_max == 10**400
+        third = Fraction(-1, 3)
+        assert Instance(n=4, c=exact, c_min=third, c_max=Fraction(10**400, 3)).c_min == third
+        # a float matrix compares with such a bound as with an infinity
+        assert Instance(n=4, c=np.ones((4, 4)), c_min=-(10**400), c_max=10**400).c_max == 10**400
+        with pytest.raises(ValidationError, match="c_min <= c_max"):
+            Instance(n=4, c=exact, c_min=10**400 + 1, c_max=10**400)
+        with pytest.raises(ValidationError, match="is outside"):
+            Instance(n=4, c=exact, c_min=0, c_max=10**398)
+        with pytest.raises(ValidationError, match="is outside"):
+            Instance(n=4, c=np.ones((4, 4)), c_min=10**400, c_max=10**401)
+
+    def test_file_bounds_beyond_float_range_are_not_numbers(self):
+        for c_max, message in [(10**400, "c_max must be a number"), ("1e400", "must be finite")]:
+            text = f'{{"n": 4, "c_min": 0, "c_max": {c_max}, "upper_triangle": [0, 0, 0, 0, 0, 0]}}'
+            with pytest.raises(ValidationError, match=message):
+                loads_instance_json(text)
+        with pytest.raises(ValidationError, match="c_max must be a number"):
+            generate_instance(4, 0, 10**400, seed=1)
+
     def test_ragged_matrix_named(self):
         with pytest.raises(ValidationError, match="matrix is not a rectangular array"):
             Instance(n=4, c=[[0, 1], [1, 0, 3]], c_min=0, c_max=3)
@@ -389,6 +416,36 @@ class TestNumericHelpers:
         numpy_ints = np.array([np.int64(2**62), np.int64(3)], dtype=object)
         assert integral(numpy_ints)[0].tolist() == [2**62, 3]
         assert {type(v) for v in integral(numpy_ints)[0]} == {int}
+
+
+class TestQuotients:
+    def test_exact_numerators_keep_the_reduced_pair(self):
+        t = quotients(np.array([[0, 6], [-4, 2]], dtype=object), 4)
+        assert isinstance(t, FractionArray)
+        assert t.tolist() == [[0, Fraction(3, 2)], [-1, Fraction(1, 2)]]
+        assert {type(v) for v in t.flat} == {Fraction}
+        numerators, denominator = integral(t)
+        assert (numerators.tolist(), denominator) == ([[0, 3], [-2, 1]], 2)
+        fresh = integral(np.array(t.tolist(), dtype=object))
+        assert (fresh[0].tolist(), fresh[1]) == (numerators.tolist(), denominator)
+        assert not t.flags.writeable and not numerators.flags.writeable
+
+    def test_all_zero_numerators_are_over_one(self):
+        t = quotients(np.zeros((2, 2), dtype=object), 6)
+        assert integral(t)[1] == 1 and t.tolist() == [[0, 0], [0, 0]]
+
+    def test_floats_divide_in_float64(self):
+        values = np.array([[0.5, -3.0]], dtype=np.float32)
+        t = quotients(values, 1)
+        assert t.dtype == np.float64 and not t.flags.writeable
+        assert t.tolist() == [[0.5, -3.0]]
+        assert quotients(np.array([1.5, 3.0], dtype=object), 2).tolist() == [0.75, 1.5]
+
+    def test_derived_arrays_carry_no_pair(self):
+        t = quotients(np.array([[2, 4], [6, 9]], dtype=object), 3)
+        for derived in (t[1:], t.T, t.copy(), -t, t[[1, 0]]):
+            assert derived._integral is None
+        assert integral(t.T)[0].tolist() == [[2, 6], [4, 9]]
 
 
 def fold(row):

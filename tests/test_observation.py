@@ -11,6 +11,7 @@ from pairing_tsp.core import (
     Pairing,
     ValidationError,
     enumerate_pairings,
+    integral,
     pairing_sum,
     total_compatibility,
     zeros,
@@ -394,6 +395,93 @@ class TestNumericLayer:
 
         tilde = definitional_tilde(generate_instance(80, 0, 10000, seed).c)
         assert hashlib.sha256(tilde.t.tobytes()).hexdigest() == digest
+
+
+def exact_shadows(inst) -> dict:
+    """The shadow of each library builder on an exact instance, by name."""
+    from pairing_tsp.plan import execute_plan, minimal_observation_plan
+
+    return {
+        "definitional": definitional_tilde(inst.c),
+        "reconstruct": reconstruct_tilde(ObservationOracle(inst))[0],
+        "execute": execute_plan(ObservationOracle(inst), minimal_observation_plan(inst.n)),
+    }
+
+
+EXACT_INSTANCES = {
+    "integer": lambda n: make_integer_instance(n, seed=70 + n),
+    "fraction": lambda n: make_fraction_instance(n, seed=70 + n),
+    "big fraction": lambda n: make_fraction_instance(n, seed=70 + n, low=2**70, high=2**70 + 99),
+}
+
+
+def assert_same_integral(got, expected):
+    (numerators, denominator), (fresh, fresh_denominator) = got, expected
+    assert denominator == fresh_denominator
+    assert numerators.shape == fresh.shape
+    assert numerators.tolist() == fresh.tolist()
+    assert {type(v) for v in numerators.flat} <= {int}
+
+
+class TestKeptNumerators:
+    """An exact shadow keeps its numerators, and they are integral's own."""
+
+    @pytest.mark.parametrize("kind", sorted(EXACT_INSTANCES))
+    @pytest.mark.parametrize("n", [4, 12, 30])
+    def test_kept_pair_is_the_fresh_integral(self, kind, n):
+        for name, shadow in exact_shadows(EXACT_INSTANCES[kind](n)).items():
+            t = shadow.t
+            plain = np.array(t.tolist(), dtype=object)
+            assert_same_integral(integral(t), integral(plain))
+            assert integral(t)[0] is integral(t)[0], name  # kept, not recomputed
+
+    @pytest.mark.parametrize("kind", sorted(EXACT_INSTANCES))
+    def test_derived_arrays_are_computed_afresh(self, kind):
+        for shadow in exact_shadows(EXACT_INSTANCES[kind](12)).values():
+            t = shadow.t
+            plain = np.array(t.tolist(), dtype=object)
+            for derive in (lambda a: a[1:, 1:], lambda a: a.T, lambda a: a.copy(), lambda a: -a):
+                assert_same_integral(integral(derive(t)), integral(derive(plain)))
+
+    @pytest.mark.parametrize("kind", sorted(EXACT_INSTANCES))
+    def test_t_is_read_only_fractions_built_once(self, kind):
+        for name, shadow in exact_shadows(EXACT_INSTANCES[kind](8)).items():
+            t = shadow.t
+            assert shadow.t is t, name
+            assert t.dtype == object and {type(v) for v in t.flat} == {Fraction}, name
+            with pytest.raises(ValueError):
+                t[2, 3] = Fraction(1)
+            with pytest.raises(ValueError):
+                t.setflags(write=True)
+            with pytest.raises(ValueError):
+                integral(t)[0][2, 3] = 1
+
+    def test_fractions_are_built_on_first_read(self):
+        shadow = exact_shadows(make_integer_instance(8, seed=3))["execute"]
+        assert "t" not in vars(shadow)
+        shadow.t
+        assert "t" in vars(shadow)
+
+    @pytest.mark.parametrize("kind", sorted(EXACT_INSTANCES))
+    def test_solvers_read_no_fraction_for_numerators(self, kind, monkeypatch):
+        # integral's fresh path takes the lcm of the entries' denominators
+        import math
+
+        shadow = exact_shadows(EXACT_INSTANCES[kind](12))["reconstruct"]
+        t = shadow.t
+        config = SolverConfig(seed=2, exchange_limit=None)
+        expected = solve_p2opt(np.array(t), solve_pnn(np.array(t), config).pairing, config)
+
+        def no_lcm(*args):
+            raise AssertionError("numerators recomputed from Fractions")
+
+        monkeypatch.setattr(math, "lcm", no_lcm)
+        refined = solve_p2opt(t, solve_pnn(t, config).pairing, config)
+        assert (refined.pairing, refined.noc, refined.score) == (
+            expected.pairing,
+            expected.noc,
+            expected.score,
+        )
 
 
 class TestFractionInstances:

@@ -27,7 +27,14 @@ from pairing_tsp.observation import reconstruct_tilde
 from pairing_tsp.oracle import ObservationOracle
 from pairing_tsp.tsp_graph import build_graph, pairing_from_tour, validate_tour
 
-from conftest import make_instance, make_integer_instance, matrix_from_pairs, reference_p2opt
+from conftest import (
+    make_fraction_instance,
+    make_instance,
+    make_integer_instance,
+    matrix_from_pairs,
+    reference_p2opt,
+    reference_pnn,
+)
 
 
 def greedy_trap_matrix():
@@ -256,6 +263,65 @@ class TestComposition:
         result = solve_pnn_p2opt(inst.c, SolverConfig(seed=5, exchange_limit=600))
         assert result.noc >= result.exchanges_used
         assert result.score == pytest.approx(pairing_sum(inst.c, result.pairing))
+
+
+def tie_heavy_matrix(n: int, seed: int) -> np.ndarray:
+    """A symmetric float matrix with entries in 0..2, so most rows tie."""
+    upper = np.triu(np.random.default_rng(seed).integers(0, 3, (n, n)), 1)
+    return (upper + upper.T).astype(np.float64)
+
+
+def pnn_matrices(n: int) -> dict[str, np.ndarray]:
+    """Every kind of matrix pnn runs on, by name."""
+    tie_heavy = tie_heavy_matrix(n, seed=n)
+
+    def shadow(inst):
+        return reconstruct_tilde(ObservationOracle(inst))[0].t
+
+    return {
+        "float": make_instance(n, seed=n).c,
+        "float shadow": shadow(make_instance(n, seed=n + 1)),
+        "integer": make_integer_instance(n, seed=n).c,
+        "integer shadow": shadow(make_integer_instance(n, seed=n + 2)),
+        "fraction": make_fraction_instance(n, seed=n, low=0, high=30).c,
+        "tie-heavy": tie_heavy,
+        "tie-heavy exact": tie_heavy.astype(int).astype(object),
+    }
+
+
+class TestPnnAgainstReference:
+    """Block draws against the step loop that makes one draw per call."""
+
+    @pytest.mark.parametrize("n", [4, 6, 12, 28, 100])
+    def test_every_start_node_matches_the_step_loop(self, n):
+        for name, matrix in pnn_matrices(n).items():
+            for start in range(1, n + 1):
+                config = SolverConfig(seed=1000 * n + start, start_node=start)
+                result = solve_pnn(matrix, config)
+                pairing, visits, score = reference_pnn(matrix, config)
+                assert result.pairing == pairing, (name, start)
+                assert result.visits.tolist() == visits, (name, start)
+                assert result.score == score and type(result.score) is type(score), (name, start)
+
+    def test_numpy_array_bounds_draw_like_sequential_calls(self):
+        # solve_pnn's block draws rest on this numpy behaviour: one
+        # rng.integers(array) call gives the values, and leaves the generator
+        # in the state, of one rng.integers(k) call per bound, and a bound of
+        # 1 draws nothing. If numpy changes it, this test names the cause.
+        for seed in range(20):
+            ks = np.random.default_rng(seed).integers(1, 200, 60)
+            ks[::7] = 1
+            ks[3] = 2**40
+            sequential = np.random.Generator(np.random.PCG64(seed))
+            values = [int(sequential.integers(k)) for k in ks.tolist()]
+            block = np.random.Generator(np.random.PCG64(seed))
+            assert block.integers(ks).tolist() == values
+            assert block.bit_generator.state == sequential.bit_generator.state
+        rng = np.random.Generator(np.random.PCG64(0))
+        before = rng.bit_generator.state
+        assert rng.integers(np.ones(5, dtype=np.int64)).tolist() == [0] * 5
+        assert int(rng.integers(1)) == 0
+        assert rng.bit_generator.state == before
 
 
 class TestPnnExactAgainstFloat:
