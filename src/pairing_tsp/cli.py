@@ -23,7 +23,6 @@ from .core import (
     InternalError,
     Instance,
     ValidationError,
-    _check_symmetric_bounded,
     _checked,
     dumps_instance_json,
     dumps_instance_text,
@@ -149,6 +148,11 @@ def _tilde_json(instance: Instance, tilde: TildeMatrix, strategy: str, observati
 
 
 def _cmd_observe(args) -> int:
+    if args.strategy == "minimal" and args.share_observations:
+        raise ValidationError(
+            "--share-observations works with --strategy reconstruct only: "
+            "the minimal plan never repeats a pairing"
+        )
     instance = load_instance(args.instance)
     oracle = ObservationOracle(instance)
     if args.strategy == "minimal":
@@ -183,10 +187,9 @@ def _load_solve_input(path: Path):
             bounds = None
             if "c_min" in data and "c_max" in data:
                 bounds = float_bounds(data["c_min"], data["c_max"])
-            # validates shape and the zero first row and column
-            tilde = TildeMatrix(n=n, t=matrix)
-            _check_symmetric_bounded(tilde.t, n, -np.inf, np.inf)
-            return tilde.t, n, bounds, None
+            # validates shape, finite symmetric entries and the zero first
+            # row and column
+            return TildeMatrix(n=n, t=matrix).t, n, bounds, None
         instance = loads_instance_json(text)
     else:
         instance = loads_instance_text(text)

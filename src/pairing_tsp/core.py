@@ -13,9 +13,13 @@ do not add `Fraction`s: `integral` turns an exact array into Python-int
 numerators over one common denominator, the stage adds and compares those
 ints, and `quotients` makes the result's `Fraction`s once, as a
 `FractionArray` that keeps the numerators, so the next stage's `integral`
-returns them without reading a `Fraction`. `zeros`, `divide`, `quotients` and
-`integral` are the only arithmetic in the pipeline that tells the two apart;
-on floats `integral` is the identity over 1.
+returns them without reading a `Fraction`. `integral` and `quotients` are
+the only arithmetic in the pipeline that tells the two apart. `integral`
+chooses: a float dtype, or an object array holding a Python float, is
+float64 over 1; an integer dtype, or an object array of ints and
+`Fraction`s, is Python-int numerators over their lcm denominator. An
+optional divisor divides on the way in, so no stage divides by hand.
+`quotients` is the only way back out.
 
 Outside input is admitted by one rule each: `checked_count` for element
 counts; `_checked` with the `integer` converter for every other integer (seeds,
@@ -144,30 +148,6 @@ def pairing_count(n: int) -> int:
     return double_factorial(checked_count(n, 0) - 1)
 
 
-def zeros(shape, dtype) -> np.ndarray:
-    """Zeros of `dtype`; an object (exact) array is filled with Fraction(0)."""
-    if np.dtype(dtype) == object:
-        return np.full(shape, Fraction(0), dtype=object)
-    return np.zeros(shape, dtype=dtype)
-
-
-def divide(value, k: int):
-    """value / k, in floating point for floats and as an exact Fraction
-    otherwise; elementwise on arrays. Each exact quotient is `Fraction(v, k)`,
-    which takes the constructor's fast path when v is an int."""
-    if np.asarray(value).dtype.kind == "f":
-        return value / k
-    if not isinstance(value, np.ndarray):
-        return Fraction(value, k)
-    try:
-        entries = [Fraction(v, k) for v in value.ravel().tolist()]
-    except TypeError:  # Python floats in an object array divide as floats
-        return value / k
-    out = np.empty(value.size, dtype=object)
-    out[:] = entries
-    return out.reshape(value.shape)
-
-
 class FractionArray(np.ndarray):
     """A read-only object array of `Fraction`s that keeps the (numerators,
     denominator) pair it was built from, as `integral` would compute it.
@@ -186,26 +166,20 @@ class FractionArray(np.ndarray):
 
 def quotients(numerators: np.ndarray, denominator: int) -> np.ndarray:
     """numerators / denominator as a read-only array, for a pair as
-    `integral` returns it.
+    `integral` returns it; the only way back out of one.
 
     Float numerators divide in float64. Python-int numerators become a
     `FractionArray` that keeps the pair reduced by the gcd of the
     denominator and every numerator, which is exactly `integral`'s pair of
     the result: the same ints over the lcm of the entries' denominators.
-    Each distinct value's `Fraction` is made once and shared. Python floats
-    in an object array divide as floats.
+    Each distinct value's `Fraction` is made once and shared.
     """
     if numerators.dtype != object:
         out = np.true_divide(numerators, denominator, dtype=np.float64)
         out.setflags(write=False)
         return out
     flat = numerators.ravel().tolist()
-    try:
-        common = math.gcd(denominator, *flat)
-    except TypeError:  # Python floats have no gcd
-        out = numerators / denominator
-        out.setflags(write=False)
-        return out
+    common = math.gcd(denominator, *flat)
     if common > 1:
         denominator //= common
         flat = [v // common for v in flat]
@@ -221,35 +195,40 @@ def quotients(numerators: np.ndarray, denominator: int) -> np.ndarray:
     return out
 
 
-def integral(array) -> tuple[np.ndarray, int]:
-    """(numerators, denominator) with array == numerators / denominator.
+def integral(array, divisor: int = 1) -> tuple[np.ndarray, int]:
+    """(numerators, denominator) with array / divisor == numerators /
+    denominator, for a positive int `divisor`.
 
-    An object (exact) array of ints or Fractions becomes Python-int
-    numerators over the least common denominator of its entries, so exact
-    stages add and compare ints instead of Fractions; numerators are never
-    narrowed, so they may exceed 2**63. Float and integer-dtype arrays, and
-    object arrays of only Python ints or of Python floats, come back
-    unchanged over 1. A `FractionArray` from `quotients` returns the
-    read-only pair it keeps.
+    This is where the arithmetic is chosen. A float dtype, or an object
+    array with an entry that is not rational (a Python float), computes in
+    floating point: it comes back as the float64 `array / divisor`, over 1.
+    An integer dtype, or an object array of ints or Fractions, computes
+    exactly: it becomes Python-int numerators over the least common
+    denominator of its entries times `divisor`, so exact stages add and
+    compare ints instead of Fractions; numerators are never narrowed, so
+    they may exceed 2**63. A `FractionArray` from `quotients` returns the
+    read-only numerators it keeps.
     """
     if isinstance(array, FractionArray) and array._integral is not None:
-        return array._integral
+        numerators, denominator = array._integral
+        return numerators, denominator * divisor
     array = np.asarray(array)
-    if array.dtype != object:
-        return array, 1
-    entries = array.ravel().tolist()
-    if set(map(type, entries)) == {int}:  # Python ints are their own numerators
-        return array, 1
-    try:
-        denominator = math.lcm(*{v.denominator for v in entries})
-    except AttributeError:  # Python floats have no denominator
-        return array, 1
-    out = np.empty(len(entries), dtype=object)
-    if denominator == 1:
-        out[:] = [int(v.numerator) for v in entries]
-    else:
-        out[:] = [int(v.numerator) * (denominator // v.denominator) for v in entries]
-    return out.reshape(array.shape), denominator
+    if array.dtype.kind != "f":
+        exact = array.astype(object, copy=False)  # an integer dtype as Python ints
+        entries = exact.ravel().tolist()
+        kinds = set(map(type, entries))
+        if kinds <= {int}:  # Python ints are their own numerators
+            return exact, divisor
+        if all(issubclass(kind, numbers.Rational) for kind in kinds):
+            denominator = math.lcm(*{v.denominator for v in entries})
+            out = np.empty(len(entries), dtype=object)
+            if denominator == 1:
+                out[:] = [int(v.numerator) for v in entries]
+            else:
+                out[:] = [int(v.numerator) * (denominator // v.denominator) for v in entries]
+            return out.reshape(array.shape), denominator * divisor
+    floats = array.astype(np.float64, copy=False)  # Python floats in an object array too
+    return (floats if divisor == 1 else floats / divisor), 1
 
 
 def checked_seed(seed, name: str = "seed") -> int:
@@ -376,8 +355,8 @@ def pairing_sum(matrix: np.ndarray, pairing: Pairing):
             f"{matrix.shape[0]}x{matrix.shape[1]}"
         )
     rows, cols = pairing._index_arrays
-    total = row_totals(matrix[rows, cols][None])[0]
-    return total if matrix.dtype == object else float(total)
+    # as a Python scalar: a float, or an exact int or Fraction
+    return row_totals(matrix[rows, cols][None]).tolist()[0]
 
 
 def frozen_matrix(c, n: int) -> np.ndarray:

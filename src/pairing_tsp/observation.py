@@ -37,8 +37,8 @@ from .core import (
     Pairing,
     ValidationError,
     _checked,
+    _check_symmetric_bounded,
     checked_count,
-    divide,
     frozen_matrix,
     integer,
     integral,
@@ -106,11 +106,13 @@ def measure_exchange_rule(oracle: ObservationOracle, i: int, j: int, k: int, l: 
 class TildeMatrix:
     """Shadow compatibilities: zero first row/column, pairing sums preserved.
 
-    `TildeMatrix(n=..., t=...)` admits a given matrix and keeps a read-only
-    copy of it. The shadows the library computes come from `_of_integral`
-    as numerators over one denominator, and `t` is built from them by
-    `core.quotients` the first time it is read: an exact shadow's `t` is
-    then a `FractionArray`, whose numerators `integral` returns as kept.
+    `TildeMatrix(n=..., t=...)` admits a given matrix, finite off the
+    diagonal and symmetric with a zero first row and column, and keeps a
+    read-only copy of it. The shadows the library computes come from
+    `_of_integral` as numerators over one denominator, and `t` is built from
+    them by `core.quotients` the first time it is read: an exact shadow's
+    `t` is then a `FractionArray`, whose numerators `integral` returns as
+    kept.
     """
 
     n: int
@@ -119,6 +121,7 @@ class TildeMatrix:
         t = frozen_matrix(t, n)
         if np.any(t[0] != 0) or np.any(t[:, 0] != 0):
             raise ValidationError("first row and column must be exactly zero")
+        _check_symmetric_bounded(t, n, -np.inf, np.inf)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "t", t)
 
@@ -142,8 +145,14 @@ class TildeMatrix:
         return (self.n - 1) * (self.n - 2) // 2
 
     def total(self, pairing: Pairing):
-        """Pairing total over the shadow matrix; equals the hidden total."""
-        return pairing_sum(self.t, pairing)
+        """Pairing total over the shadow matrix; equals the hidden total.
+        A shadow whose `t` was never read sums its numerators and divides
+        once, so `t` is not built."""
+        if "_integral" not in self.__dict__:
+            return pairing_sum(self.t, pairing)
+        numerators, denominator = self._integral
+        total = np.array([pairing_sum(numerators, pairing)], numerators.dtype)
+        return quotients(total, denominator).tolist()[0]
 
 
 def _free_entries(n: int) -> np.ndarray:
@@ -173,7 +182,7 @@ def definitional_tilde(matrix: np.ndarray) -> TildeMatrix:
     row1 = matrix[0]
     # the correction as a numerator over its denominator, so that an integer
     # matrix gives integer numerators; on floats the scale is 1
-    correction, scale = integral(divide(2 * row_totals(row1[None, 1:])[0], n - 2))
+    correction, scale = integral(2 * row_totals(row1[None, 1:])[0], n - 2)
     upper = _free_entries(n)
     i, j = np.nonzero(upper)
     numerators, denominator = integral((matrix[i, j] - row1[i] - row1[j]) * scale + correction)
@@ -296,6 +305,6 @@ def reconstruct_tilde(
     k = np.arange(3, n, 2)
     offset_sum = row_totals(offset[k, k + 1][None])[0]
     # x as a numerator over its denominator, so every entry is a numerator too
-    x, scale = integral(divide(anchor_total - offset_sum, n // 2 - 1))
+    x, scale = integral(anchor_total - offset_sum, n // 2 - 1)
     upper = _free_entries(n)
     return _mirrored(upper, x + scale * offset[1:, 1:][upper], scale * denominator), spent

@@ -41,9 +41,9 @@ from .core import (
     Pairing,
     ValidationError,
     checked_count,
-    divide,
     integral,
     pairings_from_canonical,
+    quotients,
 )
 from .oracle import ObservationOracle, pair_keys
 from .observation import TildeMatrix, _completion, _free_entries, _mirrored
@@ -122,9 +122,10 @@ def _recover_entries(n: int, values: Sequence) -> tuple[np.ndarray, int]:
         raise InternalError(f"plan for n={n} needs {plan_size(n)} observations, got {len(values)}")
     m = len(range(6, n + 1, 2))
     _, r = _sweep(n, values, np.zeros((m,) + values.shape[1:], values.dtype))
-    # u in units of 1/scale, as numerators over the level solve's denominator
-    u, u_scale = integral(divide(r.sum(axis=0), m + 1) - r)
-    t, _ = _sweep(n, values * u_scale, u)
+    # u = sum(r) / (m + 1) - r in units of 1/scale, as numerators over the
+    # level solve's denominator; r * u_scale is exact, and r itself on floats
+    mean, u_scale = integral(r.sum(axis=0), m + 1)
+    t, _ = _sweep(n, values * u_scale, mean - r * u_scale)
     return t, scale * u_scale
 
 
@@ -171,7 +172,7 @@ class ObservationPlan:
 
         def combo(coefs: np.ndarray) -> tuple[tuple[Fraction, int], ...]:
             nonzero = np.flatnonzero(coefs != 0)
-            return tuple(zip(divide(coefs[nonzero], scale).tolist(), nonzero.tolist()))
+            return tuple(zip(quotients(coefs[nonzero], scale).tolist(), nonzero.tolist()))
 
         out: dict[str, tuple[tuple[Fraction, int], ...]] = {
             # the anchor pairing is scheduled first, so its total is direct

@@ -282,11 +282,9 @@ def solve_p2opt(matrix: np.ndarray, initial: Pairing, config: SolverConfig) -> S
     if initial.n != n:
         raise ValidationError(f"initial pairing covers {initial.n} elements, matrix has {n}")
 
-    # any other dtype is summed as Python scalars, as matrix.tolist() would be;
     # exact entries are compared as integer numerators, which a positive
     # common denominator leaves in the same order
-    native = matrix.dtype in (np.float64, object)
-    flat = integral(matrix if native else matrix.astype(object))[0].ravel()
+    flat = integral(matrix)[0].ravel()
     # slot layout: pair k occupies slots 2k and 2k+1 (0-based elements)
     slots = np.array([e - 1 for pair in initial.pairs for e in pair], dtype=np.intp)
     m = n // 2

@@ -20,7 +20,7 @@ from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
-from .core import InternalError, Pairing, ValidationError, checked_count, checked_matrix, zeros
+from .core import InternalError, Pairing, ValidationError, checked_count, checked_matrix
 
 
 class GraphNode(NamedTuple):
@@ -76,7 +76,7 @@ class PairingTspGraph:
             raise ValidationError(f"no edge between {u.label} and {v.label}")
         if u.layer == 1 and v.layer == 1:
             return -self.c[u.index - 1][v.index - 1]
-        return zeros((), self.c.dtype)[()]
+        return self.c.dtype.type(0)
 
     def neighbors(self, u: GraphNode) -> list[GraphNode]:
         if u.layer == 1:
@@ -114,7 +114,9 @@ def build_graph(matrix: np.ndarray, n: int) -> PairingTspGraph:
 
 @dataclass(frozen=True)
 class Tour:
-    """A closed node sequence; rotations and reflections compare equal."""
+    """A closed node sequence. Equality compares sequences as given, so a
+    rotated or reflected tour is not equal to the original; compare
+    `normalized()` tours to compare the closed cycles."""
 
     sequence: tuple[GraphNode, ...]
 

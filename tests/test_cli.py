@@ -83,6 +83,13 @@ class TestObserve:
     def test_missing_file_exits_one(self, tmp_path):
         assert run_cli("observe", str(tmp_path / "nope.txt")) == 1
 
+    def test_minimal_strategy_refuses_share_observations(self, instance_file, capsys):
+        argv = ("observe", str(instance_file), "--strategy", "minimal", "--share-observations")
+        assert run_cli(*argv) == 1
+        captured = capsys.readouterr()
+        assert "--share-observations" in captured.err and "--strategy reconstruct" in captured.err
+        assert "internal error" not in captured.err and captured.out == ""
+
 
 class TestSolve:
     def test_heuristic_below_exact(self, instance_file, tmp_path):

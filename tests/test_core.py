@@ -14,7 +14,6 @@ from pairing_tsp.core import (
     Pairing,
     ValidationError,
     checked_count,
-    divide,
     double_factorial,
     dumps_instance_json,
     dumps_instance_text,
@@ -28,7 +27,6 @@ from pairing_tsp.core import (
     quotients,
     row_totals,
     total_compatibility,
-    zeros,
 )
 from pairing_tsp.bench import generate_instance
 from pairing_tsp.observation import exchange_rule_value
@@ -344,33 +342,29 @@ def test_random_valid_pairings_round_trip(half, rnd):
 
 
 class TestNumericHelpers:
-    def test_zeros_follow_the_dtype(self):
-        assert zeros((2, 3), np.float64).dtype == np.float64
-        assert zeros(4, np.int64).tolist() == [0, 0, 0, 0]
-        exact = zeros((2, 2), object)
-        assert exact.dtype == object
-        assert {type(v) for v in exact.flat} == {Fraction}
-        assert not exact.any()
-
-    def test_divide_floats_in_floating_point(self):
-        assert divide(7.0, 3) == 7.0 / 3
-        assert type(divide(np.float64(7.0), 3)) is np.float64
-        assert divide(np.array([1.0, 2.0]), 3).tolist() == [1.0 / 3, 2.0 / 3]
-
-    def test_divide_exact_values_into_fractions(self):
-        assert divide(7, 3) == Fraction(7, 3)
-        assert divide(Fraction(1, 2), 3) == Fraction(1, 6)
-        halves = divide(np.array([1, Fraction(3, 2)], dtype=object), 2)
-        assert halves.dtype == object
-        assert halves.tolist() == [Fraction(1, 2), Fraction(3, 4)]
-        assert {type(v) for v in halves} == {Fraction}
-
-    def test_divide_exact_integers_beyond_int64(self):
-        big = np.array([[2**70 + 1, -3], [0, 6]], dtype=object)
-        quotients = divide(big, 3)
-        assert quotients.shape == (2, 2)
-        assert quotients.tolist() == [[Fraction(2**70 + 1, 3), -1], [0, 2]]
-        assert {type(v) for v in quotients.flat} == {Fraction}
+    def test_integral_chooses_the_arithmetic_by_dtype(self):
+        # an integer dtype computes exactly, on Python ints
+        numerators, denominator = integral(np.array([[3, -4], [0, 2**62]], dtype=np.int64))
+        assert denominator == 1 and numerators.dtype == object
+        assert numerators.tolist() == [[3, -4], [0, 2**62]]
+        assert {type(v) for v in numerators.flat} == {int}
+        # float32, and Python floats in an object array, compute in float64
+        for floats in (np.array([1.5, -0.1], np.float32), np.array([1.5, -0.1], object)):
+            numerators, denominator = integral(floats, 3)
+            assert denominator == 1 and numerators.dtype == np.float64
+            assert numerators.tobytes() == (floats.astype(np.float64) / 3).tobytes()
+        # a divisor divides floats as `v / k` does, bit for bit
+        values = np.random.default_rng(0).uniform(-1e6, 1e6, (5, 7))
+        for k in (1, 3, 7, 49):
+            assert integral(values, k)[0].tobytes() == (values / k).tobytes()
+            assert integral(values[2, 3], k)[0] == values[2, 3] / k
+        # and exact values into numerators over the lcm times the divisor
+        big = np.array([[2**70 + 1, -3], [0, Fraction(5, 2)]], dtype=object)
+        numerators, denominator = integral(big, 3)
+        assert denominator == 6
+        assert {type(v) for v in numerators.flat} == {int}
+        got = [Fraction(v, denominator) for v in numerators.flat]
+        assert got == [Fraction(2**70 + 1, 3), -1, 0, Fraction(5, 6)]
 
     def test_integral_passes_float_bytes_through(self):
         values = np.array([[0.1, -2.5], [1e300, 0.0]])
@@ -391,15 +385,6 @@ class TestNumericHelpers:
         assert denominator == 12
         assert numerators.tolist() == [2, 9, 24]
         assert {type(v) for v in numerators} == {int}
-
-    def test_integral_passes_object_floats_through(self):
-        # what solve_p2opt's astype(object) makes of a float32 matrix
-        values = np.array([1.5, -0.25], dtype=np.float32).astype(object)
-        numerators, denominator = integral(values)
-        assert denominator == 1
-        assert numerators.tolist() == [1.5, -0.25]
-        assert {type(v) for v in numerators} == {float}
-        assert divide(values, 2).tolist() == [0.75, -0.125]
 
     def test_integral_of_empty_arrays(self):
         for empty in (np.empty((0, 3), dtype=object), np.empty(0)):
@@ -439,7 +424,8 @@ class TestQuotients:
         t = quotients(values, 1)
         assert t.dtype == np.float64 and not t.flags.writeable
         assert t.tolist() == [[0.5, -3.0]]
-        assert quotients(np.array([1.5, 3.0], dtype=object), 2).tolist() == [0.75, 1.5]
+        t = quotients(*integral(np.array([1.5, 3.0], dtype=object), 2))
+        assert t.dtype == np.float64 and t.tolist() == [0.75, 1.5]
 
     def test_derived_arrays_carry_no_pair(self):
         t = quotients(np.array([[2, 4], [6, 9]], dtype=object), 3)

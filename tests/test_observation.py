@@ -14,7 +14,6 @@ from pairing_tsp.core import (
     integral,
     pairing_sum,
     total_compatibility,
-    zeros,
 )
 from pairing_tsp.observation import (
     TildeMatrix,
@@ -185,7 +184,7 @@ class TestTildeMatrix:
             TildeMatrix(n=4, t=t)
 
     def test_object_matrix_copied_before_freezing(self):
-        t = zeros((4, 4), object)
+        t = np.full((4, 4), Fraction(0), dtype=object)
         t[2][3] = t[3][2] = Fraction(5, 2)
         tilde = TildeMatrix(n=4, t=t)
         assert t.flags.writeable
@@ -193,6 +192,19 @@ class TestTildeMatrix:
         assert tilde.t[2][3] == Fraction(5, 2)
         with pytest.raises(ValueError):
             tilde.t[2][3] = 1
+
+    def test_asymmetric_matrix_named(self):
+        for dtype in (np.float64, object):
+            t = np.zeros((4, 4), dtype=dtype)
+            t[1][2], t[2][1] = 5, -5
+            with pytest.raises(ValidationError, match=r"not symmetric at c\[2\]\[3\]"):
+                TildeMatrix(n=4, t=t)
+
+    def test_nan_entry_named(self):
+        t = np.zeros((4, 4))
+        t[1][2], t[2][1], t[2][3] = 5, -5, np.nan
+        with pytest.raises(ValidationError, match=r"c\[3\]\[4\]=nan is not finite"):
+            TildeMatrix(n=4, t=t)
 
     def test_ragged_matrix_named(self):
         with pytest.raises(ValidationError, match="matrix is not a rectangular array"):
@@ -455,6 +467,29 @@ class TestKeptNumerators:
                 t.setflags(write=True)
             with pytest.raises(ValueError):
                 integral(t)[0][2, 3] = 1
+
+    @pytest.mark.parametrize("kind", sorted(EXACT_INSTANCES))
+    def test_total_reads_the_kept_numerators(self, kind):
+        inst = EXACT_INSTANCES[kind](12)
+        pairings = [solve_random(12, seed).pairing for seed in range(5)]
+        for name, shadow in exact_shadows(inst).items():
+            totals = [shadow.total(p) for p in pairings]
+            assert "t" not in vars(shadow), name
+            assert totals == [total_compatibility(inst, p) for p in pairings], name
+            assert {type(v) for v in totals} == {Fraction}, name
+            shadow.t
+            assert [shadow.total(p) for p in pairings] == totals, name
+
+    def test_float_total_is_the_same_before_and_after_t(self):
+        inst = make_instance(12, seed=5)
+        pairings = [solve_random(12, seed).pairing for seed in range(5)]
+        for name, shadow in exact_shadows(inst).items():
+            before = [shadow.total(p) for p in pairings]
+            assert "t" not in vars(shadow), name
+            shadow.t
+            after = [shadow.total(p) for p in pairings]
+            assert [v.hex() for v in before] == [v.hex() for v in after], name
+            assert {type(v) for v in before} == {float}, name
 
     def test_fractions_are_built_on_first_read(self):
         shadow = exact_shadows(make_integer_instance(8, seed=3))["execute"]

@@ -286,6 +286,8 @@ def pnn_matrices(n: int) -> dict[str, np.ndarray]:
         "fraction": make_fraction_instance(n, seed=n, low=0, high=30).c,
         "tie-heavy": tie_heavy,
         "tie-heavy exact": tie_heavy.astype(int).astype(object),
+        "int64": tie_heavy.astype(np.int64),
+        "float32": make_instance(n, seed=n).c.astype(np.float32),
     }
 
 
