@@ -83,11 +83,6 @@ def _build_parser() -> _Parser:
     observe = sub.add_parser("observe", help="recover the shadow matrix via the oracle")
     observe.add_argument("instance", type=Path)
     observe.add_argument("--strategy", choices=("reconstruct", "minimal"), default="reconstruct")
-    observe.add_argument(
-        "--share-observations",
-        action="store_true",
-        help="deduplicate repeated pairings during reconstruction",
-    )
     observe.add_argument("--out", type=Path, default=None)
 
     solve = sub.add_parser("solve", help="run a solver on an instance or shadow file")
@@ -148,11 +143,6 @@ def _tilde_json(instance: Instance, tilde: TildeMatrix, strategy: str, observati
 
 
 def _cmd_observe(args) -> int:
-    if args.strategy == "minimal" and args.share_observations:
-        raise ValidationError(
-            "--share-observations works with --strategy reconstruct only: "
-            "the minimal plan never repeats a pairing"
-        )
     instance = load_instance(args.instance)
     oracle = ObservationOracle(instance)
     if args.strategy == "minimal":
@@ -160,9 +150,7 @@ def _cmd_observe(args) -> int:
         tilde = execute_plan(oracle, plan)
         observations = oracle.query_count
     else:
-        tilde, observations = reconstruct_tilde(
-            oracle, share_observations=args.share_observations
-        )
+        tilde, observations = reconstruct_tilde(oracle)
     _emit(_tilde_json(instance, tilde, args.strategy, observations), args.out)
     return 0
 

@@ -29,9 +29,11 @@ strings; `checked_bounds` for a pair of value bounds (finite, c_min <= c_max),
 exactly for ints and `Fraction`s and through `real` for the rest, and
 `float_bounds` for a pair read from a file or spec, as floats;
 `checked_matrix` for a matrix's shape (rectangular, square, an element count);
-and `_check_symmetric_bounded` for matrix entries. `frozen_matrix` makes the
-one dtype choice at admission: an `Instance` or `TildeMatrix` keeps an object
-array and casts others to float64.
+`checked_entries` for a matrix a solver reads (numbers, finite off the
+diagonal); and `_check_symmetric_bounded` for the entries of an instance or
+shadow. `frozen_matrix` makes the one dtype choice at admission: an
+`Instance` or `TildeMatrix` keeps an object array and casts others to
+float64.
 """
 
 from __future__ import annotations
@@ -231,6 +233,29 @@ def integral(array, divisor: int = 1) -> tuple[np.ndarray, int]:
     return (floats if divisor == 1 else floats / divisor), 1
 
 
+def checked_entries(matrix) -> tuple[np.ndarray, int, np.ndarray]:
+    """`matrix`, its element count and its `integral` numerators, if it
+    passes `checked_matrix` and holds numbers that are finite off the
+    diagonal, else a ValidationError naming the first fault. Bools and
+    strings are not numbers, as a dtype or as an object array's entries.
+    The diagonal is never read, so any number is admitted there."""
+    matrix, n = checked_matrix(matrix)
+    if matrix.dtype.kind not in "iufO":
+        raise ValidationError(f"matrix entries must be numbers, got dtype {matrix.dtype}")
+    # a FractionArray with its numerators kept holds only the Fractions
+    # `quotients` made, and `integral` does not read them
+    kept = isinstance(matrix, FractionArray) and matrix._integral is not None
+    if matrix.dtype == object and not kept:
+        entries = matrix.ravel().tolist()
+        bad = [v for v in entries if isinstance(v, bool) or not isinstance(v, numbers.Real)]
+        if bad:
+            raise ValidationError(f"matrix entries must be numbers, got {bad[0]!r}")
+    numerators = integral(matrix)[0]
+    if numerators.dtype != object and not np.isfinite(numerators).all():
+        _check_finite(numerators, n)
+    return matrix, n, numerators
+
+
 def checked_seed(seed, name: str = "seed") -> int:
     """`seed` as an int if it is a non-negative `integer`, else a ValidationError naming it."""
     value = _checked(name, "a non-negative integer", integer, seed)
@@ -368,16 +393,22 @@ def frozen_matrix(c, n: int) -> np.ndarray:
     return c
 
 
+def _check_finite(c: np.ndarray, n: int) -> None:
+    """Name the first non-finite off-diagonal entry of a float (n, n) matrix."""
+    k = np.arange(n)
+    bad = np.argwhere(~np.isfinite(c) & (k[:, None] != k))
+    if len(bad):
+        i, j = bad[0]
+        raise ValidationError(f"c[{i + 1}][{j + 1}]={c[i][j]} is not finite")
+
+
 def _check_symmetric_bounded(c: np.ndarray, n: int, c_min, c_max) -> None:
     """Name the first off-diagonal fault of a float or object (n, n) matrix:
     a non-finite float, then an asymmetry, then an entry outside [c_min, c_max]."""
     k = np.arange(n)
     lo, hi = c_min, c_max
     if c.dtype != object:
-        bad = np.argwhere(~np.isfinite(c) & (k[:, None] != k))
-        if len(bad):
-            i, j = bad[0]
-            raise ValidationError(f"c[{i + 1}][{j + 1}]={c[i][j]} is not finite")
+        _check_finite(c, n)
         # an exact bound beyond float range compares with every float as an infinity
         lo, hi = (
             (math.inf if b > 0 else -math.inf) if abs(b) > sys.float_info.max else b

@@ -11,9 +11,8 @@ rewiring {i,j},{k,l} into {i,k},{j,l}; two queries realize one rule. The
 reconstruction below measures the rules [1,j,3,2] (row offsets along element
 2), the rules [1,i,2,j] (column offsets), and one direct anchor observation,
 then solves for the single remaining unknown. Observation cost is exactly
-2(N-3) + (N-2)(N-3) + 1 queries unless callers opt into memo sharing
-(`reconstruct_tilde(share_observations=True)`), which can only lower it;
-`measure_exchange_rule` keeps no memo and always spends two.
+2(N-3) + (N-2)(N-3) + 1 queries, `observation_budget(N)`;
+`measure_exchange_rule` always spends two.
 
 The reconstruction builds one table of every rule it measures, in query
 order: the [1,j,3,2] rules for j = 4..N, then the [1,i,2,j] rules column by
@@ -29,8 +28,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
-
 import numpy as np
 
 from .core import (
@@ -46,7 +43,7 @@ from .core import (
     quotients,
     row_totals,
 )
-from .oracle import ObservationOracle, pair_keys
+from .oracle import ObservationOracle
 
 
 def _rule_indices(n: int, *indices) -> tuple[int, int, int, int]:
@@ -196,7 +193,7 @@ def anchor_pairing(n: int) -> Pairing:
 
 
 def observation_budget(n: int) -> int:
-    """Query count of the reconstruction without memo sharing."""
+    """Query count of the reconstruction: exactly what `reconstruct_tilde` spends."""
     return 2 * (n - 3) + (n - 2) * (n - 3) + 1
 
 
@@ -241,53 +238,32 @@ def _rule_rows(n: int, rules: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rows.reshape(-1, n // 2), cols.reshape(-1, n // 2)
 
 
-def _observe_rows(oracle: ObservationOracle, rows, cols, memo: Optional[dict]) -> np.ndarray:
-    """observe_batch, serving rows already in `memo` without re-submitting them."""
-    if memo is None:
-        return oracle.observe_batch(rows, cols)
-    n = oracle.n
-    keys = pair_keys(rows, cols, n)
-    row_keys = [row.tobytes() for row in keys]
-    fresh: dict[bytes, int] = {}  # first occurrence of each unseen row
-    for q, key in enumerate(row_keys):
-        if key not in memo and key not in fresh:
-            fresh[key] = q
-    values = oracle.observe_batch(*np.divmod(keys[list(fresh.values())], n))
-    memo.update(zip(fresh, values))
-    return np.array([memo[key] for key in row_keys], dtype=values.dtype)
-
-
-def reconstruct_tilde(
-    oracle: ObservationOracle, *, share_observations: bool = False
-) -> tuple[TildeMatrix, int]:
+def reconstruct_tilde(oracle: ObservationOracle) -> tuple[TildeMatrix, int]:
     """Recover the shadow matrix from sum-only queries.
 
     Procedure: measure rules [1,j,3,2] for 4 <= j <= N, rules [1,i,2,j] for
     4 <= j <= N and 3 <= i < j, observe the anchor pairing, then express every
     entry as x plus a measured offset with x the (2,3) entry and solve for x
     from the anchor total. Queries go to the oracle in the N-rule slices of
-    one rule table that the module docstring describes. Without
-    `share_observations` the query count is exactly ``observation_budget(n)``;
-    with it, a pairing already observed is served from a memo and the count
-    can only drop.
+    one rule table that the module docstring describes. The query count is
+    exactly ``observation_budget(n)``.
 
     Returns the shadow matrix and the number of oracle queries spent here.
     Arithmetic follows the oracle's value type: float instances reconstruct
     in floating point, integer or fractional instances reconstruct exactly.
     """
     n = checked_count(oracle.n)
-    memo: Optional[dict] = {} if share_observations else None
     start_count = oracle.query_count
 
     rules = _rule_table(n)
     values = np.concatenate(
         [
-            _observe_rows(oracle, *_rule_rows(n, rules[start : start + n]), memo)
+            oracle.observe_batch(*_rule_rows(n, rules[start : start + n]))
             for start in range(0, len(rules), n)
         ]
     )
     anchor_rows, anchor_cols = anchor_pairing(n)._index_arrays
-    anchor_total = _observe_rows(oracle, anchor_rows[None], anchor_cols[None], memo)[0]
+    anchor_total = oracle.observe_batch(anchor_rows[None], anchor_cols[None])[0]
     spent = oracle.query_count - start_count
     # the rule values and the anchor total as numerators over one denominator
     measured, denominator = integral(np.append(values[0::2] - values[1::2], anchor_total))

@@ -27,10 +27,9 @@ from .core import (
     ValidationError,
     _checked,
     checked_count,
-    checked_matrix,
+    checked_entries,
     checked_seed,
     integer,
-    integral,
     pairing_sum,
     seeded_rng,
 )
@@ -106,7 +105,7 @@ def solve_random(n: int, seed: int, matrix: Optional[np.ndarray] = None) -> Solv
     rng = seeded_rng(seed)
     order = rng.permutation(n) + 1
     pairing = Pairing.from_permutation(int(v) for v in order)
-    score = None if matrix is None else pairing_sum(checked_matrix(matrix)[0], pairing)
+    score = None if matrix is None else pairing_sum(checked_entries(matrix)[0], pairing)
     return SolveResult(pairing=pairing, score=score, noc=0, exchanges_used=0)
 
 
@@ -166,12 +165,11 @@ def solve_pnn(matrix: np.ndarray, config: SolverConfig) -> SolveResult:
     when `result.tour` is read, and is valid by construction (the tests
     validate it against the layered graph).
     """
-    matrix, n = checked_matrix(matrix)
+    # ties are found on integer numerators: a positive scale keeps every ==
+    matrix, n, numerators = checked_entries(matrix)
     start = 1 if config.start_node is None else config.start_node
     if not 1 <= start <= n:
         raise ValidationError(f"start node {start} is outside 1..{n}")
-    # ties are found on integer numerators: a positive scale keeps every ==
-    numerators = integral(matrix)[0]
     m = n // 2
     cycle = np.arange(m)
     # cycle c draws among m - c layer-three and then n - 2 - 2c layer-two
@@ -278,13 +276,12 @@ def solve_p2opt(matrix: np.ndarray, initial: Pairing, config: SolverConfig) -> S
     entry, so the first-improvement order, and every count, is that of the
     plain rescan. Float64 and exact object matrices take the same path.
     """
-    matrix, n = checked_matrix(matrix)
-    if initial.n != n:
-        raise ValidationError(f"initial pairing covers {initial.n} elements, matrix has {n}")
-
     # exact entries are compared as integer numerators, which a positive
     # common denominator leaves in the same order
-    flat = integral(matrix)[0].ravel()
+    matrix, n, numerators = checked_entries(matrix)
+    if initial.n != n:
+        raise ValidationError(f"initial pairing covers {initial.n} elements, matrix has {n}")
+    flat = numerators.ravel()
     # slot layout: pair k occupies slots 2k and 2k+1 (0-based elements)
     slots = np.array([e - 1 for pair in initial.pairs for e in pair], dtype=np.intp)
     m = n // 2

@@ -81,9 +81,6 @@ def test_criterion_02_observation_budget():
         oracle = ObservationOracle(instance)
         _, spent = reconstruct_tilde(oracle)
         assert spent == oracle.query_count == budget, (n, spent)
-        shared_oracle = ObservationOracle(instance)
-        _, shared = reconstruct_tilde(shared_oracle, share_observations=True)
-        assert shared <= budget
     _report(2, "reconstruction spends exactly 19 / 71 / 2351 queries at N=6, 10, 50")
 
 

@@ -75,20 +75,8 @@ class TestObserve:
         data = json.loads(out.read_text())
         assert data["observations"] == plan_size(6) == 10
 
-    def test_share_observations_lowers_count(self, instance_file, capsys):
-        assert run_cli("observe", str(instance_file), "--share-observations") == 0
-        data = json.loads(capsys.readouterr().out)
-        assert data["observations"] < 19
-
     def test_missing_file_exits_one(self, tmp_path):
         assert run_cli("observe", str(tmp_path / "nope.txt")) == 1
-
-    def test_minimal_strategy_refuses_share_observations(self, instance_file, capsys):
-        argv = ("observe", str(instance_file), "--strategy", "minimal", "--share-observations")
-        assert run_cli(*argv) == 1
-        captured = capsys.readouterr()
-        assert "--share-observations" in captured.err and "--strategy reconstruct" in captured.err
-        assert "internal error" not in captured.err and captured.out == ""
 
 
 class TestSolve:

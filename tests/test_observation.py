@@ -270,16 +270,6 @@ class TestReconstruction:
             for j in range(6):
                 assert tilde.t[i][j] == direct.t[i][j]
 
-    @pytest.mark.parametrize("n", [6, 8, 10])
-    def test_memo_sharing_never_exceeds_budget(self, n):
-        inst = make_instance(n, seed=n)
-        oracle = ObservationOracle(inst)
-        tilde, spent = reconstruct_tilde(oracle, share_observations=True)
-        assert spent == oracle.query_count < observation_budget(n)
-        tol = 1e-6 * (n / 2) * inst.c_max
-        for pairing in enumerate_pairings(n):
-            assert abs(tilde.total(pairing) - total_compatibility(inst, pairing)) <= tol
-
     @staticmethod
     def assert_float_totals_preserved(n, seed):
         # the n-1 round-robin pairings hold every pair once, plus 20 random ones
@@ -322,13 +312,10 @@ def reference_queries(n):
 class TestBatchedReconstruction:
     # from n = 10 on, the n-rule slices end inside columns of [1,i,2,j] rules
     @pytest.mark.parametrize("n", [4, 6, 8, 10, 12, 14, 28])
-    @pytest.mark.parametrize("shared", [False, True])
-    def test_query_log_is_the_one_at_a_time_sequence(self, n, shared):
+    def test_query_log_is_the_one_at_a_time_sequence(self, n):
         oracle = RecordingOracle(make_instance(n, seed=n + 3))
-        _, spent = reconstruct_tilde(oracle, share_observations=shared)
+        _, spent = reconstruct_tilde(oracle)
         expected = reference_queries(n)
-        if shared:
-            expected = list(dict.fromkeys(expected))  # first occurrences, in order
         assert oracle.pairings == expected
         assert spent == len(expected)
 
@@ -346,12 +333,6 @@ class TestBatchedReconstruction:
         assert max(sizes) <= 2 * n
         assert sum(sizes) == spent == observation_budget(n)
 
-    @pytest.mark.parametrize("n,count", [(6, 12), (8, 29), (10, 54), (28, 639), (80, 5969)])
-    def test_shared_query_counts_pinned(self, n, count):
-        oracle = ObservationOracle(make_instance(n, seed=1))
-        _, spent = reconstruct_tilde(oracle, share_observations=True)
-        assert spent == oracle.query_count == count
-
     @pytest.mark.parametrize(
         "seed,digest",
         [
@@ -365,17 +346,6 @@ class TestBatchedReconstruction:
 
         tilde, _ = reconstruct_tilde(ObservationOracle(generate_instance(80, 0, 10000, seed)))
         assert hashlib.sha256(tilde.t.tobytes()).hexdigest() == digest
-
-    @pytest.mark.parametrize("exact", [False, True])
-    def test_shared_values_match_unshared(self, exact):
-        inst = make_integer_instance(12, seed=3) if exact else make_instance(12, seed=3)
-        plain, _ = reconstruct_tilde(ObservationOracle(inst))
-        shared, _ = reconstruct_tilde(ObservationOracle(inst), share_observations=True)
-        assert plain.t.dtype == shared.t.dtype
-        if exact:
-            assert np.array_equal(plain.t, shared.t)
-        else:
-            assert plain.t.tobytes() == shared.t.tobytes()
 
 
 class TestNumericLayer:

@@ -37,6 +37,13 @@ from conftest import (
 )
 
 
+def zeros_but_pair(value, i=1, j=3):
+    # a 4x4 zero matrix with `value` at (i, j) and (j, i), 0-based
+    c = np.zeros((4, 4))
+    c[i][j] = c[j][i] = value
+    return c
+
+
 def greedy_trap_matrix():
     # greedy from node 1 grabs {1,2}; the optimum is {1,3},{2,4}
     return matrix_from_pairs(4, {(1, 2): 10, (3, 4): 1, (1, 3): 9, (2, 4): 9, (1, 4): 0, (2, 3): 0})
@@ -533,6 +540,41 @@ class TestSolverInputErrors:
             solve_p2opt(matrix, Pairing([(1, 2), (3, 4)]), SolverConfig())
         with pytest.raises(ValidationError):
             solve_random(4, 0, matrix=matrix)
+
+    @pytest.mark.parametrize(
+        "matrix,message",
+        [
+            (zeros_but_pair(math.nan, 0, 1), r"c\[1\]\[2\]=nan is not finite"),
+            (zeros_but_pair(math.nan), r"c\[2\]\[4\]=nan is not finite"),
+            (zeros_but_pair(math.inf), r"c\[2\]\[4\]=inf is not finite"),
+            (zeros_but_pair(-math.inf), r"c\[2\]\[4\]=-inf is not finite"),
+            (np.array([[1.0, 2.0, 3.0, math.nan]] * 4, dtype=object), "c\\[1\\]\\[4\\]=nan"),
+            (np.full((4, 4), "1"), "numbers, got dtype <U1"),
+            (np.ones((4, 4), dtype=bool), "numbers, got dtype bool"),
+            (np.full((4, 4), "1", dtype=object), "numbers, got '1'"),
+            (np.full((4, 4), True, dtype=object), "numbers, got True"),
+            (np.zeros((4, 4), dtype=complex), "numbers, got dtype complex128"),
+        ],
+    )
+    def test_bad_entries_named(self, matrix, message):
+        for seed in range(4):
+            config = SolverConfig(seed=seed)
+            with pytest.raises(ValidationError, match=message):
+                solve_pnn(matrix, config)
+            with pytest.raises(ValidationError, match=message):
+                solve_p2opt(matrix, Pairing([(1, 2), (3, 4)]), config)
+            with pytest.raises(ValidationError, match=message):
+                solve_random(4, seed, matrix=matrix)
+
+    def test_nan_diagonal_admitted(self):
+        c = make_instance(8, seed=5).c.copy()
+        clean = c.copy()
+        np.fill_diagonal(c, math.nan)
+        config = SolverConfig(seed=2)
+        assert solve_pnn(c, config) == solve_pnn(clean, config)
+        start = solve_random(8, 2).pairing
+        assert solve_p2opt(c, start, config) == solve_p2opt(clean, start, config)
+        assert solve_random(8, 2, matrix=c) == solve_random(8, 2, matrix=clean)
 
     @pytest.mark.parametrize("start", [2.5, "3", [1], True])
     def test_non_integer_start_node_rejected(self, start):
