@@ -556,15 +556,19 @@ class TestSolverInputErrors:
             (np.zeros((4, 4), dtype=complex), "numbers, got dtype complex128"),
         ],
     )
-    def test_bad_entries_named(self, matrix, message):
+    @pytest.mark.parametrize(
+        "solve",
+        [
+            lambda matrix, seed: solve_pnn(matrix, SolverConfig(seed=seed)),
+            lambda matrix, seed: solve_p2opt(matrix, Pairing([(1, 2), (3, 4)]), SolverConfig(seed=seed)),
+            lambda matrix, seed: solve_random(4, seed, matrix=matrix),
+        ],
+        ids=["pnn", "p2opt", "random"],
+    )
+    def test_bad_entries_named(self, matrix, message, solve):
         for seed in range(4):
-            config = SolverConfig(seed=seed)
             with pytest.raises(ValidationError, match=message):
-                solve_pnn(matrix, config)
-            with pytest.raises(ValidationError, match=message):
-                solve_p2opt(matrix, Pairing([(1, 2), (3, 4)]), config)
-            with pytest.raises(ValidationError, match=message):
-                solve_random(4, seed, matrix=matrix)
+                solve(matrix, seed)
 
     def test_nan_diagonal_admitted(self):
         c = make_instance(8, seed=5).c.copy()
