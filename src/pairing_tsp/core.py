@@ -29,11 +29,12 @@ strings; `checked_bounds` for a pair of value bounds (finite, c_min <= c_max),
 exactly for ints and `Fraction`s and through `real` for the rest, and
 `float_bounds` for a pair read from a file or spec, as floats;
 `checked_matrix` for a matrix's shape (rectangular, square, an element count);
-`checked_entries` for a matrix a solver reads (numbers, finite off the
-diagonal); and `_check_symmetric_bounded` for the entries of an instance or
-shadow. `frozen_matrix` makes the one dtype choice at admission: an
-`Instance` or `TildeMatrix` keeps an object array and casts others to
-float64.
+`_check_numbers` for a matrix's dtype and entries (numbers, never bools,
+strings or complex); `checked_entries` for a matrix a solver reads (numbers,
+finite off the diagonal); and `_check_symmetric_bounded` for the entries of
+an instance or shadow. `frozen_matrix` admits the numbers and makes the one
+dtype choice at admission: an `Instance` or `TildeMatrix` keeps an object
+array and casts others to float64.
 """
 
 from __future__ import annotations
@@ -233,13 +234,11 @@ def integral(array, divisor: int = 1) -> tuple[np.ndarray, int]:
     return (floats if divisor == 1 else floats / divisor), 1
 
 
-def checked_entries(matrix) -> tuple[np.ndarray, int, np.ndarray]:
-    """`matrix`, its element count and its `integral` numerators, if it
-    passes `checked_matrix` and holds numbers that are finite off the
-    diagonal, else a ValidationError naming the first fault. Bools and
-    strings are not numbers, as a dtype or as an object array's entries.
-    The diagonal is never read, so any number is admitted there."""
-    matrix, n = checked_matrix(matrix)
+def _check_numbers(matrix: np.ndarray) -> None:
+    """A ValidationError unless `matrix` holds numbers: its dtype is an
+    integer, float or object one, and an object array's entries are real
+    numbers. Bools, strings and complex numbers are not, as a dtype or as
+    entries."""
     if matrix.dtype.kind not in "iufO":
         raise ValidationError(f"matrix entries must be numbers, got dtype {matrix.dtype}")
     # a FractionArray with its numerators kept holds only the Fractions
@@ -250,6 +249,15 @@ def checked_entries(matrix) -> tuple[np.ndarray, int, np.ndarray]:
         bad = [v for v in entries if isinstance(v, bool) or not isinstance(v, numbers.Real)]
         if bad:
             raise ValidationError(f"matrix entries must be numbers, got {bad[0]!r}")
+
+
+def checked_entries(matrix) -> tuple[np.ndarray, int, np.ndarray]:
+    """`matrix`, its element count and its `integral` numerators, if it
+    passes `checked_matrix` and `_check_numbers` and is finite off the
+    diagonal, else a ValidationError naming the first fault. The diagonal
+    is never read, so any number is admitted there."""
+    matrix, n = checked_matrix(matrix)
+    _check_numbers(matrix)
     numerators = integral(matrix)[0]
     if numerators.dtype != object and not np.isfinite(numerators).all():
         _check_finite(numerators, n)
@@ -385,9 +393,11 @@ def pairing_sum(matrix: np.ndarray, pairing: Pairing):
 
 
 def frozen_matrix(c, n: int) -> np.ndarray:
-    """A read-only copy of the (n, n) matrix `c`, so the caller's array stays
-    writable: object (exact) arrays keep their dtype, others become float64."""
+    """A read-only copy of the (n, n) matrix `c` of numbers (`_check_numbers`),
+    so the caller's array stays writable: object (exact) arrays keep their
+    dtype, others become float64."""
     c, _ = checked_matrix(c, n)
+    _check_numbers(c)
     c = c.copy() if c.dtype == object else c.astype(np.float64)
     c.setflags(write=False)
     return c

@@ -72,7 +72,10 @@ def pair_keys(rows, cols, n: int) -> np.ndarray:
         row, e = np.argwhere(~covered.reshape(q, n))[0]
         raise ValidationError(f"row {row} is not a pairing: element {e} is not paired exactly once")
     keys = lo * n + hi
-    keys.sort(axis=1)
+    # the library's rows arrive almost sorted (fixed pairs, then an ascending
+    # completion), and the stable sort takes such runs whole; a valid row's
+    # keys are distinct, so any sort gives the same result
+    keys.sort(axis=1, kind="stable")
     return keys
 
 

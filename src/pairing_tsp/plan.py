@@ -14,25 +14,29 @@ is owned by exactly one Y or Z observation, and a Y/Z row refers only to
 entries of lower levels, so given the u_l one bottom-up sweep resolves every
 entry. The completion of {2..l-2} minus a is a prefix of the even-start pairs
 (2,3), (4,5), ..., at most one bridging pair (a-1, a+1) and a suffix of the
-odd-start pairs, so a whole level costs a few array operations. The rows
-are index arrays, fixed pairs plus the reconstruction's completion, checked
-and ordered once by the oracle's `pair_keys`; the plan keeps only them.
+odd-start pairs (3,4), (5,6), ..., whose entries past (3,4) are u_l. Only
+the prefixes and bridges depend on lower levels, through each level's last
+Y and Z entries, so after a short recurrence over those the sweep resolves
+every level at once. The rows are index arrays, fixed pairs plus the
+reconstruction's completion, checked and ordered once by the oracle's
+`pair_keys`; the plan keeps only them.
 
 Recovery is linear in the observations and the u_l, and the T equations'
 coefficient matrix in the u_l is I + J (identity plus all-ones). Execution
-therefore sweeps once with u = 0 to get the T residuals r, solves
-u = -r + sum(r) / (m + 1) in closed form (m levels), and sweeps again with
-that u. Plan construction certifies, in integer arithmetic, that the
-coefficient matrix is exactly I + J, which is nonsingular (determinant m + 1)
-and makes the observation vectors full rank over the rationals.
+therefore takes the T residuals r at u = 0 in closed form (a level's then
+reads only its own Y_3, Z_4 and T observations and two base ones), solves
+u = -r + sum(r) / (m + 1) (m levels), and sweeps once with that u. Plan
+construction certifies, in integer arithmetic through the same sweep, that
+the coefficient matrix is exactly I + J, which is nonsingular (determinant
+m + 1) and makes the observation vectors full rank over the rationals.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
-from typing import Sequence
+from functools import cached_property, lru_cache
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -72,6 +76,62 @@ def _plan_rows(n: int) -> tuple[np.ndarray, np.ndarray]:
     return ends[:, 0::2], ends[:, 1::2]
 
 
+class _Gathers(NamedTuple):
+    """Data-independent index arrays of `_sweep` for one n, read-only.
+
+    Level k (l = 6 + 2k) has `width[k]` = 3 + 2k Y rows, for a = 2..l-2,
+    starting at observation `first[k]` = 3 + 5k + 2k^2, then as many Z rows
+    and one T row. The entry arrays run over every level's a in plan order.
+    """
+
+    first: np.ndarray  # per level: its first Y row
+    width: np.ndarray  # per level: its Y (and Z) row count
+    top: np.ndarray  # per level: where the suffix from index 1 sits in the suffix table
+    toeplitz: np.ndarray  # (m, m+1): row k lists odd-start entries k, k-1, ..., 0, then a zero
+    even: np.ndarray  # per entry: (a-2)//2, the even prefix a's completion takes
+    suffix: np.ndarray  # per entry: the odd-start suffix from (a-1)//2 in the suffix table
+    bridged: np.ndarray  # the entries with odd a, which take a bridge
+    bridge: np.ndarray  # per bridged entry: (a-3)//2, so that bridge j is t[2j+2, 2j+4]
+    tau: np.ndarray  # per entry: k + 1
+    y_rows: np.ndarray  # per entry: its Y observation
+    z_rows: np.ndarray  # per entry: its Z observation
+    y_cells: np.ndarray  # per entry: the flat index of t[a, l-1]; t[a, l] is the next
+
+
+@lru_cache(maxsize=8)
+def _gathers(n: int) -> _Gathers:
+    """`_Gathers` for n elements, built once per n and shared."""
+    m = len(range(6, n + 1, 2))
+    levels = np.arange(m)
+    width = 3 + 2 * levels
+    first = 3 + 5 * levels + 2 * levels**2
+    k = np.repeat(levels, width)
+    a = np.arange(len(k)) - np.repeat(np.cumsum(width) - width, width) + 2
+    # the suffix table is (m, m+1), row k from `toeplitz[k]`, then one zero
+    zero_slot = m * (m + 1)
+    i = (a - 1) // 2
+    bridged = np.flatnonzero(a % 2)
+    j = np.arange(m + 1)
+    y_rows = first[k] - 2 + a
+    gathers = _Gathers(
+        first=first,
+        width=width,
+        top=np.where(levels > 0, levels * (m + 2) - 1, zero_slot),
+        toeplitz=np.where(j <= levels[:, None], levels[:, None] - j, m + 1),
+        even=(a - 2) // 2,
+        suffix=np.where(i <= k, k * (m + 2) - i, zero_slot),
+        bridged=bridged,
+        bridge=(a[bridged] - 3) // 2,
+        tau=k + 1,
+        y_rows=y_rows,
+        z_rows=y_rows + width[k],
+        y_cells=a * (n + 1) + 5 + 2 * k,  # column l - 1 = 5 + 2k
+    )
+    for array in gathers:
+        array.setflags(write=False)
+    return gathers
+
+
 def _sweep(n: int, values: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Resolve every entry from the observations and given u_l, bottom up.
 
@@ -79,8 +139,21 @@ def _sweep(n: int, values: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.nd
     trailing axes are independent right-hand sides. Returns the 1-based upper
     triangle t[i, j] (i < j) and the residuals of the T equations, which
     vanish exactly when `u` is the true one.
+
+    Level l resolves t[a, l-1] = Y_a - rest(a) and t[a, l] = Z_a - rest(a)
+    for a = 2..l-2, where rest(a) is the completion's total plus tau, the u
+    of the levels above: the even-start prefix up to a, the odd-start suffix
+    after a, the bridge t[a-1, a+1] for odd a, and tau, added in that order.
+    The odd-start entries are t[3, 4] and the u, so every level's suffixes
+    come from one cumsum over a Toeplitz gather of them. The even prefix and
+    the bridges grow by each level's last Y and Z entries, a short recurrence
+    over the levels; after it, every entry resolves at once. The float
+    operations are those of resolving one level at a time, in the same
+    order, so the bits are too.
     """
+    g = _gathers(n)
     batch = values.shape[1:]
+    m = len(u)
     t = np.zeros((n + 1, n + 1) + batch, values.dtype)
     zero_row = np.zeros((1,) + batch, values.dtype)
     # tau[k] = sum of u_l over levels above the k-th; tau[0] serves the base
@@ -88,23 +161,47 @@ def _sweep(n: int, values: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.nd
     odd = np.arange(5, n, 2)
     t[odd, odd + 1] = u
     t[3, 4], t[2, 4], t[2, 3] = values[0] - tau[0], values[1] - tau[0], values[2] - tau[0]
-    residuals = np.zeros(u.shape, values.dtype)
-    pos = 3
-    for k, level in enumerate(range(6, n + 1, 2)):
-        a = np.arange(2, level - 1)
-        adjacent = t[a[:-1], a[:-1] + 1]  # t[s, s+1] for s = 2..level-3
-        even_prefix = np.concatenate([zero_row, np.cumsum(adjacent[0::2], axis=0)])
-        odd_suffix = np.concatenate([np.cumsum(adjacent[1::2][::-1], axis=0)[::-1], zero_row])
-        rest = even_prefix[(a - 2) // 2] + odd_suffix[(a - 1) // 2]
-        rest[1::2] += t[a[1::2] - 1, a[1::2] + 1]
-        rest += tau[k + 1]
-        width = len(a)
-        t[a, level - 1] = values[pos : pos + width] - rest
-        t[a, level] = values[pos + width : pos + 2 * width] - rest
-        pos += 2 * width
-        residuals[k] = t[3, level - 1] + t[4, level] + odd_suffix[1] + tau[k + 1] - values[pos]
-        pos += 1
+    odd_start = np.concatenate([t[3:4, 4], t[odd, odd + 1], zero_row])
+    suffixes = np.cumsum(odd_start[g.toeplitz], axis=1).reshape((m * (m + 1),) + batch)
+    suffixes = np.concatenate([suffixes, zero_row])
+    # even[j] sums the even-start entries t[s, s+1], s < 2j + 2, as a cumsum
+    # would; bridge[j] = t[2j+2, 2j+4]. Level k's last a = l-2 has an empty
+    # suffix and no bridge, and its Y and Z entries are the next terms.
+    even = np.zeros((m + 2,) + batch, values.dtype)
+    bridge = np.zeros((m + 1,) + batch, values.dtype)
+    even[1], bridge[0] = t[2, 3], t[2, 4]
+    last_y, last_z = values[g.first + g.width - 1], values[g.first + 2 * g.width - 1]
+    for k in range(m):
+        last = (even[k + 1] + zero_row[0]) + tau[k + 1]
+        even[k + 2] = even[k + 1] + (last_y[k] - last)
+        bridge[k + 1] = last_z[k] - last
+    rest = even[g.even] + suffixes[g.suffix]
+    rest[g.bridged] += bridge[g.bridge]
+    rest += tau[g.tau]
+    cells = t.reshape(((n + 1) ** 2,) + batch)
+    cells[g.y_cells] = values[g.y_rows] - rest
+    cells[g.y_cells + 1] = values[g.z_rows] - rest
+    t_rows = values[g.first + 2 * g.width]
+    residuals = t[3, 5:n:2] + t[4, 6 : n + 1 : 2] + suffixes[g.top] + tau[1:] - t_rows
     return t, residuals
+
+
+def _zero_u_residuals(n: int, values: np.ndarray) -> np.ndarray:
+    """The residuals of `_sweep(n, values, 0)`, bit for bit, without it.
+
+    With u = 0 the odd-start suffixes from index 1 and tau are sums of
+    zeros, so level l's residual reads only t[2,3] = v_2, t[2,4] = v_1 and
+    the level's own Y_3, Z_4 and T observations: rest(3) = ((0 + 0) + t[2,4])
+    + 0 and rest(4) = (t[2,3] + 0) + 0. The zero terms stay, in the sweep's
+    order, since x + 0.0 turns -0.0 into +0.0.
+    """
+    g = _gathers(n)
+    zero = np.zeros((1,) + values.shape[1:], values.dtype)
+    t23, t24 = values[2] - zero, values[1] - zero
+    rest3 = ((zero + zero) + t24) + zero
+    rest4 = (t23 + zero) + zero
+    y3, z4 = values[g.first + 1] - rest3, values[g.first + g.width + 2] - rest4
+    return (((y3 + z4) + zero) + zero) - values[g.first + 2 * g.width]
 
 
 def _recover_entries(n: int, values: Sequence) -> tuple[np.ndarray, int]:
@@ -113,15 +210,17 @@ def _recover_entries(n: int, values: Sequence) -> tuple[np.ndarray, int]:
     `values` is parallel to the rows of `_plan_rows(n)`, optionally with trailing
     axes of independent right-hand sides, and its dtype sets the arithmetic:
     float64 in floating point, object (ints or Fractions) exactly, on the
-    Python-int numerators of `integral`. Returns the 1-based upper triangle
-    of the shadow matrix as (numerators, denominator); the denominator is 1
-    for floats, and the caller divides only the entries it keeps.
+    Python-int numerators of `integral`. The T residuals at u = 0 come in
+    closed form, the level solve gives u, and one sweep with that u resolves
+    every entry. Returns the 1-based upper triangle of the shadow matrix as
+    (numerators, denominator); the denominator is 1 for floats, and the
+    caller divides only the entries it keeps.
     """
     values, scale = integral(values)
     if len(values) != plan_size(n):
         raise InternalError(f"plan for n={n} needs {plan_size(n)} observations, got {len(values)}")
     m = len(range(6, n + 1, 2))
-    _, r = _sweep(n, values, np.zeros((m,) + values.shape[1:], values.dtype))
+    r = _zero_u_residuals(n, values)
     # u = sum(r) / (m + 1) - r in units of 1/scale, as numerators over the
     # level solve's denominator; r * u_scale is exact, and r itself on floats
     mean, u_scale = integral(r.sum(axis=0), m + 1)

@@ -4,8 +4,8 @@ The reference helpers here deliberately do not reuse library code paths:
 enumeration matches the largest element first (the library matches the
 smallest), scoring is a nested loop, the rank check is a from-scratch
 Gaussian elimination over fractions, two-pair rewiring is the plain scalar
-rescan, and nearest-neighbor construction is the step loop with one
-draw per call. They exist so library results are checked against something
+rescan, nearest-neighbor construction is the step loop with one draw per
+call, and the minimal plan's recovery sweep resolves one level at a time. They exist so library results are checked against something
 that cannot share their bugs.
 """
 
@@ -69,6 +69,24 @@ def make_fraction_instance(n: int, seed: int, low: int = 0, high: int = 10000) -
         for j in range(i + 1, n):
             c[i][j] = c[j][i] = Fraction(rnd.randrange(low, high), rnd.randint(1, 9))
     return Instance(n=n, c=c, c_min=0, c_max=high)
+
+
+def _with_entry(fill, entry, dtype=None) -> np.ndarray:
+    """A 4x4 matrix of `fill` with `entry` at (2, 3) and (3, 2), 1-based."""
+    c = np.full((4, 4), fill, dtype=dtype)
+    c[1][2] = c[2][1] = entry
+    return c
+
+
+#: Matrices that are symmetric with a zero first row and column, bounded by
+#: [0, 1], but do not hold numbers, with the named error each must raise.
+NON_NUMBER_MATRICES = {
+    "bool": (_with_entry(False, True), "numbers, got dtype bool"),
+    "str": (_with_entry("0", "1"), "numbers, got dtype <U1"),
+    "complex": (_with_entry(0j, 1 + 0j), "numbers, got dtype complex128"),
+    "object-bool": (_with_entry(0, True, object), "numbers, got True"),
+    "object-str": (_with_entry(0, "1", object), "numbers, got '1'"),
+}
 
 
 def matrix_from_pairs(n: int, entries: dict[tuple[int, int], float]) -> np.ndarray:
@@ -206,6 +224,41 @@ def reference_pnn(matrix: np.ndarray, config) -> tuple:
 
     pairing = Pairing(pairs)
     return pairing, visits, pairing_sum(matrix, pairing)
+
+
+def reference_sweep(n: int, values: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The minimal plan's recovery sweep, one level at a time.
+
+    The loop `plan._sweep` replaces, kept as it was: same arguments, same
+    returns, and the float operations whose order `plan._sweep` keeps.
+    Returns the 1-based upper triangle t[i, j] (i < j) and the residuals of
+    the T equations.
+    """
+    batch = values.shape[1:]
+    t = np.zeros((n + 1, n + 1) + batch, values.dtype)
+    zero_row = np.zeros((1,) + batch, values.dtype)
+    # tau[k] = sum of u_l over levels above the k-th; tau[0] serves the base
+    tau = np.concatenate([np.cumsum(u[::-1], axis=0)[::-1], zero_row])
+    odd = np.arange(5, n, 2)
+    t[odd, odd + 1] = u
+    t[3, 4], t[2, 4], t[2, 3] = values[0] - tau[0], values[1] - tau[0], values[2] - tau[0]
+    residuals = np.zeros(u.shape, values.dtype)
+    pos = 3
+    for k, level in enumerate(range(6, n + 1, 2)):
+        a = np.arange(2, level - 1)
+        adjacent = t[a[:-1], a[:-1] + 1]  # t[s, s+1] for s = 2..level-3
+        even_prefix = np.concatenate([zero_row, np.cumsum(adjacent[0::2], axis=0)])
+        odd_suffix = np.concatenate([np.cumsum(adjacent[1::2][::-1], axis=0)[::-1], zero_row])
+        rest = even_prefix[(a - 2) // 2] + odd_suffix[(a - 1) // 2]
+        rest[1::2] += t[a[1::2] - 1, a[1::2] + 1]
+        rest += tau[k + 1]
+        width = len(a)
+        t[a, level - 1] = values[pos : pos + width] - rest
+        t[a, level] = values[pos + width : pos + 2 * width] - rest
+        pos += 2 * width
+        residuals[k] = t[3, level - 1] + t[4, level] + odd_suffix[1] + tau[k + 1] - values[pos]
+        pos += 1
+    return t, residuals
 
 
 def reference_rank(rows: list[list[int]]) -> int:

@@ -31,7 +31,13 @@ from pairing_tsp.core import (
 from pairing_tsp.bench import generate_instance
 from pairing_tsp.observation import exchange_rule_value
 
-from conftest import make_instance, matrix_from_pairs, reference_pairings, reference_score
+from conftest import (
+    NON_NUMBER_MATRICES,
+    make_instance,
+    matrix_from_pairs,
+    reference_pairings,
+    reference_score,
+)
 
 
 def test_double_factorial_values():
@@ -258,6 +264,13 @@ class TestInstance:
         assert inst.value(1, 2) == 7
         with pytest.raises(ValueError):
             inst.c[0][1] = 5
+
+    @pytest.mark.filterwarnings("error")  # a complex cast would warn and drop the imaginary part
+    @pytest.mark.parametrize("case", NON_NUMBER_MATRICES)
+    def test_non_number_entries_named(self, case):
+        matrix, message = NON_NUMBER_MATRICES[case]
+        with pytest.raises(ValidationError, match=message):
+            Instance(n=4, c=matrix, c_min=0, c_max=1)
 
     def test_diagonal_not_validated(self):
         for diagonal in (123456.0, float("nan")):

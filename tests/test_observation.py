@@ -32,6 +32,7 @@ from pairing_tsp.oracle import ObservationOracle
 from pairing_tsp.solvers import SolverConfig, solve_p2opt, solve_pnn, solve_random
 
 from conftest import (
+    NON_NUMBER_MATRICES,
     RecordingOracle,
     make_fraction_instance,
     make_instance,
@@ -209,6 +210,13 @@ class TestTildeMatrix:
     def test_ragged_matrix_named(self):
         with pytest.raises(ValidationError, match="matrix is not a rectangular array"):
             TildeMatrix(n=4, t=[[0, 1], [1, 0, 3]])
+
+    @pytest.mark.filterwarnings("error")  # a complex cast would warn and drop the imaginary part
+    @pytest.mark.parametrize("case", NON_NUMBER_MATRICES)
+    def test_non_number_entries_named(self, case):
+        matrix, message = NON_NUMBER_MATRICES[case]
+        with pytest.raises(ValidationError, match=message):
+            TildeMatrix(n=4, t=matrix)
 
     def test_free_entry_count(self):
         assert TildeMatrix(n=6, t=np.zeros((6, 6))).free_entry_count == 10

@@ -22,12 +22,20 @@ from pairing_tsp.oracle import ObservationOracle, pair_keys
 from pairing_tsp.plan import (
     PlanRankError,
     _recover_entries,
+    _sweep,
+    _zero_u_residuals,
     execute_plan,
     minimal_observation_plan,
     plan_size,
 )
 
-from conftest import RecordingOracle, make_instance, make_integer_instance, reference_rank
+from conftest import (
+    RecordingOracle,
+    make_instance,
+    make_integer_instance,
+    reference_rank,
+    reference_sweep,
+)
 
 
 def observation_rows(plan) -> list[list[int]]:
@@ -357,3 +365,96 @@ class TestStructuredPlan:
         assert rows.shape == cols.shape == (plan.size, 5)
         for q, pairing in enumerate(plan.pairings):
             assert list(zip(rows[q] + 1, cols[q] + 1)) == list(pairing.pairs)
+
+
+def sweep_inputs(n: int, kind: str, batch: tuple, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Observations and a u for `_sweep(n, ...)`.
+
+    "float" mixes -0.0, small integers (whose differences are often exact
+    zeros) and large reals, in both; "zeros" is -0.0 and some +0.0 alone,
+    where an added or dropped zero term flips a sign bit; "object" is
+    Python ints beyond 2**63, as exact recovery makes.
+    """
+    rng = np.random.default_rng(seed)
+    out = []
+    for shape in [(plan_size(n),) + batch, (len(range(6, n + 1, 2)),) + batch]:
+        if kind == "object":
+            big = [int(v) * 2**70 + 1 for v in rng.integers(-(2**40), 2**40, shape).flat]
+            out.append(np.array(big, object).reshape(shape))
+            continue
+        signed_zero = np.where(rng.random(shape) < (0.9 if kind == "zeros" else 0.5), -0.0, 0.0)
+        if kind == "zeros":
+            out.append(signed_zero)
+            continue
+        small, large = rng.integers(-2, 3, shape) * 1.0, rng.normal(0, 1e4, shape)
+        out.append(np.choose(rng.integers(0, 3, shape), [signed_zero, small, large]))
+    return tuple(out)
+
+
+def same_bits(got: np.ndarray, expected: np.ndarray) -> bool:
+    """Equal dtype, shape and bits; object entries equal and of one type."""
+    if got.dtype != expected.dtype or got.shape != expected.shape:
+        return False
+    if got.dtype == object:
+        pairs = zip(got.ravel().tolist(), expected.ravel().tolist())
+        return all(type(a) is type(b) and a == b for a, b in pairs)
+    return got.tobytes() == expected.tobytes()
+
+
+SWEEP_KINDS = [("float", ()), ("float", (3,)), ("zeros", ()), ("zeros", (3,)), ("object", ()), ("object", (3,))]
+
+
+class TestSweep:
+    """The sweep and the u = 0 residuals against the level-by-level loop,
+    byte for byte, for every n up to 120."""
+
+    @pytest.mark.parametrize("n", range(4, 121, 2))
+    def test_matches_level_by_level_sweep(self, n):
+        for kind, batch in SWEEP_KINDS:
+            values, u = sweep_inputs(n, kind, batch, seed=n)
+            t, residuals = _sweep(n, values, u)
+            expected_t, expected_residuals = reference_sweep(n, values, u)
+            assert same_bits(t, expected_t), (kind, batch)
+            assert same_bits(residuals, expected_residuals), (kind, batch)
+
+    @pytest.mark.parametrize("n", range(4, 121, 2))
+    def test_zero_u_residuals_closed_form(self, n):
+        for kind, batch in SWEEP_KINDS:
+            values, u = sweep_inputs(n, kind, batch, seed=n)
+            zero = np.zeros(u.shape, values.dtype)
+            assert same_bits(_zero_u_residuals(n, values), reference_sweep(n, values, zero)[1]), (kind, batch)
+
+    @pytest.mark.parametrize("n", [12, 40, 120])
+    def test_signed_zeros_keep_their_bits(self, n):
+        # -0.0 observations, and u = +0.0 below -0.0 u: the sweep's first
+        # even prefix and its last-entry recurrence both meet -0.0 + -0.0
+        values = np.full(plan_size(n), -0.0)
+        u = np.full(len(range(6, n + 1, 2)), -0.0)
+        u[0] = 0.0
+        for got, expected in zip(_sweep(n, values, u), reference_sweep(n, values, u)):
+            assert same_bits(got, expected)
+
+    @pytest.mark.parametrize("n", [4, 6, 12, 40])
+    def test_t_coefficients_sweep_matches(self, n):
+        m = len(range(6, n + 1, 2))
+        values, u = np.zeros((plan_size(n), m), dtype=np.int64), np.eye(m, dtype=np.int64)
+        for got, expected in zip(_sweep(n, values, u), reference_sweep(n, values, u)):
+            assert same_bits(got, expected)
+
+    def test_build_and_execute_sweep_once_each(self, monkeypatch):
+        # the build certifies I + J through the sweep; execution recovers
+        # the shadow with one sweep, its u = 0 residuals in closed form
+        import pairing_tsp.plan as plan_mod
+
+        calls = []
+
+        def counted(n, values, u):
+            calls.append(values.dtype)
+            return _sweep(n, values, u)
+
+        monkeypatch.setattr(plan_mod, "_sweep", counted)
+        plan = minimal_observation_plan(28)
+        assert calls == [np.int64]
+        calls.clear()
+        execute_plan(ObservationOracle(make_instance(28, seed=3)), plan)
+        assert calls == [np.float64]
