@@ -23,13 +23,10 @@ from .oracle import ObservationOracle
 from .observation import (
     TildeMatrix,
     anchor_pairing,
-    canonical_completion,
     definitional_tilde,
     exchange_rule_value,
-    measure_exchange_rule,
     observation_budget,
     reconstruct_tilde,
-    rule_pairings,
 )
 from .plan import (
     ObservationPlan,

@@ -356,15 +356,6 @@ class Pairing:
         return "{" + ", ".join(f"{{{i},{j}}}" for i, j in self.pairs) + "}"
 
 
-def pairings_from_canonical(first: np.ndarray, second: np.ndarray) -> tuple[Pairing, ...]:
-    """Trusted pairings of canonical 0-based (Q, N/2) (first, second) arrays,
-    as `np.divmod` decodes the oracle's `pair_keys`."""
-    return tuple(
-        Pairing._from_canonical(tuple(zip(a, b)))
-        for a, b in zip((first + 1).tolist(), (second + 1).tolist())
-    )
-
-
 def row_totals(entries: np.ndarray) -> np.ndarray:
     """Each row's sum of a (Q, M) array, added left to right; every pairing
     total goes through here, so it does not depend on the path.

@@ -11,17 +11,17 @@ rewiring {i,j},{k,l} into {i,k},{j,l}; two queries realize one rule. The
 reconstruction below measures the rules [1,j,3,2] (row offsets along element
 2), the rules [1,i,2,j] (column offsets), and one direct anchor observation,
 then solves for the single remaining unknown. Observation cost is exactly
-2(N-3) + (N-2)(N-3) + 1 queries, `observation_budget(N)`;
-`measure_exchange_rule` always spends two.
+2(N-3) + (N-2)(N-3) + 1 queries, `observation_budget(N)`.
 
 The reconstruction builds one table of every rule it measures, in query
 order: the [1,j,3,2] rules for j = 4..N, then the [1,i,2,j] rules column by
-column (3 <= i < j). It turns the table into index arrays, never `Pairing`
-objects, and submits it through `ObservationOracle.observe_batch` in slices
-of N rules, then observes the anchor. Each rule contributes its `after` and
-then its `before` pairing, so the oracle sees exactly the order in which
-`measure_exchange_rule` would submit them one at a time, and a slice never
-holds more than 2N pairings of N/2 pairs.
+column (3 <= i < j). Each rule is realized by its `after` pairing
+{i,k},{j,l} and then its `before` pairing {i,j},{k,l}, both completed by the
+ascending pairing of the other elements. `_rows` turns the table into index
+arrays, never `Pairing` objects, and the reconstruction submits them through
+`ObservationOracle.observe_batch` in slices of N rules, then observes the
+anchor, so a slice never holds more than 2N pairings of N/2 pairs. The
+minimal plan builds its rows through `_rows` too.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from .core import (
     _checked,
     _check_symmetric_bounded,
     checked_count,
+    checked_entries,
     frozen_matrix,
     integer,
     integral,
@@ -46,57 +47,18 @@ from .core import (
 from .oracle import ObservationOracle
 
 
-def _rule_indices(n: int, *indices) -> tuple[int, int, int, int]:
-    """The rule's four 1-based indices as ints, if each is an `integer`,
-    they are distinct and all lie in 1..n, else a ValidationError."""
-    indices = tuple(_checked("rule index", "an integer", integer, e) for e in indices)
+def exchange_rule_value(i: int, j: int, k: int, l: int, matrix: np.ndarray):
+    """(m[i][k] + m[j][l]) - (m[i][j] + m[k][l]) on a symmetric matrix, 1-based.
+    The indices must be four distinct `integer`s in 1..n, else a ValidationError."""
+    indices = tuple(_checked("rule index", "an integer", integer, e) for e in (i, j, k, l))
     if len(set(indices)) != 4:
         raise ValidationError(f"exchange rule needs four distinct indices, got {indices}")
     for e in indices:
-        if not 1 <= e <= n:
-            raise ValidationError(f"index {e} is outside 1..{n}")
-    return indices
-
-
-def exchange_rule_value(i: int, j: int, k: int, l: int, matrix: np.ndarray):
-    """(m[i][k] + m[j][l]) - (m[i][j] + m[k][l]) on a symmetric matrix, 1-based."""
-    i, j, k, l = _rule_indices(matrix.shape[0], i, j, k, l)
+        if not 1 <= e <= matrix.shape[0]:
+            raise ValidationError(f"index {e} is outside 1..{matrix.shape[0]}")
+    i, j, k, l = indices
     m = matrix
     return (m[i - 1][k - 1] + m[j - 1][l - 1]) - (m[i - 1][j - 1] + m[k - 1][l - 1])
-
-
-def canonical_completion(n: int, used: frozenset[int] | set[int]) -> list[tuple[int, int]]:
-    """Pair the elements of 1..n outside `used` in ascending adjacent order."""
-    rest = sorted(set(range(1, n + 1)) - set(used))
-    if len(rest) % 2 != 0:
-        raise ValidationError("completion needs an even number of leftover elements")
-    return [(rest[k], rest[k + 1]) for k in range(0, len(rest), 2)]
-
-
-def rule_pairings(n: int, i: int, j: int, k: int, l: int) -> tuple[Pairing, Pairing]:
-    """The two pairings whose observation difference equals rule [i,j,k,l].
-
-    Both share the canonical completion of the remaining elements, so the
-    difference cancels everything except the rewired pairs.
-    """
-    n = checked_count(n)
-    i, j, k, l = _rule_indices(n, i, j, k, l)
-    completion = canonical_completion(n, (i, j, k, l))
-
-    def assemble(a: int, b: int, c: int, d: int) -> Pairing:
-        pairs = [(a, b) if a < b else (b, a), (c, d) if c < d else (d, c)]
-        pairs.extend(completion)
-        pairs.sort()
-        return Pairing._from_canonical(tuple(pairs))
-
-    return assemble(i, j, k, l), assemble(i, k, j, l)
-
-
-def measure_exchange_rule(oracle: ObservationOracle, i: int, j: int, k: int, l: int):
-    """Realize rule [i,j,k,l] as the difference of two oracle queries, the
-    `after` pairing first."""
-    before, after = rule_pairings(oracle.n, i, j, k, l)
-    return oracle.observe(after) - oracle.observe(before)
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -173,9 +135,12 @@ def definitional_tilde(matrix: np.ndarray) -> TildeMatrix:
 
     Entry (i, j) with i, j >= 2 is
         C[i][j] - C[1][i] - C[1][j] + (2 / (N-2)) * sum_k C[1][k];
-    row and column 1 are zero. Exact inputs produce exact fractions.
+    row and column 1 are zero. Exact inputs produce exact fractions. The
+    matrix is admitted as the solvers admit theirs (`checked_entries`) and
+    must be symmetric, since only its upper triangle is read.
     """
-    n = matrix.shape[0]
+    matrix, n, _ = checked_entries(matrix)
+    _check_symmetric_bounded(matrix, n, -np.inf, np.inf)
     row1 = matrix[0]
     # the correction as a numerator over its denominator, so that an integer
     # matrix gives integer numerators; on floats the scale is 1
@@ -199,7 +164,8 @@ def observation_budget(n: int) -> int:
 
 def _completion(n: int, fixed: np.ndarray) -> np.ndarray:
     """(R, n - F): per row, the elements of 0..n-1 outside the row's F distinct
-    `fixed` ones, ascending, so consecutive pairs are `canonical_completion`.
+    `fixed` ones, ascending, so consecutive entries pair them in ascending
+    adjacent order.
     One (R, n) mask clears each row's fixed elements; compressing 0..n-1
     through it keeps the rest in order."""
     free = np.ones((len(fixed), n), dtype=bool)
@@ -220,21 +186,28 @@ def _rule_table(n: int) -> np.ndarray:
     )
 
 
-def _rule_rows(n: int, rules: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Index arrays of the pairings realizing each rule in a (Q, 4) array.
+#: The columns of a rule [i,j,k,l] that give, in `_rows` layout, the ends of
+#: its `after` pairing {i,k},{j,l} and then those of its `before` {i,j},{k,l}.
+_AFTER_BEFORE = np.array([[0, 2, 1, 3], [0, 1, 2, 3]])
 
-    Rows 2q and 2q+1 are rule q's `after` and `before` pairings, the order
-    `measure_exchange_rule` observes them in, as 0-based (2Q, N/2) arrays
-    for `ObservationOracle.observe_batch`; both share the rule's completion.
+
+def _rows(n: int, fixed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index arrays of pairings made of fixed pairs plus a shared completion.
+
+    `fixed` is an (R, V, 2F) array of 0-based ends: variant v of row r pairs
+    `fixed[r, v, 2f]` with `fixed[r, v, 2f + 1]`, and the V variants of a
+    row fix the same elements, so they share one `_completion` of the rest.
+    Returns 0-based (R*V, N/2) rows and cols for
+    `ObservationOracle.observe_batch`, row r's variants at r*V .. r*V + V-1;
+    each row holds its fixed pairs first, then the completion's.
     """
-    i, j, k, l = (rules - 1).T[:, :, None]
-    rest = _completion(n, rules - 1)
-    rows = np.empty((len(rules), 2, n // 2), dtype=np.intp)
+    count, variants, width = fixed.shape
+    pairs = width // 2
+    rest = _completion(n, fixed[:, 0])
+    rows = np.empty((count, variants, n // 2), dtype=np.intp)
     cols = np.empty_like(rows)
-    rows[:, :, 0], cols[:, :, 1] = i, l
-    rows[:, 0, 1], cols[:, 0, 0] = j[:, 0], k[:, 0]  # after: {i,k},{j,l}
-    rows[:, 1, 1], cols[:, 1, 0] = k[:, 0], j[:, 0]  # before: {i,j},{k,l}
-    rows[:, :, 2:], cols[:, :, 2:] = rest[:, None, 0::2], rest[:, None, 1::2]
+    rows[:, :, :pairs], cols[:, :, :pairs] = fixed[:, :, 0::2], fixed[:, :, 1::2]
+    rows[:, :, pairs:], cols[:, :, pairs:] = rest[:, None, 0::2], rest[:, None, 1::2]
     return rows.reshape(-1, n // 2), cols.reshape(-1, n // 2)
 
 
@@ -258,8 +231,8 @@ def reconstruct_tilde(oracle: ObservationOracle) -> tuple[TildeMatrix, int]:
     rules = _rule_table(n)
     values = np.concatenate(
         [
-            oracle.observe_batch(*_rule_rows(n, rules[start : start + n]))
-            for start in range(0, len(rules), n)
+            oracle.observe_batch(*_rows(n, rules[s : s + n, _AFTER_BEFORE] - 1))
+            for s in range(0, len(rules), n)
         ]
     )
     anchor_rows, anchor_cols = anchor_pairing(n)._index_arrays

@@ -17,9 +17,11 @@ entry. The completion of {2..l-2} minus a is a prefix of the even-start pairs
 odd-start pairs (3,4), (5,6), ..., whose entries past (3,4) are u_l. Only
 the prefixes and bridges depend on lower levels, through each level's last
 Y and Z entries, so after a short recurrence over those the sweep resolves
-every level at once. The rows are index arrays, fixed pairs plus the
-reconstruction's completion, checked and ordered once by the oracle's
-`pair_keys`; the plan keeps only them.
+every level at once. Y_a and Z_a are the `before` and `after` pairings of
+exchange rule [1, l, l-1, a]. Every row is built as index arrays by
+`observation._rows`, the reconstruction's own builder: fixed pairs plus the
+ascending completion, checked and ordered once by the oracle's `pair_keys`;
+the plan keeps only them.
 
 Recovery is linear in the observations and the u_l, and the T equations'
 coefficient matrix in the u_l is I + J (identity plus all-ones). Execution
@@ -46,11 +48,10 @@ from .core import (
     ValidationError,
     checked_count,
     integral,
-    pairings_from_canonical,
     quotients,
 )
 from .oracle import ObservationOracle, pair_keys
-from .observation import TildeMatrix, _completion, _free_entries, _mirrored
+from .observation import TildeMatrix, _free_entries, _mirrored, _rows
 
 
 class PlanRankError(InternalError):
@@ -63,17 +64,18 @@ def plan_size(n: int) -> int:
 
 
 def _plan_rows(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """0-based (rows, cols) of every planned pairing, in order: per block,
-    fixed pairs (entries 2k, 2k+1 of a row) and then the completion."""
-    blocks = [np.array([[0, 1]]), np.array([[0, 2, 1, 3], [0, 3, 1, 2]])]
+    """0-based (rows, cols) of every planned pairing, in order, from `_rows`.
+    A level's Y_a and Z_a share a completion, so they are built as two
+    variants of one row per a, then reordered to every Y, then every Z."""
+    parts = [_rows(n, np.array([[[0, 1]]])), _rows(n, np.array([[[0, 2, 1, 3], [0, 3, 1, 2]]]))]
     for top in range(5, n, 2):  # level l = top + 1
-        yz = np.zeros((2, top - 2, 4), dtype=np.intp)
-        yz[:, :, 2] = np.arange(1, top - 1)
-        yz[0, :, 1] = yz[1, :, 3] = top  # Y_a = {1,l}, {a,l-1}
-        yz[0, :, 3] = yz[1, :, 1] = top - 1  # Z_a = {1,l-1}, {a,l}
-        blocks += [yz.reshape(-1, 4), np.array([[0, 1, 2, top - 1, 3, top]])]  # and T
-    ends = np.concatenate([np.concatenate([f, _completion(n, f)], axis=1) for f in blocks])
-    return ends[:, 0::2], ends[:, 1::2]
+        yz = np.empty((top - 2, 2, 4), dtype=np.intp)
+        yz[:, :, 0], yz[:, :, 2] = 0, np.arange(1, top - 1)[:, None]
+        yz[:, 0, 1] = yz[:, 1, 3] = top  # Y_a = {1,l}, {a,l-1}
+        yz[:, 0, 3] = yz[:, 1, 1] = top - 1  # Z_a = {1,l-1}, {a,l}
+        yz_rows = (np.concatenate([e[0::2], e[1::2]]) for e in _rows(n, yz))
+        parts += [tuple(yz_rows), _rows(n, np.array([[[0, 1, 2, top - 1, 3, top]]]))]  # and T
+    return tuple(np.concatenate(ends) for ends in zip(*parts))
 
 
 class _Gathers(NamedTuple):
@@ -259,7 +261,9 @@ class ObservationPlan:
 
     @cached_property
     def pairings(self) -> tuple[Pairing, ...]:
-        return pairings_from_canonical(*self._index_arrays)
+        first, second = (ends + 1 for ends in self._index_arrays)
+        pairs = zip(first.tolist(), second.tolist())
+        return tuple(Pairing._from_canonical(tuple(zip(a, b))) for a, b in pairs)
 
     @cached_property
     def derivations(self) -> dict[str, tuple[tuple[Fraction, int], ...]]:

@@ -20,7 +20,14 @@ from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
-from .core import InternalError, Pairing, ValidationError, checked_count, checked_matrix
+from .core import (
+    InternalError,
+    Pairing,
+    ValidationError,
+    checked_count,
+    checked_entries,
+    checked_matrix,
+)
 
 
 class GraphNode(NamedTuple):
@@ -107,9 +114,10 @@ class PairingTspGraph:
 
 
 def build_graph(matrix: np.ndarray, n: int) -> PairingTspGraph:
-    """Assemble the layered graph over a symmetric value matrix."""
+    """Assemble the layered graph over a symmetric n x n value matrix,
+    admitted as the solvers admit theirs (`checked_entries`)."""
     matrix, n = checked_matrix(matrix, checked_count(n))
-    return PairingTspGraph(n=n, c=matrix)
+    return PairingTspGraph(n=n, c=checked_entries(matrix)[0])
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,10 @@ enumeration matches the largest element first (the library matches the
 smallest), scoring is a nested loop, the rank check is a from-scratch
 Gaussian elimination over fractions, two-pair rewiring is the plain scalar
 rescan, nearest-neighbor construction is the step loop with one draw per
-call, and the minimal plan's recovery sweep resolves one level at a time. They exist so library results are checked against something
-that cannot share their bugs.
+call, the minimal plan's recovery sweep resolves one level at a time, and an
+exchange rule's two pairings are assembled pair by pair from sets. They
+exist so library results are checked against something that cannot share
+their bugs.
 """
 
 from __future__ import annotations
@@ -95,6 +97,20 @@ def matrix_from_pairs(n: int, entries: dict[tuple[int, int], float]) -> np.ndarr
         c[i - 1][j - 1] = value
         c[j - 1][i - 1] = value
     return c
+
+
+def reference_completion(n: int, used) -> list[tuple[int, int]]:
+    """The elements of 1..n outside `used`, paired in ascending adjacent order."""
+    rest = sorted(set(range(1, n + 1)) - set(used))
+    return [(rest[k], rest[k + 1]) for k in range(0, len(rest), 2)]
+
+
+def reference_rule_pairings(n: int, i: int, j: int, k: int, l: int) -> tuple[Pairing, Pairing]:
+    """The `before` pairing {i,j},{k,l} and the `after` pairing {i,k},{j,l}
+    of exchange rule [i,j,k,l] (1-based ints), both completed by
+    `reference_completion` of the other elements."""
+    completion = reference_completion(n, {i, j, k, l})
+    return Pairing([(i, j), (k, l)] + completion), Pairing([(i, k), (j, l)] + completion)
 
 
 def reference_pairings(n: int) -> list[frozenset[frozenset[int]]]:

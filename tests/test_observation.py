@@ -18,14 +18,12 @@ from pairing_tsp.core import (
 from pairing_tsp.observation import (
     TildeMatrix,
     _completion,
+    _rows,
     anchor_pairing,
-    canonical_completion,
     definitional_tilde,
     exchange_rule_value,
-    measure_exchange_rule,
     observation_budget,
     reconstruct_tilde,
-    rule_pairings,
 )
 from pairing_tsp.oracle import ObservationOracle
 
@@ -38,7 +36,9 @@ from conftest import (
     make_instance,
     make_integer_instance,
     matrix_from_pairs,
+    reference_completion,
     reference_p2opt,
+    reference_rule_pairings,
 )
 from test_plan import round_robin_pairings
 
@@ -94,11 +94,19 @@ class TestExchangeRuleValue:
             )
 
 
+def observe_rules(oracle, rules) -> np.ndarray:
+    """Rule values as the reconstruction measures them: one batch of `_rows`
+    holding each rule's `after` and then its `before` pairing."""
+    ends = (np.array(rules) - 1)[:, [[0, 2, 1, 3], [0, 1, 2, 3]]]
+    values = oracle.observe_batch(*_rows(oracle.n, ends))
+    return values[0::2] - values[1::2]
+
+
 class TestMeasureExchangeRule:
     def test_paired_observations_at_n8(self):
         inst = make_instance(8, seed=2)
         oracle = RecordingOracle(inst)
-        value = measure_exchange_rule(oracle, 1, 2, 3, 4)
+        (value,) = observe_rules(oracle, [(1, 2, 3, 4)])
         assert oracle.query_count == 2
         (p1, v1), (p2, v2) = oracle.queries
         # completion {5..8} in ascending adjacent order on both sides
@@ -112,46 +120,40 @@ class TestMeasureExchangeRule:
         from pairing_tsp.core import Instance
 
         oracle = ObservationOracle(Instance(n=6, c=c, c_min=5, c_max=5))
-        assert measure_exchange_rule(oracle, 2, 5, 3, 6) == 0.0
+        assert observe_rules(oracle, [(2, 5, 3, 6)]).tolist() == [0.0]
 
     def test_twenty_random_rules_match_hidden_matrix(self):
         inst = make_instance(6, seed=31)
-        oracle = ObservationOracle(inst)
+        oracle = RecordingOracle(inst)
         rng = np.random.default_rng(9)
-        for _ in range(20):
-            i, j, k, l = (int(v) + 1 for v in rng.choice(6, size=4, replace=False))
-            got = measure_exchange_rule(oracle, i, j, k, l)
-            assert got == pytest.approx(exchange_rule_value(i, j, k, l, inst.c))
-
-    @pytest.mark.parametrize("index", [True, 1.0])
-    def test_rule_pairings_reject_non_integer_index(self, index):
-        with pytest.raises(ValidationError, match="rule index must be an integer"):
-            rule_pairings(8, index, 2, 3, 4)
-
-    @pytest.mark.parametrize("n", [8.0, "8"])
-    def test_rule_pairings_reject_non_integer_count(self, n):
-        with pytest.raises(ValidationError, match="element count must be"):
-            rule_pairings(n, 1, 2, 3, 4)
-
-    def test_rule_pairings_hold_python_ints(self):
-        before, after = rule_pairings(8, np.int64(1), 2, np.int32(3), 4)
-        assert before == Pairing([(1, 2), (3, 4), (5, 6), (7, 8)])
-        assert {type(e) for p in (before, after) for pair in p.pairs for e in pair} == {int}
+        rules = [[int(v) + 1 for v in rng.choice(6, size=4, replace=False)] for _ in range(20)]
+        got = observe_rules(oracle, rules)
+        for rule, value in zip(rules, got):
+            assert value == pytest.approx(exchange_rule_value(*rule, inst.c))
+        expected = [p for rule in rules for p in reversed(reference_rule_pairings(6, *rule))]
+        assert oracle.pairings == expected
 
     def test_rule_pairings_share_completion(self):
-        before, after = rule_pairings(10, 1, 5, 2, 8)
-        rest_before = {p for p in before.pairs if not {1, 5, 2, 8} & set(p)}
-        rest_after = {p for p in after.pairs if not {1, 5, 2, 8} & set(p)}
-        assert rest_before == rest_after == {(3, 4), (6, 7), (9, 10)}
+        # rule [1,5,2,8]: after {1,2},{5,8}, before {1,5},{2,8}
+        rows, cols = _rows(10, np.array([[[0, 1, 4, 7], [0, 4, 1, 7]]]))
+        assert rows.shape == cols.shape == (2, 5)
+        after, before = (set(zip((r + 1).tolist(), (c + 1).tolist())) for r, c in zip(rows, cols))
+        assert after - {(1, 2), (5, 8)} == before - {(1, 5), (2, 8)} == {(3, 4), (6, 7), (9, 10)}
 
 
 def test_canonical_completion_orders_ascending():
-    assert canonical_completion(10, {1, 4, 2, 7}) == [(3, 5), (6, 8), (9, 10)]
+    assert reference_completion(10, {1, 4, 2, 7}) == [(3, 5), (6, 8), (9, 10)]
+
+
+def test_reference_rule_pairings_pinned():
+    before, after = reference_rule_pairings(8, 1, 2, 3, 4)
+    assert before.pairs == ((1, 2), (3, 4), (5, 6), (7, 8))
+    assert after.pairs == ((1, 3), (2, 4), (5, 6), (7, 8))
 
 
 def test_array_completion_matches_canonical_completion():
     # the plan and the reconstruction both pair consecutive entries of
-    # _completion; it must give canonical_completion on any fixed set
+    # _completion; it must give the reference completion on any fixed set
     rng = np.random.default_rng(7)
     for n in (4, 6, 10, 28, 80):
         for width in range(0, min(n, 9), 2):
@@ -161,7 +163,7 @@ def test_array_completion_matches_canonical_completion():
             assert rest.shape == (20, n - width)
             for used, row in zip(fixed, rest):
                 pairs = list(zip((row[0::2] + 1).tolist(), (row[1::2] + 1).tolist()))
-                assert pairs == canonical_completion(n, set((used + 1).tolist()))
+                assert pairs == reference_completion(n, set((used + 1).tolist()))
 
 
 @pytest.mark.parametrize("width", range(1, 9))
@@ -174,7 +176,26 @@ def test_mask_completion_matches_canonical_completion_any_width(width):
         assert rest.shape == (5, n - width)
         for used, row in zip(fixed, rest):
             pairs = list(zip((row[0::2] + 1).tolist(), (row[1::2] + 1).tolist()))
-            assert pairs == canonical_completion(n, set((used + 1).tolist()))
+            assert pairs == reference_completion(n, set((used + 1).tolist()))
+
+
+@pytest.mark.parametrize("pairs", [1, 2, 3])
+def test_rows_are_fixed_pairs_plus_reference_completion(pairs):
+    # every variant of a row pairs its own shuffle of the row's elements
+    rng = np.random.default_rng(pairs)
+    for n in range(2 * pairs + 2, 41, 2):
+        used = np.array([rng.choice(n, 2 * pairs, replace=False) for _ in range(4)])
+        fixed = np.array([[rng.permutation(row) for _ in range(3)] for row in used])
+        rows, cols = _rows(n, fixed)
+        got = [Pairing(zip((r + 1).tolist(), (c + 1).tolist())) for r, c in zip(rows, cols)]
+        expected = []
+        for row in fixed + 1:
+            rest = reference_completion(n, set(row[0].tolist()))
+            for v in row:
+                expected.append(Pairing(list(zip(v[0::2].tolist(), v[1::2].tolist())) + rest))
+        assert got == expected
+        assert (rows[:, :pairs] == fixed[:, :, 0::2].reshape(-1, pairs)).all()
+        assert (cols[:, :pairs] == fixed[:, :, 1::2].reshape(-1, pairs)).all()
 
 
 class TestTildeMatrix:
@@ -312,9 +333,9 @@ def reference_queries(n):
     rules += [(1, i, 2, j) for j in range(4, n + 1) for i in range(3, j)]
     out = []
     for rule in rules:
-        before, after = rule_pairings(n, *rule)
+        before, after = reference_rule_pairings(n, *rule)
         out += [after, before]
-    return out + [anchor_pairing(n)]
+    return out + [Pairing((k, k + 1) for k in range(1, n, 2))]
 
 
 class TestBatchedReconstruction:
@@ -385,6 +406,45 @@ class TestNumericLayer:
 
         tilde = definitional_tilde(generate_instance(80, 0, 10000, seed).c)
         assert hashlib.sha256(tilde.t.tobytes()).hexdigest() == digest
+
+
+def nan_at_23() -> np.ndarray:
+    c = np.zeros((4, 4))
+    c[1][2] = c[2][1] = np.nan
+    return c
+
+
+class TestDefinitionalAdmission:
+    """`definitional_tilde` admits its matrix through `checked_entries`, as
+    the solvers do, and refuses an asymmetric one, whose lower triangle it
+    would never read."""
+
+    @pytest.mark.filterwarnings("error")  # a complex cast would warn and drop the imaginary part
+    @pytest.mark.parametrize("case", NON_NUMBER_MATRICES)
+    def test_non_number_entries_named(self, case):
+        matrix, message = NON_NUMBER_MATRICES[case]
+        with pytest.raises(ValidationError, match=message):
+            definitional_tilde(matrix)
+
+    @pytest.mark.parametrize(
+        "matrix,message",
+        [
+            (np.zeros((5, 5)), "element count must be even"),
+            ([[0, 1], [1, 0, 3]], "matrix is not a rectangular array"),
+            (nan_at_23(), r"c\[2\]\[3\]=nan is not finite"),
+        ],
+        ids=["odd", "ragged", "nan"],
+    )
+    def test_malformed_matrix_named(self, matrix, message):
+        with pytest.raises(ValidationError, match=message):
+            definitional_tilde(matrix)
+
+    @pytest.mark.parametrize("dtype", [np.float64, object])
+    def test_asymmetric_matrix_named(self, dtype):
+        c = np.zeros((4, 4), dtype=dtype)
+        c[1][2], c[2][1] = 5, -5
+        with pytest.raises(ValidationError, match=r"not symmetric at c\[2\]\[3\]"):
+            definitional_tilde(c)
 
 
 def exact_shadows(inst) -> dict:

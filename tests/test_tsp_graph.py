@@ -11,7 +11,17 @@ from pairing_tsp.tsp_graph import (
     validate_tour,
 )
 
-from conftest import make_instance
+from conftest import NON_NUMBER_MATRICES, make_instance
+
+
+def _nan_at_23() -> np.ndarray:
+    c = np.zeros((4, 4))
+    c[1][2] = c[2][1] = np.nan
+    return c
+
+
+#: Matrices `build_graph` must refuse, with the named error each raises.
+BAD_ENTRIES = {**NON_NUMBER_MATRICES, "nan": (_nan_at_23(), r"c\[2\]\[3\]=nan is not finite")}
 
 
 def enumerate_valid_tours(graph):
@@ -77,6 +87,13 @@ class TestGraphShape:
     def test_ragged_matrix_named(self):
         with pytest.raises(ValidationError, match="matrix is not a rectangular array"):
             build_graph([[0, 1], [1, 0, 3]], 4)
+
+    @pytest.mark.filterwarnings("error")  # a complex cast would warn and drop the imaginary part
+    @pytest.mark.parametrize("case", BAD_ENTRIES)
+    def test_bad_entries_named(self, case):
+        matrix, message = BAD_ENTRIES[case]
+        with pytest.raises(ValidationError, match=message):
+            build_graph(matrix, 4)
 
 
 class TestValidateTour:
