@@ -160,7 +160,10 @@ def solve_pnn(matrix: np.ndarray, config: SolverConfig) -> SolveResult:
     The layer-two and layer-three draws come from the same seeded generator
     as the tie-breaks, so a seed pins down the full trajectory; they are
     drawn in blocks (`_BlockDraws`), which gives the values and stream of
-    one `rng.integers` call per draw. Runs in O(n^2). The visited node
+    one `rng.integers` call per draw. Step (1) reads the current node's row
+    of a copy of the matrix in which every visited node's column is -inf,
+    so its tie set, ascending, is one max, one == and one nonzero. Runs in
+    O(n^2) and holds one n x n copy. The visited node
     indices are kept as an integer array; the `Tour` itself is built only
     when `result.tour` is read, and is valid by construction (the tests
     validate it against the layered graph).
@@ -179,6 +182,11 @@ def solve_pnn(matrix: np.ndarray, config: SolverConfig) -> SolveResult:
 
     free_l1 = np.ones(n + 1, dtype=bool)  # 1-based; slot 0 unused
     free_l1[0] = free_l1[start] = False
+    # the rows with every visited node's column masked to -inf; s is visited
+    # before its row is read, so the diagonal (where NaN or an infinity is
+    # admitted) is never a candidate, and the finite maximum ties free nodes only
+    rows = numerators.copy()
+    rows[:, start - 1] = -np.inf
     # unvisited layer-two and layer-three nodes, ascending; the closing
     # layer-two slot of the start node is already taken
     free_l2 = [v for v in range(1, n + 1) if v != start]
@@ -189,11 +197,11 @@ def solve_pnn(matrix: np.ndarray, config: SolverConfig) -> SolveResult:
     s = start
     for c in range(m):
         # (1) the best unvisited layer-one partner, (2) up to its twin
-        candidates = np.flatnonzero(free_l1)
-        values = numerators[s - 1][candidates - 1]
-        ties = candidates[values == values.max()]
-        partner = int(ties[0] if len(ties) == 1 else ties[draws.tie(len(ties))])
+        row = rows[s - 1]
+        ties = (row == np.maximum.reduce(row)).nonzero()[0]
+        partner = int(ties[0] if len(ties) == 1 else ties[draws.tie(len(ties))]) + 1
         free_l1[partner] = False
+        rows[:, partner - 1] = -np.inf
         pairs.append((s, partner))
         s = partner
         free_l2.remove(s)
@@ -206,6 +214,7 @@ def solve_pnn(matrix: np.ndarray, config: SolverConfig) -> SolveResult:
         if not free_l1[s]:
             raise InternalError(f"first-layer node {s} revisited during construction")
         free_l1[s] = False
+        rows[:, s - 1] = -np.inf
         visits += [s, s]
 
     pairing = _built_pairing(pairs)
@@ -227,36 +236,43 @@ _COLS = np.array([1, 3, 2, 3, 1, 1])
 
 @lru_cache(maxsize=8)
 def _slot_pairs(m: int) -> tuple[tuple, np.ndarray, np.ndarray]:
-    """Every slot pair in scan order, their element slots, each slot's pairs.
+    """Every slot pair in scan order, their term table, each slot's pairs.
 
     Built once per pair count m and shared, so the arrays are read-only.
     The k-th pair (i, j) of `np.triu_indices(m, 1)` is k-th in the tuple and
-    row k of the second array holds its element slots (2i, 2i+1, 2j, 2j+1);
-    row t of the third holds the scan positions of the m-1 pairs that
-    contain pair slot t.
+    owns column k of the (12, P) term table: of its element slots
+    (2i, 2i+1, 2j, 2j+1), rows 0-5 hold those of the six terms' rows and
+    rows 6-11 those of their columns plus n = 2m, where `solve_p2opt`'s
+    `ends` keeps each slot's column. Row t of the third array holds the
+    scan positions of the m-1 pairs that contain pair slot t.
     """
     i, j = np.triu_indices(m, 1)
-    quads = np.stack([2 * i, 2 * i + 1, 2 * j, 2 * j + 1], axis=1)
+    quads = np.stack([2 * i, 2 * i + 1, 2 * j, 2 * j + 1])
+    terms = np.concatenate([quads[_ROWS], quads[_COLS] + 2 * m])
     position = np.zeros((m, m), dtype=np.intp)
     position[i, j] = position[j, i] = np.arange(len(i))
     touching = position[~np.eye(m, dtype=bool)].reshape(m, m - 1)
-    for array in (quads, touching):
+    for array in (terms, touching):
         array.setflags(write=False)
-    return tuple(zip(i.tolist(), j.tolist())), quads, touching
+    return tuple(zip(i.tolist(), j.tolist())), terms, touching
 
 
-def _outcomes(flat: np.ndarray, n: int, slots: np.ndarray, quads: np.ndarray):
-    """Whether each slot pair improves, and whether `b` is the winner.
+def _outcomes(flat: np.ndarray, ends: np.ndarray, terms: np.ndarray):
+    """Whether the slot pair of each column of `terms` improves, and whether
+    `b` wins it.
 
-    The sums and comparisons are the scalar rule's, term for term: `b` wins
-    when b > a and b >= d, else `d` wins when d > a.
+    `ends` holds every slot's element times n, then every slot's element,
+    so one gather and one add give the six terms' flat indices. The sums
+    are the scalar rule's, term for term. The rule is "b wins when b > a and
+    b >= d, else d wins when d > a"; the second array is read only where the
+    first holds, and there max(b, d) > a makes `b >= d` that rule. No sum is
+    NaN: admission refuses non-finite entries off the diagonal, and no term
+    reads the diagonal.
     """
-    elements = slots[quads]
-    terms = flat[elements[:, _ROWS] * n + elements[:, _COLS]]
-    sums = terms[:, :3] + terms[:, 3:]  # columns a, b, d
-    gains = sums[:, 1:] > sums[:, :1]  # b > a, d > a
-    b_wins = gains[:, 0] & (sums[:, 1] >= sums[:, 2])
-    return gains[:, 0] | gains[:, 1], b_wins
+    at = ends.take(terms)
+    t = flat.take(at[:6] + at[6:])
+    a, b, d = t[:3] + t[3:]
+    return np.maximum(b, d) > a, b >= d
 
 
 def solve_p2opt(matrix: np.ndarray, initial: Pairing, config: SolverConfig) -> SolveResult:
@@ -272,9 +288,10 @@ def solve_p2opt(matrix: np.ndarray, initial: Pairing, config: SolverConfig) -> S
     Whether a slot pair improves depends only on its four elements, so the
     outcomes of all slot pairs are held in a table in scan order, computed
     once; an exchange at (i, j) recomputes only the 2m-3 pairs touching slot
-    i or j. The restarted scan then ends at the table's first improving
-    entry, so the first-improvement order, and every count, is that of the
-    plain rescan. Float64 and exact object matrices take the same path.
+    i or j, in one pass of `_outcomes` over their columns of the term table.
+    The restarted scan then ends at the table's first improving entry, so
+    the first-improvement order, and every count, is that of the plain
+    rescan. Float64 and exact object matrices take the same path.
     """
     # exact entries are compared as integer numerators, which a positive
     # common denominator leaves in the same order
@@ -282,11 +299,13 @@ def solve_p2opt(matrix: np.ndarray, initial: Pairing, config: SolverConfig) -> S
     if initial.n != n:
         raise ValidationError(f"initial pairing covers {initial.n} elements, matrix has {n}")
     flat = numerators.ravel()
-    # slot layout: pair k occupies slots 2k and 2k+1 (0-based elements)
+    # slot layout: pair k occupies slots 2k and 2k+1 (0-based elements);
+    # ends[t] is slot t's element times n and ends[n + t] the element itself
     slots = np.array([e - 1 for pair in initial.pairs for e in pair], dtype=np.intp)
+    ends = np.concatenate([slots * n, slots])
     m = n // 2
-    pairs, quads, touching = _slot_pairs(m)
-    improves, b_wins = _outcomes(flat, n, slots, quads)
+    pairs, terms, touching = _slot_pairs(m)
+    improves, b_wins = _outcomes(flat, ends, terms)
     exchanges = 0
     trace: list[int] = []
     # the limit is tested before each scan; None never equals a count
@@ -300,12 +319,13 @@ def solve_p2opt(matrix: np.ndarray, initial: Pairing, config: SolverConfig) -> S
         i, j = pairs[first]
         # b pairs x with v and u with y; d pairs x with u and v with y
         y, other = 2 * i + 1, 2 * j + (1 if b_wins[first] else 0)
-        slots[y], slots[other] = slots[other], slots[y]
+        ends[y], ends[other] = ends[other], ends[y]
+        ends[n + y], ends[n + other] = ends[n + other], ends[n + y]
         exchanges += 1
         # the shared pair (i, j) is listed twice and written twice
-        stale = touching[[i, j]].ravel()
-        improves[stale], b_wins[stale] = _outcomes(flat, n, slots, quads[stale])
-    pairing = _built_pairing((slots + 1).reshape(m, 2).tolist())
+        stale = touching.take((i, j), 0).ravel()
+        improves[stale], b_wins[stale] = _outcomes(flat, ends, terms.take(stale, 1))
+    pairing = _built_pairing((ends[n:] + 1).reshape(m, 2).tolist())
     return SolveResult(
         pairing=pairing,
         score=pairing_sum(matrix, pairing),

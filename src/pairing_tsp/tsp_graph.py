@@ -24,6 +24,7 @@ from .core import (
     InternalError,
     Pairing,
     ValidationError,
+    _check_symmetric_bounded,
     checked_count,
     checked_entries,
     checked_matrix,
@@ -115,9 +116,13 @@ class PairingTspGraph:
 
 def build_graph(matrix: np.ndarray, n: int) -> PairingTspGraph:
     """Assemble the layered graph over a symmetric n x n value matrix,
-    admitted as the solvers admit theirs (`checked_entries`)."""
+    admitted as the solvers admit theirs (`checked_entries`). An asymmetric
+    matrix is refused: `edge_cost` reads the entry in the direction
+    travelled, so a tour's cost would depend on its direction."""
     matrix, n = checked_matrix(matrix, checked_count(n))
-    return PairingTspGraph(n=n, c=checked_entries(matrix)[0])
+    c = checked_entries(matrix)[0]
+    _check_symmetric_bounded(c, n, -np.inf, np.inf)
+    return PairingTspGraph(n=n, c=c)
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,7 @@ from pairing_tsp.solvers import (
     solve_pnn,
     solve_pnn_p2opt,
     solve_random,
+    _slot_pairs,
 )
 from pairing_tsp.bench import generate_instance
 from pairing_tsp.observation import reconstruct_tilde
@@ -484,6 +485,97 @@ class TestP2optLocalOptimumAtScale:
             assert result.exchanges_used > 0
             assert _improving_slot_pairs(c, result.pairing) == []
             assert result.trace[-1] == (n // 2) * (n // 2 - 1) // 2
+
+
+def _with_diagonal(c: np.ndarray, value) -> np.ndarray:
+    c = c.copy()
+    np.fill_diagonal(c, value)
+    return c
+
+
+def sentinel_matrices(n: int) -> dict[str, np.ndarray]:
+    """Matrices that only the masked rows keep pnn from misreading: a NaN or
+    infinite diagonal, which a step must never take as a candidate, and
+    exact numerators beyond float range, which must still compare with the
+    -inf mask; by name."""
+    floats = make_instance(n, seed=n).c
+    ties = tie_heavy_matrix(n, seed=n + 1)
+    exact_ties = ties.astype(int).astype(object)
+    sign = np.triu(np.random.default_rng(n).integers(-1, 2, (n, n)), 1)
+    huge = exact_ties + (sign + sign.T).astype(object) * 2**1100
+    out = {}
+    for name, value in (("nan", math.nan), ("+inf", math.inf), ("-inf", -math.inf)):
+        out[f"float, {name} diagonal"] = _with_diagonal(floats, value)
+        out[f"tie-heavy float, {name} diagonal"] = _with_diagonal(ties, value)
+        # an object matrix holding a float computes in floating point
+        out[f"object, {name} diagonal"] = _with_diagonal(exact_ties, value)
+    # a diagonal of +-2**1101 outweighs every entry off it
+    for name, value in (("zero", 0), ("+2**1101", 2**1101), ("-2**1101", -(2**1101))):
+        out[f"beyond float range, {name} diagonal"] = _with_diagonal(huge, value)
+    return out
+
+
+SENTINEL_KINDS = sorted(sentinel_matrices(4))
+
+
+class TestMaskedRowsAndTermTable:
+    """The masked pnn rows and the p2opt term table against the step loop
+    and the plain rescan, on the diagonals and magnitudes admission lets in."""
+
+    @pytest.mark.parametrize("kind", SENTINEL_KINDS)
+    @pytest.mark.parametrize("n", [4, 28, 100])
+    def test_pnn_every_start_matches_the_step_loop(self, n, kind):
+        matrix = sentinel_matrices(n)[kind]
+        for start in range(1, n + 1):
+            config = SolverConfig(seed=7 * n + start, start_node=start)
+            result = solve_pnn(matrix, config)
+            pairing, visits, score = reference_pnn(matrix, config)
+            assert result.pairing == pairing, start
+            assert result.visits.tolist() == visits, start
+            assert result.score == score and type(result.score) is type(score), start
+
+    @pytest.mark.parametrize("kind", SENTINEL_KINDS)
+    @pytest.mark.parametrize("n", [4, 28, 100])
+    def test_p2opt_matches_the_plain_rescan(self, n, kind):
+        matrix = sentinel_matrices(n)[kind]
+        initials = [solve_random(n, n).pairing] + [
+            solve_pnn(matrix, SolverConfig(seed=start, start_node=start)).pairing
+            for start in sorted({1, n})
+        ]
+        exchanges = 0
+        for initial in initials:
+            for limit in (None, 0, 1, 600):
+                result = solve_p2opt(matrix, initial, SolverConfig(exchange_limit=limit))
+                pairing, noc, used, trace, score = reference_p2opt(matrix, initial, limit)
+                assert result.pairing.pairs == pairing.pairs
+                assert (result.noc, result.exchanges_used, result.trace) == (noc, used, trace)
+                assert result.score == score and type(result.score) is type(score)
+                exchanges += used
+        assert exchanges > 0 or n == 4
+
+    def test_term_table_read_only_and_built_once_per_m(self):
+        _slot_pairs.cache_clear()
+        c = make_instance(30, seed=3).c
+        for seed in range(3):
+            solve_p2opt(c, solve_random(30, seed).pairing, SolverConfig())
+        info = _slot_pairs.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+        _, terms, touching = _slot_pairs(15)
+        for array in (terms, touching):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0, 0] = 0
+
+    @pytest.mark.parametrize("m", [2, 3, 14, 50])
+    def test_term_table_columns_hold_each_pairs_terms(self, m):
+        n = 2 * m
+        pairs, terms, _ = _slot_pairs(m)
+        assert terms.shape == (12, m * (m - 1) // 2)
+        for k, (i, j) in enumerate(pairs):
+            x, y, u, v = 2 * i, 2 * i + 1, 2 * j, 2 * j + 1
+            # a = c[x][y] + c[u][v], b = c[x][v] + c[u][y], d = c[x][u] + c[v][y]:
+            # the six rows' slots, then the six columns' slots plus n
+            assert terms[:, k].tolist() == [x, x, x, u, u, v, y + n, v + n, u + n, v + n, y + n, y + n]
 
 
 def _tour_digest(tour) -> str:

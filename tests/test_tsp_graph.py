@@ -20,8 +20,21 @@ def _nan_at_23() -> np.ndarray:
     return c
 
 
+def _asymmetric(dtype) -> np.ndarray:
+    # c[1][2] = 5 alone (1-based): the tour of {1,2},{3,4} would cost -5
+    # walked one way and 0 the other
+    c = np.zeros((4, 4), dtype=dtype)
+    c[0][1] = 5
+    return c
+
+
 #: Matrices `build_graph` must refuse, with the named error each raises.
-BAD_ENTRIES = {**NON_NUMBER_MATRICES, "nan": (_nan_at_23(), r"c\[2\]\[3\]=nan is not finite")}
+BAD_ENTRIES = {
+    **NON_NUMBER_MATRICES,
+    "nan": (_nan_at_23(), r"c\[2\]\[3\]=nan is not finite"),
+    "asymmetric": (_asymmetric(np.float64), r"matrix is not symmetric at c\[1\]\[2\]"),
+    "asymmetric exact": (_asymmetric(object), r"matrix is not symmetric at c\[1\]\[2\]"),
+}
 
 
 def enumerate_valid_tours(graph):
