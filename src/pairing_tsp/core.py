@@ -27,14 +27,12 @@ limits, spec fields, numbers read from files) and with the `real` converter
 for every real number read from a file or spec, both refusing bools and
 strings; `checked_bounds` for a pair of value bounds (finite, c_min <= c_max),
 exactly for ints and `Fraction`s and through `real` for the rest, and
-`float_bounds` for a pair read from a file or spec, as floats;
-`checked_matrix` for a matrix's shape (rectangular, square, an element count);
-`_check_numbers` for a matrix's dtype and entries (numbers, never bools,
-strings or complex); `checked_entries` for a matrix a solver reads (numbers,
-finite off the diagonal); and `_check_symmetric_bounded` for the entries of
-an instance or shadow. `frozen_matrix` admits the numbers and makes the one
-dtype choice at admission: an `Instance` or `TildeMatrix` keeps an object
-array and casts others to float64.
+`float_bounds` for a pair read from a file or spec, as floats. Every matrix
+passes one gate, `checked_entries` (its count, shape, numbers, and finiteness
+off the diagonal), and an instance or shadow then `_check_symmetric_bounded`
+(symmetry and bounds). `frozen_matrix` makes the one dtype choice at
+admission: an `Instance` or `TildeMatrix` keeps an object array and casts
+others to float64.
 """
 
 from __future__ import annotations
@@ -130,22 +128,6 @@ def float_bounds(c_min, c_max) -> tuple[float, float]:
     return lo, hi
 
 
-def checked_matrix(matrix, n: int | None = None) -> tuple[np.ndarray, int]:
-    """`matrix` as an array and its element count, if it is a rectangular,
-    square array of a valid count (n x n when `n` is given), else a
-    ValidationError. Checks the shape only, never the entries."""
-    if not isinstance(matrix, FractionArray):  # keep the numerators it carries
-        try:
-            matrix = np.asarray(matrix)
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"matrix is not a rectangular array: {exc}") from exc
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise ValidationError(f"matrix must be square, got shape {matrix.shape}")
-    if n is not None and matrix.shape[0] != n:
-        raise ValidationError(f"matrix shape {matrix.shape} does not match n={n}")
-    return matrix, checked_count(matrix.shape[0])
-
-
 def pairing_count(n: int) -> int:
     """Number of distinct pairings of n elements, i.e. (n-1)!!."""
     return double_factorial(checked_count(n, 0) - 1)
@@ -158,7 +140,7 @@ class FractionArray(np.ndarray):
     Only `quotients` attaches the pair. Arrays derived from one (views,
     slices, copies, arithmetic results) are FractionArrays without it, so
     `integral` reads their `Fraction`s afresh. `np.asarray` drops the
-    subclass, which is why `checked_matrix` and `integral` test for it first.
+    subclass, which is why `checked_entries` and `integral` test for it first.
     """
 
     _integral: tuple[np.ndarray, int] | None = None
@@ -234,11 +216,28 @@ def integral(array, divisor: int = 1) -> tuple[np.ndarray, int]:
     return (floats if divisor == 1 else floats / divisor), 1
 
 
-def _check_numbers(matrix: np.ndarray) -> None:
-    """A ValidationError unless `matrix` holds numbers: its dtype is an
-    integer, float or object one, and an object array's entries are real
-    numbers. Bools, strings and complex numbers are not, as a dtype or as
-    entries."""
+def checked_entries(matrix, n=None) -> tuple[np.ndarray, int, tuple[np.ndarray, int]]:
+    """`matrix`, its element count and its `integral` pair, if it passes the
+    one matrix gate, else a ValidationError naming the first fault. In
+    order: a given `n` must pass `checked_count`; the matrix must be a
+    rectangular, square array of a valid count (n x n when `n` is given);
+    its dtype must be an integer, float or object one, and an object
+    array's entries real numbers (never bools, strings or complex); and its
+    entries must be finite off the diagonal as `integral` reads them, so an
+    object array holding a Python float is checked as floats. The diagonal
+    is never read, so any number is admitted there."""
+    if n is not None:
+        n = checked_count(n)
+    if not isinstance(matrix, FractionArray):  # keep the numerators it carries
+        try:
+            matrix = np.asarray(matrix)
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"matrix is not a rectangular array: {exc}") from exc
+    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+        raise ValidationError(f"matrix must be square, got shape {matrix.shape}")
+    if n is not None and matrix.shape[0] != n:
+        raise ValidationError(f"matrix shape {matrix.shape} does not match n={n}")
+    n = checked_count(matrix.shape[0])
     if matrix.dtype.kind not in "iufO":
         raise ValidationError(f"matrix entries must be numbers, got dtype {matrix.dtype}")
     # a FractionArray with its numerators kept holds only the Fractions
@@ -249,19 +248,18 @@ def _check_numbers(matrix: np.ndarray) -> None:
         bad = [v for v in entries if isinstance(v, bool) or not isinstance(v, numbers.Real)]
         if bad:
             raise ValidationError(f"matrix entries must be numbers, got {bad[0]!r}")
-
-
-def checked_entries(matrix) -> tuple[np.ndarray, int, np.ndarray]:
-    """`matrix`, its element count and its `integral` numerators, if it
-    passes `checked_matrix` and `_check_numbers` and is finite off the
-    diagonal, else a ValidationError naming the first fault. The diagonal
-    is never read, so any number is admitted there."""
-    matrix, n = checked_matrix(matrix)
-    _check_numbers(matrix)
-    numerators = integral(matrix)[0]
+    try:
+        pair = integral(matrix)
+    except OverflowError as exc:  # floats beside an int beyond float range
+        raise ValidationError(f"matrix entries are not finite as floats: {exc}") from exc
+    numerators = pair[0]
     if numerators.dtype != object and not np.isfinite(numerators).all():
-        _check_finite(numerators, n)
-    return matrix, n, numerators
+        k = np.arange(n)
+        bad = np.argwhere(~np.isfinite(numerators) & (k[:, None] != k))
+        if len(bad):
+            i, j = bad[0]
+            raise ValidationError(f"c[{i + 1}][{j + 1}]={numerators[i, j]} is not finite")
+    return matrix, n, pair
 
 
 def checked_seed(seed, name: str = "seed") -> int:
@@ -383,33 +381,21 @@ def pairing_sum(matrix: np.ndarray, pairing: Pairing):
     return row_totals(matrix[rows, cols][None]).tolist()[0]
 
 
-def frozen_matrix(c, n: int) -> np.ndarray:
-    """A read-only copy of the (n, n) matrix `c` of numbers (`_check_numbers`),
-    so the caller's array stays writable: object (exact) arrays keep their
-    dtype, others become float64."""
-    c, _ = checked_matrix(c, n)
-    _check_numbers(c)
+def frozen_matrix(c: np.ndarray) -> np.ndarray:
+    """A read-only copy of a matrix `checked_entries` admitted, so the
+    caller's array stays writable: object (exact) arrays keep their dtype,
+    others become float64."""
     c = c.copy() if c.dtype == object else c.astype(np.float64)
     c.setflags(write=False)
     return c
 
 
-def _check_finite(c: np.ndarray, n: int) -> None:
-    """Name the first non-finite off-diagonal entry of a float (n, n) matrix."""
-    k = np.arange(n)
-    bad = np.argwhere(~np.isfinite(c) & (k[:, None] != k))
-    if len(bad):
-        i, j = bad[0]
-        raise ValidationError(f"c[{i + 1}][{j + 1}]={c[i][j]} is not finite")
-
-
-def _check_symmetric_bounded(c: np.ndarray, n: int, c_min, c_max) -> None:
-    """Name the first off-diagonal fault of a float or object (n, n) matrix:
-    a non-finite float, then an asymmetry, then an entry outside [c_min, c_max]."""
+def _check_symmetric_bounded(c: np.ndarray, n: int, c_min=-math.inf, c_max=math.inf) -> None:
+    """Name the first off-diagonal fault of an admitted float or object (n, n)
+    matrix: an asymmetry, then an entry outside [c_min, c_max]."""
     k = np.arange(n)
     lo, hi = c_min, c_max
     if c.dtype != object:
-        _check_finite(c, n)
         # an exact bound beyond float range compares with every float as an infinity
         lo, hi = (
             (math.inf if b > 0 else -math.inf) if abs(b) > sys.float_info.max else b
@@ -442,10 +428,11 @@ class Instance:
     c_max: float
 
     def __post_init__(self):
-        object.__setattr__(self, "n", checked_count(self.n))
-        c = frozen_matrix(self.c, self.n)
+        c, n, _ = checked_entries(self.c, self.n)
+        c = frozen_matrix(c)
         checked_bounds(self.c_min, self.c_max)
-        _check_symmetric_bounded(c, self.n, self.c_min, self.c_max)
+        _check_symmetric_bounded(c, n, self.c_min, self.c_max)
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "c", c)
 
     def value(self, i: int, j: int):

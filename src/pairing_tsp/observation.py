@@ -77,10 +77,11 @@ class TildeMatrix:
     n: int
 
     def __init__(self, n: int, t) -> None:
-        t = frozen_matrix(t, n)
+        t, n, _ = checked_entries(t, n)
+        t = frozen_matrix(t)
         if np.any(t[0] != 0) or np.any(t[:, 0] != 0):
             raise ValidationError("first row and column must be exactly zero")
-        _check_symmetric_bounded(t, n, -np.inf, np.inf)
+        _check_symmetric_bounded(t, n)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "t", t)
 
@@ -136,19 +137,20 @@ def definitional_tilde(matrix: np.ndarray) -> TildeMatrix:
     Entry (i, j) with i, j >= 2 is
         C[i][j] - C[1][i] - C[1][j] + (2 / (N-2)) * sum_k C[1][k];
     row and column 1 are zero. Exact inputs produce exact fractions. The
-    matrix is admitted as the solvers admit theirs (`checked_entries`) and
-    must be symmetric, since only its upper triangle is read.
+    matrix passes `checked_entries` and must be symmetric, since only its
+    upper triangle is read. The shadow is computed on the gate's `integral`
+    pair, so an exact matrix's entries are added as int numerators.
     """
-    matrix, n, _ = checked_entries(matrix)
-    _check_symmetric_bounded(matrix, n, -np.inf, np.inf)
-    row1 = matrix[0]
-    # the correction as a numerator over its denominator, so that an integer
-    # matrix gives integer numerators; on floats the scale is 1
+    _, n, (numerators, denominator) = checked_entries(matrix)
+    _check_symmetric_bounded(numerators, n)
+    row1 = numerators[0]
+    # the correction as a numerator over its denominator, so that integer
+    # numerators give integer numerators; on floats the scale is 1
     correction, scale = integral(2 * row_totals(row1[None, 1:])[0], n - 2)
     upper = _free_entries(n)
     i, j = np.nonzero(upper)
-    numerators, denominator = integral((matrix[i, j] - row1[i] - row1[j]) * scale + correction)
-    return _mirrored(upper, numerators, denominator * scale)
+    shadow = (numerators[i, j] - row1[i] - row1[j]) * scale + correction
+    return _mirrored(upper, shadow, denominator * scale)
 
 
 def anchor_pairing(n: int) -> Pairing:

@@ -33,7 +33,7 @@ from .core import (
     pairing_sum,
     seeded_rng,
 )
-from .tsp_graph import GraphNode, Tour
+from .tsp_graph import Tour, rhythm_tour
 
 
 @dataclass(frozen=True)
@@ -62,10 +62,6 @@ class SolverConfig:
             raise ValidationError(f"exchange_limit must be >= 0 or None, got {self.exchange_limit}")
 
 
-#: Layer of each tour position, by position mod 5: the construction rhythm.
-_RHYTHM_LAYERS = (1, 1, 2, 3, 2)
-
-
 @dataclass(frozen=True)
 class SolveResult:
     pairing: Pairing
@@ -82,10 +78,7 @@ class SolveResult:
         """The constructed layered tour, built from `visits` when first read."""
         if self.visits is None:
             return None
-        indices = self.visits.tolist()
-        seq = [GraphNode(_RHYTHM_LAYERS[pos % 5], index) for pos, index in enumerate(indices)]
-        seq.append(GraphNode(2, indices[0]))  # the preset closing slot
-        return Tour(seq)
+        return rhythm_tour(self.visits.tolist())
 
 
 def _built_pairing(pairs) -> Pairing:
@@ -169,7 +162,7 @@ def solve_pnn(matrix: np.ndarray, config: SolverConfig) -> SolveResult:
     validate it against the layered graph).
     """
     # ties are found on integer numerators: a positive scale keeps every ==
-    matrix, n, numerators = checked_entries(matrix)
+    matrix, n, (numerators, _) = checked_entries(matrix)
     start = 1 if config.start_node is None else config.start_node
     if not 1 <= start <= n:
         raise ValidationError(f"start node {start} is outside 1..{n}")
@@ -295,7 +288,7 @@ def solve_p2opt(matrix: np.ndarray, initial: Pairing, config: SolverConfig) -> S
     """
     # exact entries are compared as integer numerators, which a positive
     # common denominator leaves in the same order
-    matrix, n, numerators = checked_entries(matrix)
+    matrix, n, (numerators, _) = checked_entries(matrix)
     if initial.n != n:
         raise ValidationError(f"initial pairing covers {initial.n} elements, matrix has {n}")
     flat = numerators.ravel()

@@ -25,9 +25,7 @@ from .core import (
     Pairing,
     ValidationError,
     _check_symmetric_bounded,
-    checked_count,
     checked_entries,
-    checked_matrix,
 )
 
 
@@ -115,14 +113,13 @@ class PairingTspGraph:
 
 
 def build_graph(matrix: np.ndarray, n: int) -> PairingTspGraph:
-    """Assemble the layered graph over a symmetric n x n value matrix,
-    admitted as the solvers admit theirs (`checked_entries`). An asymmetric
-    matrix is refused: `edge_cost` reads the entry in the direction
-    travelled, so a tour's cost would depend on its direction."""
-    matrix, n = checked_matrix(matrix, checked_count(n))
-    c = checked_entries(matrix)[0]
-    _check_symmetric_bounded(c, n, -np.inf, np.inf)
-    return PairingTspGraph(n=n, c=c)
+    """Assemble the layered graph over a symmetric n x n value matrix that
+    passes `checked_entries`. An asymmetric matrix is refused: `edge_cost`
+    reads the entry in the direction travelled, so a tour's cost would
+    depend on its direction."""
+    matrix, n, (numerators, _) = checked_entries(matrix, n)
+    _check_symmetric_bounded(numerators, n)
+    return PairingTspGraph(n=n, c=matrix)
 
 
 @dataclass(frozen=True)
@@ -153,6 +150,16 @@ class Tour:
         for a, b in zip(self.sequence, self.sequence[1:]):
             total = total + graph.edge_cost(a, b)
         return total
+
+
+def rhythm_tour(indices: list[int]) -> Tour:
+    """The tour of 5N/2 - 1 node indices laid on the layers 1, 1, 2, 3, 2 by
+    position mod 5 (two layer-one nodes, up to layer two, across layer
+    three, back to layer two), closed on the layer-two twin of the first
+    node."""
+    seq = [GraphNode((1, 1, 2, 3, 2)[pos % 5], index) for pos, index in enumerate(indices)]
+    seq.append(GraphNode(2, indices[0]))
+    return Tour(seq)
 
 
 @dataclass(frozen=True)
@@ -241,24 +248,16 @@ def tour_from_pairing(graph: PairingTspGraph, pairing: Pairing) -> Tour:
     """Canonical tour visiting the pairing's pairs in sorted order.
 
     Pair number k bridges through layer-three node k; the block for pair
-    {i, j} runs L1:i, L1:j, L2:j, L3:k, then enters the next pair through its
-    first element's layer-two twin, and the final block closes on L2 of the
-    very first element.
+    {i, j} runs L2:i, L1:i, L1:j, L2:j, L3:k, so each pair is entered
+    through its first element's layer-two twin. The tour starts at the first
+    block's L1:i, so that block's L2:i closes it.
     """
     if pairing.n != graph.n:
         raise ValidationError(
             f"pairing covers {pairing.n} elements but graph has {graph.n}"
         )
-    pairs = pairing.pairs
-    seq: list[GraphNode] = []
-    for k, (i, j) in enumerate(pairs, start=1):
-        seq.append(GraphNode(1, i))
-        seq.append(GraphNode(1, j))
-        seq.append(GraphNode(2, j))
-        seq.append(GraphNode(3, k))
-        nxt = pairs[k % len(pairs)][0]
-        seq.append(GraphNode(2, nxt))
-    tour = Tour(seq)
+    blocks = [v for k, (i, j) in enumerate(pairing.pairs, start=1) for v in (i, i, j, j, k)]
+    tour = rhythm_tour(blocks[1:])
     verdict = validate_tour(graph, tour)
     if not verdict:
         raise InternalError(f"constructed tour failed validation: {verdict.reason}")

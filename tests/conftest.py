@@ -13,6 +13,7 @@ their bugs.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -89,6 +90,26 @@ NON_NUMBER_MATRICES = {
     "object-bool": (_with_entry(0, True, object), "numbers, got True"),
     "object-str": (_with_entry(0, "1", object), "numbers, got '1'"),
 }
+
+
+def _zeros_but_34(value, dtype) -> np.ndarray:
+    """A 4x4 zero matrix with `value` at (3, 4) and (4, 3), 1-based."""
+    c = np.zeros((4, 4), dtype=dtype)
+    c[2, 3] = c[3, 2] = value
+    return c
+
+
+#: Matrices, float64 and object, that are zero but for a non-finite entry at
+#: (3, 4) and (4, 3), with the named error every entry point must raise.
+NON_FINITE_MATRICES = {
+    f"{kind} {value}": (_zeros_but_34(value, dtype), rf"c\[3\]\[4\]={value} is not finite")
+    for kind, dtype in (("float64", np.float64), ("object", object))
+    for value in (math.nan, math.inf, -math.inf)
+}
+
+#: Element counts that are not ints, which an entry point given a 4x4
+#: matrix must refuse by name.
+NON_INTEGER_COUNTS = (4.0, "4", True)
 
 
 def matrix_from_pairs(n: int, entries: dict[tuple[int, int], float]) -> np.ndarray:
