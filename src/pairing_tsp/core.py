@@ -33,6 +33,14 @@ off the diagonal), and an instance or shadow then `_check_symmetric_bounded`
 (symmetry and bounds). `frozen_matrix` makes the one dtype choice at
 admission: an `Instance` or `TildeMatrix` keeps an object array and casts
 others to float64.
+
+A pairing has one check, `pair_keys`, which `Pairing` and the oracle's
+`observe_batch` both call: a row of N/2 pairs is a pairing exactly when its
+ends cover all N elements. It returns each pair as one key lo*N + hi (its
+0-based smaller and larger end), sorted, which is canonical pair order and
+the flat index of the pair's entry. Every pairing total gathers
+`matrix.ravel().take(keys)` and adds left to right in `row_totals`, so a
+total is the same value bit for bit whichever path computed it.
 """
 
 from __future__ import annotations
@@ -275,49 +283,99 @@ def seeded_rng(seed, salt: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(checked_seed(seed) ^ salt))
 
 
+def _fault(row: int, pairs: list, n: int, first: int) -> ValidationError:
+    """The error naming the first element of bad row `row`'s (a, b) pairs
+    paired with itself, else, in canonical order, out of range or repeated."""
+    seen, faults = set(), [f"element {a} is paired with itself" for a, b in pairs if a == b]
+    for e in (e for p in sorted(map(sorted, pairs)) for e in p):
+        if not first <= e < n + first:
+            faults.append(f"element {e} must lie in {first}..{n + first - 1}")
+        elif e in seen:
+            faults.append(f"element {e} appears in more than one pair")
+        seen.add(e)
+    return ValidationError(f"row {row} is not a pairing: {faults[0]}")
+
+
+def pair_keys(rows, cols, n: int, *, first: int = 0) -> np.ndarray:
+    """Check (Q, n/2) pair-end arrays and return each row's sorted pair keys.
+
+    Raises a ValidationError, naming the faulty element of the first bad
+    row, unless both arrays are integer, of one shape, n/2 wide, and every
+    row pairs each element first..n-1+first exactly once (`first` is the
+    caller's numbering). Returns a (Q, n/2) intp array: per row, lo * n + hi
+    for each pair's 0-based smaller end lo and larger end hi, ascending,
+    which is canonical pair order; `np.divmod(keys, n)` decodes them.
+    """
+    rows, cols = np.asarray(rows), np.asarray(cols)
+    if rows.ndim != 2 or rows.shape != cols.shape:
+        raise ValidationError(
+            f"rows and cols must be two (Q, N/2) arrays of one shape, "
+            f"got {rows.shape} and {cols.shape}"
+        )
+    if rows.shape[1] != n // 2:
+        raise ValidationError(f"pairing covers {2 * rows.shape[1]} elements, oracle hides {n}")
+    if not (np.issubdtype(rows.dtype, np.integer) and np.issubdtype(cols.dtype, np.integer)):
+        raise ValidationError(f"pair elements must be integers, got {rows.dtype} and {cols.dtype}")
+    # cast before any arithmetic, so lo * n + hi cannot overflow a narrow
+    # dtype; an unsigned end beyond intp's range turns negative and fails below
+    lo, hi = rows.astype(np.intp, copy=False), cols.astype(np.intp, copy=False)
+    if first:
+        lo, hi = lo - first, hi - first
+    lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
+    q = len(rows)
+    # a row has n slots, so it is a pairing exactly when its n ends cover
+    # 0..n-1; a repeated element, a self-pair included, leaves one uncovered
+    base = np.arange(0, q * n, n)[:, None]
+    covered = np.zeros(q * n, dtype=bool)
+    if q and lo.min() >= 0 and hi.max() < n:
+        covered[base + lo] = True
+        covered[base + hi] = True
+    if not covered.all():  # the failure path: find the first bad row
+        ends = np.sort(np.hstack([lo, hi]), axis=1)
+        row = int(np.argmax((ends[:, 0] < 0) | (ends[:, -1] >= n) | (np.diff(ends) == 0).any(1)))
+        raise _fault(row, list(zip(rows[row].tolist(), cols[row].tolist())), n, first)
+    keys = lo * n + hi
+    # the library's rows arrive almost sorted (fixed pairs, then an ascending
+    # completion), and the stable sort takes such runs whole; a valid row's
+    # keys are distinct, so any sort gives the same result
+    keys.sort(axis=1, kind="stable")
+    return keys
+
+
 @dataclass(frozen=True)
 class Pairing:
     """A partition of {1..n} into unordered pairs, held in canonical form.
 
     Canonical form means i < j inside each pair and pairs sorted by their
     first element, so equality and hashing work structurally. Construction
-    validates disjointness and full coverage and names the offending element
-    on failure.
+    checks the pairs with `pair_keys`, which names an offending element.
     """
 
     pairs: tuple[tuple[int, int], ...]
 
     def __init__(self, pairs: Iterable[Iterable[int]]):
-        canonical = []
+        ends = []
         for p in pairs:
             t = tuple(p)
             if len(t) != 2:
                 raise ValidationError(f"pair {t} does not contain exactly two elements")
-            for e in t:
-                if isinstance(e, bool) or not isinstance(e, (int, np.integer)):
-                    raise ValidationError(f"element {e!r} is not an integer")
-            a, b = sorted(int(e) for e in t)
-            if a == b:
-                raise ValidationError(f"element {a} is paired with itself")
-            canonical.append((a, b))
-        object.__setattr__(self, "pairs", tuple(sorted(canonical)))
-        self._validate()
-
-    def _validate(self) -> None:
-        n = 2 * len(self.pairs)
-        if n == 0:
+            ends += t
+        bad = [e for e in ends if isinstance(e, bool) or not isinstance(e, (int, np.integer))]
+        if bad:
+            raise ValidationError(f"element {bad[0]!r} is not an integer")
+        ends = [int(e) for e in ends]  # Python ints, so mixed numpy types never meet
+        n = len(ends)
+        if not n:
             raise ValidationError("a pairing must contain at least one pair")
-        seen = [False] * (n + 1)
-        for p in self.pairs:
-            for e in p:
-                if not 1 <= e <= n:
-                    raise ValidationError(
-                        f"element {e} is outside 1..{n} for a pairing of {n // 2} pairs"
-                    )
-                if seen[e]:
-                    raise ValidationError(f"element {e} appears in more than one pair")
-                seen[e] = True
-        # full coverage follows: n slots, n distinct in-range elements
+        try:
+            row = np.array(ends, dtype=np.intp)
+        except OverflowError:  # an element beyond intp is outside 1..n too
+            raise _fault(0, list(zip(ends[0::2], ends[1::2])), n, 1) from None
+        keys = pair_keys(row[None, 0::2], row[None, 1::2], n, first=1)
+        keys.setflags(write=False)
+        first, second = np.divmod(keys[0], n)
+        object.__setattr__(self, "pairs", tuple(zip((first + 1).tolist(), (second + 1).tolist())))
+        self.__dict__["_keys"] = keys
 
     @classmethod
     def from_permutation(cls, order: Iterable[int]) -> "Pairing":
@@ -340,12 +398,12 @@ class Pairing:
         return 2 * len(self.pairs)
 
     @cached_property
-    def _index_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        # 0-based gather indices, cached because pairings are immutable
-        m = len(self.pairs)
-        rows = np.fromiter((p[0] - 1 for p in self.pairs), dtype=np.intp, count=m)
-        cols = np.fromiter((p[1] - 1 for p in self.pairs), dtype=np.intp, count=m)
-        return rows, cols
+    def _keys(self) -> np.ndarray:
+        # the read-only (1, n/2) `pair_keys` row of a `_from_canonical` pairing
+        n = self.n
+        keys = np.fromiter(((a - 1) * n + b - 1 for a, b in self.pairs), np.intp, n // 2)
+        keys.setflags(write=False)
+        return keys[None]
 
     def __iter__(self) -> Iterator[tuple[int, int]]:
         return iter(self.pairs)
@@ -371,14 +429,10 @@ def row_totals(entries: np.ndarray) -> np.ndarray:
 
 def pairing_sum(matrix: np.ndarray, pairing: Pairing):
     """Sum of matrix[i][j] over the pairing's pairs (matrix is 0-based, full)."""
-    if matrix.shape[0] != pairing.n:
-        raise ValidationError(
-            f"pairing covers {pairing.n} elements but matrix is "
-            f"{matrix.shape[0]}x{matrix.shape[1]}"
-        )
-    rows, cols = pairing._index_arrays
+    if matrix.shape != (pairing.n, pairing.n):
+        raise ValidationError(f"pairing covers {pairing.n} elements but matrix is {matrix.shape}")
     # as a Python scalar: a float, or an exact int or Fraction
-    return row_totals(matrix[rows, cols][None]).tolist()[0]
+    return row_totals(matrix.ravel().take(pairing._keys)).tolist()[0]
 
 
 def frozen_matrix(c: np.ndarray) -> np.ndarray:

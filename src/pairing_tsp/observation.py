@@ -48,16 +48,16 @@ from .oracle import ObservationOracle
 
 
 def exchange_rule_value(i: int, j: int, k: int, l: int, matrix: np.ndarray):
-    """(m[i][k] + m[j][l]) - (m[i][j] + m[k][l]) on a symmetric matrix, 1-based.
-    The indices must be four distinct `integer`s in 1..n, else a ValidationError."""
+    """(m[i][k] + m[j][l]) - (m[i][j] + m[k][l]) for four distinct `integer`s in
+    1..n and a symmetric matrix that passes `checked_entries`, else a ValidationError."""
+    m = checked_entries(matrix)[0]
     indices = tuple(_checked("rule index", "an integer", integer, e) for e in (i, j, k, l))
     if len(set(indices)) != 4:
         raise ValidationError(f"exchange rule needs four distinct indices, got {indices}")
     for e in indices:
-        if not 1 <= e <= matrix.shape[0]:
-            raise ValidationError(f"index {e} is outside 1..{matrix.shape[0]}")
+        if not 1 <= e <= len(m):
+            raise ValidationError(f"index {e} is outside 1..{len(m)}")
     i, j, k, l = indices
-    m = matrix
     return (m[i - 1][k - 1] + m[j - 1][l - 1]) - (m[i - 1][j - 1] + m[k - 1][l - 1])
 
 
@@ -237,8 +237,7 @@ def reconstruct_tilde(oracle: ObservationOracle) -> tuple[TildeMatrix, int]:
             for s in range(0, len(rules), n)
         ]
     )
-    anchor_rows, anchor_cols = anchor_pairing(n)._index_arrays
-    anchor_total = oracle.observe_batch(anchor_rows[None], anchor_cols[None])[0]
+    anchor_total = oracle.observe(anchor_pairing(n))
     spent = oracle.query_count - start_count
     # the rule values and the anchor total as numerators over one denominator
     measured, denominator = integral(np.append(values[0::2] - values[1::2], anchor_total))

@@ -11,18 +11,9 @@ Queries arrive one at a time (`observe`, a `Pairing`) or as a batch
 elements, row q pairing rows[q, k] with cols[q, k], in any pair order and
 either orientation. Every query passes through `observe_batch` (`observe` is
 a one-row batch), so overriding that one method sees them all; the oracle
-keeps no log of them. Rows go through `pair_keys`, and every row is checked
-to be a perfect matching of 0..N-1 before the counter moves, so a bad batch
-costs nothing. The check casts the ends to intp, takes each pair's smaller
-end lo and larger end hi, range-checks them, and marks both ends of every
-pair in one (Q*N) bool array: a row is a pairing exactly when it covers all
-N of its slots. Each pair is then one key lo*N + hi; sorting a row's keys
-puts its pairs in canonical order (i < j inside a pair, pairs sorted by first
-element, which are distinct in a valid row), and the keys are the flat
-indices of the pairs' entries, so the oracle gathers with them directly.
-`core.row_totals` adds each row's entries left to right in canonical pair
-order, the order `total_compatibility` adds in too, so a total is the same
-value bit for bit whichever path computed it.
+keeps no log of them. Every row passes `core.pair_keys`, the one check of a
+pairing, before the counter moves, so a bad batch costs nothing; the oracle
+gathers by the keys it returns, as `core.pairing_sum` does.
 """
 
 from __future__ import annotations
@@ -31,52 +22,7 @@ import threading
 
 import numpy as np
 
-from .core import Instance, Pairing, ValidationError, row_totals
-
-
-def pair_keys(rows, cols, n: int) -> np.ndarray:
-    """Check (Q, n/2) pair-end arrays and return each row's sorted pair keys.
-
-    Raises a ValidationError unless both arrays are integer, of one shape,
-    n/2 wide, in 0..n-1, and every row pairs each element exactly once.
-    Returns a (Q, n/2) intp array: per row, lo * n + hi for each pair's
-    smaller end lo and larger end hi, ascending. A valid row's smaller ends
-    are distinct, so this is canonical pair order, and the keys are the flat
-    indices of the pairs' entries in an (n, n) matrix; `np.divmod(keys, n)`
-    decodes them to the canonical (first, second) ends.
-    """
-    rows, cols = np.asarray(rows), np.asarray(cols)
-    if rows.ndim != 2 or rows.shape != cols.shape:
-        raise ValidationError(
-            f"rows and cols must be two (Q, N/2) arrays of one shape, "
-            f"got {rows.shape} and {cols.shape}"
-        )
-    if rows.shape[1] != n // 2:
-        raise ValidationError(f"pairing covers {2 * rows.shape[1]} elements, oracle hides {n}")
-    if not (np.issubdtype(rows.dtype, np.integer) and np.issubdtype(cols.dtype, np.integer)):
-        raise ValidationError(f"pair elements must be integers, got {rows.dtype} and {cols.dtype}")
-    # cast before any arithmetic, so lo * n + hi cannot overflow a narrow
-    # dtype; an unsigned end beyond intp's range turns negative and fails below
-    rows, cols = rows.astype(np.intp, copy=False), cols.astype(np.intp, copy=False)
-    lo, hi = np.minimum(rows, cols), np.maximum(rows, cols)
-    q = len(rows)
-    if q and (lo.min() < 0 or hi.max() >= n):
-        raise ValidationError(f"pair elements must lie in 0..{n - 1}")
-    # a row has n slots, so it is a pairing exactly when its n ends cover
-    # 0..n-1; a repeated element, a self-pair included, leaves one uncovered
-    base = np.arange(0, q * n, n)[:, None]
-    covered = np.zeros(q * n, dtype=bool)
-    covered[base + lo] = True
-    covered[base + hi] = True
-    if not covered.all():
-        row, e = np.argwhere(~covered.reshape(q, n))[0]
-        raise ValidationError(f"row {row} is not a pairing: element {e} is not paired exactly once")
-    keys = lo * n + hi
-    # the library's rows arrive almost sorted (fixed pairs, then an ascending
-    # completion), and the stable sort takes such runs whole; a valid row's
-    # keys are distinct, so any sort gives the same result
-    keys.sort(axis=1, kind="stable")
-    return keys
+from .core import Instance, Pairing, ValidationError, pair_keys, row_totals
 
 
 class ObservationOracle:
@@ -102,12 +48,10 @@ class ObservationOracle:
             return self._count
 
     def observe(self, pairing: Pairing):
-        """Total compatibility of `pairing`; increments the query counter.
-
-        Invalid pairings raise before the counter moves.
-        """
-        rows, cols = pairing._index_arrays
-        return self.observe_batch(rows[None], cols[None]).tolist()[0]
+        """Total compatibility of a `Pairing`; counts one query."""
+        if not isinstance(pairing, Pairing):
+            raise ValidationError(f"observe takes a Pairing, got {type(pairing).__name__}")
+        return self.observe_batch(*np.divmod(pairing._keys, pairing.n)).tolist()[0]
 
     def observe_batch(self, rows, cols) -> np.ndarray:
         """Totals of the Q pairings in two (Q, N/2) arrays of 0-based elements.

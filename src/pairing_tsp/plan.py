@@ -20,7 +20,7 @@ Y and Z entries, so after a short recurrence over those the sweep resolves
 every level at once. Y_a and Z_a are the `before` and `after` pairings of
 exchange rule [1, l, l-1, a]. Every row is built as index arrays by
 `observation._rows`, the reconstruction's own builder: fixed pairs plus the
-ascending completion, checked and ordered once by the oracle's `pair_keys`;
+ascending completion, checked and ordered once by `core.pair_keys`;
 the plan keeps only them.
 
 Recovery is linear in the observations and the u_l, and the T equations'
@@ -48,9 +48,10 @@ from .core import (
     ValidationError,
     checked_count,
     integral,
+    pair_keys,
     quotients,
 )
-from .oracle import ObservationOracle, pair_keys
+from .oracle import ObservationOracle
 from .observation import TildeMatrix, _free_entries, _mirrored, _rows
 
 

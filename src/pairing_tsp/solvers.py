@@ -289,6 +289,8 @@ def solve_p2opt(matrix: np.ndarray, initial: Pairing, config: SolverConfig) -> S
     # exact entries are compared as integer numerators, which a positive
     # common denominator leaves in the same order
     matrix, n, (numerators, _) = checked_entries(matrix)
+    if not isinstance(initial, Pairing):
+        raise ValidationError(f"initial must be a Pairing, got {type(initial).__name__}")
     if initial.n != n:
         raise ValidationError(f"initial pairing covers {initial.n} elements, matrix has {n}")
     flat = numerators.ravel()

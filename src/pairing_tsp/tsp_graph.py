@@ -101,10 +101,10 @@ class PairingTspGraph:
             for j in range(i + 1, self.n + 1):
                 yield GraphNode(1, i), GraphNode(1, j), -self.c[i - 1][j - 1]
         for i in range(1, self.n + 1):
-            yield GraphNode(1, i), GraphNode(2, i), 0.0
+            yield GraphNode(1, i), GraphNode(2, i), self.c.dtype.type(0)
         for i in range(1, self.n + 1):
             for k in range(1, self.n // 2 + 1):
-                yield GraphNode(2, i), GraphNode(3, k), 0.0
+                yield GraphNode(2, i), GraphNode(3, k), self.c.dtype.type(0)
 
     @property
     def edge_count(self) -> int:

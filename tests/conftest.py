@@ -5,8 +5,9 @@ enumeration matches the largest element first (the library matches the
 smallest), scoring is a nested loop, the rank check is a from-scratch
 Gaussian elimination over fractions, two-pair rewiring is the plain scalar
 rescan, nearest-neighbor construction is the step loop with one draw per
-call, the minimal plan's recovery sweep resolves one level at a time, and an
-exchange rule's two pairings are assembled pair by pair from sets. They
+call, the minimal plan's recovery sweep resolves one level at a time, an
+exchange rule's two pairings are assembled pair by pair from sets, and a
+pairing is canonicalized and checked by Python loops, not `pair_keys`. They
 exist so library results are checked against something that cannot share
 their bugs.
 """
@@ -20,7 +21,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from pairing_tsp.core import Instance, InternalError, Pairing, integral, pairing_sum, seeded_rng
+from pairing_tsp.core import (
+    Instance,
+    InternalError,
+    Pairing,
+    ValidationError,
+    integral,
+    pairing_sum,
+    seeded_rng,
+)
 from pairing_tsp.oracle import ObservationOracle
 
 
@@ -152,6 +161,41 @@ def reference_pairings(n: int) -> list[frozenset[frozenset[int]]]:
         frozenset(frozenset(p) for p in pairing)
         for pairing in recurse(tuple(range(1, n + 1)))
     ]
+
+
+def reference_pairing(pairs) -> tuple[tuple[int, int], ...]:
+    """The canonical pairs of a list of pairs, or the ValidationError naming
+    its first offending element, by plain Python loops: sort each pair
+    (refusing a self-pair), sort the pairs, then scan them for an element
+    outside 1..n or seen before."""
+    canonical = []
+    for p in pairs:
+        t = tuple(p)
+        if len(t) != 2:
+            raise ValidationError(f"pair {t} does not contain exactly two elements")
+        for e in t:
+            if isinstance(e, bool) or not isinstance(e, (int, np.integer)):
+                raise ValidationError(f"element {e!r} is not an integer")
+        a, b = sorted(int(e) for e in t)
+        if a == b:
+            raise ValidationError(f"element {a} is paired with itself")
+        canonical.append((a, b))
+    pairs = tuple(sorted(canonical))
+    n = 2 * len(pairs)
+    if n == 0:
+        raise ValidationError("a pairing must contain at least one pair")
+    seen = [False] * (n + 1)
+    for p in pairs:
+        for e in p:
+            if not 1 <= e <= n:
+                raise ValidationError(
+                    f"element {e} is outside 1..{n} for a pairing of {n // 2} pairs"
+                )
+            if seen[e]:
+                raise ValidationError(f"element {e} appears in more than one pair")
+            seen[e] = True
+    # full coverage follows: n slots, n distinct in-range elements
+    return pairs
 
 
 def reference_score(matrix: np.ndarray, pairs) -> float:

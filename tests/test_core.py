@@ -1,6 +1,7 @@
 import functools
 import json
 import operator
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -24,6 +25,7 @@ from pairing_tsp.core import (
     loads_instance_json,
     loads_instance_text,
     pairing_count,
+    pairing_sum,
     quotients,
     row_totals,
     total_compatibility,
@@ -35,6 +37,7 @@ from conftest import (
     NON_NUMBER_MATRICES,
     make_instance,
     matrix_from_pairs,
+    reference_pairing,
     reference_pairings,
     reference_score,
 )
@@ -80,6 +83,90 @@ class TestPairing:
             p.pairs = ()
 
 
+#: The integer types a pair list may mix; a value outside a numpy type's
+#: range stays a Python int.
+ELEMENT_TYPES = (int, np.int8, np.uint8, np.int32, np.int64, np.uint64)
+
+
+def _typed(value: int, kind):
+    if kind is not int and not np.iinfo(kind).min <= value <= np.iinfo(kind).max:
+        return value
+    return kind(value)
+
+
+def _named_element(exc: ValidationError) -> int:
+    return int(re.search(r"element (-?\d+)", str(exc)).group(1))
+
+
+def _outcome(build, pairs):
+    try:
+        return build(pairs), None
+    except ValidationError as exc:
+        return None, exc
+
+
+def assert_matches_reference(pairs, faulty=None):
+    """`Pairing` accepts `pairs` exactly when `reference_pairing` does, with
+    the same canonical pairs of Python ints; when the one faulty element is
+    known, both name it."""
+    expected, expected_error = _outcome(reference_pairing, pairs)
+    got, error = _outcome(Pairing, pairs)
+    assert (got is None) == (expected is None), (pairs, expected_error, error)
+    if expected is not None:
+        assert got.pairs == expected
+        assert all(type(e) is int for pair in got.pairs for e in pair)
+    elif faulty is not None:
+        assert _named_element(error) == _named_element(expected_error) == faulty
+
+
+class TestPairingAgainstReference:
+    """`Pairing` checks through `pair_keys`; the plain loops of
+    `reference_pairing` must agree with it on every pair list."""
+
+    @pytest.mark.parametrize(
+        "pairs,faulty",
+        [
+            ([(1, 2), (2, 3)], 2),  # duplicate
+            ([(3, 4), (2, 2)], 2),  # self-pair
+            ([(0, 1)], 0),
+            ([(1, 2), (-3, 4)], -3),
+            ([(2**70, 1)], 2**70),
+            ([(np.uint64(2**64 - 1), 2)], 2**64 - 1),
+            ([(np.int8(1), np.int8(1))], 1),
+            ([(np.int8(4), np.uint64(3)), (np.int32(2), np.int64(1))], None),
+            ([(np.uint64(3), np.int8(-1)), (2, 1)], -1),
+            ([(np.uint8(200), 1)], 200),
+        ],
+    )
+    def test_named_cases(self, pairs, faulty):
+        assert_matches_reference(pairs, faulty)
+
+    def test_seeded_pair_lists(self):
+        rng = np.random.default_rng(2024)
+        sizes = list(range(2, 42, 2)) + [50, 64, 100, 128, 200, 256, 400]
+        for n in sizes:
+            for _ in range(30):
+                ends = (rng.permutation(n) + 1).tolist()
+                faults = int(rng.choice(4, p=[0.25, 0.45, 0.15, 0.15]))
+                faulty = None
+                for _ in range(faults):
+                    slot = int(rng.integers(n))
+                    value = [
+                        ends[int(rng.integers(n))],  # a duplicate, or a self-pair
+                        ends[slot ^ 1],  # the slot's partner: a self-pair
+                        0,
+                        -int(rng.integers(1, 1000)),
+                        n + int(rng.integers(1, 1000)),
+                        2**70,
+                        2**64 - 1,
+                    ][int(rng.integers(7))]
+                    faulty = value if value != ends[slot] else faulty
+                    ends[slot] = value
+                typed = [_typed(e, ELEMENT_TYPES[int(rng.integers(len(ELEMENT_TYPES)))]) for e in ends]
+                pairs = list(zip(typed[0::2], typed[1::2]))
+                assert_matches_reference(pairs, faulty if faults == 1 else None)
+
+
 class TestTotalCompatibility:
     def test_constant_matrix(self):
         c = np.full((4, 4), 5000.0)
@@ -102,6 +189,12 @@ class TestTotalCompatibility:
         inst = make_instance(6, seed=0)
         with pytest.raises(ValidationError):
             total_compatibility(inst, Pairing([(1, 2), (3, 4)]))
+
+    def test_matrix_with_extra_columns_rejected(self):
+        # the pair keys are flat indices into an n x n matrix, so wider rows
+        # would gather the wrong entries
+        with pytest.raises(ValidationError, match=r"matrix is \(4, 6\)"):
+            pairing_sum(np.zeros((4, 6)), Pairing([(1, 2), (3, 4)]))
 
 
 class TestEnumeration:

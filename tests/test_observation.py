@@ -58,6 +58,16 @@ class TestExchangeRuleValue:
         c = matrix_from_pairs(4, {(1, 3): 1.0, (2, 4): 1.0})
         assert exchange_rule_value(1, 2, 3, 4, c) == 2.0
 
+    @pytest.mark.parametrize("case", NON_NUMBER_MATRICES)
+    def test_non_number_matrix_named(self, case):
+        matrix, message = NON_NUMBER_MATRICES[case]
+        with pytest.raises(ValidationError, match=message):
+            exchange_rule_value(1, 2, 3, 4, matrix)
+
+    def test_nested_list_matrix(self):
+        c = matrix_from_pairs(4, {(1, 3): 1.0, (2, 4): 1.0})
+        assert exchange_rule_value(1, 2, 3, 4, c.tolist()) == 2.0
+
     def test_rejects_repeated_indices(self):
         c = np.zeros((6, 6))
         with pytest.raises(ValidationError):

@@ -217,6 +217,35 @@ class TestObserveBatch:
         with pytest.raises(ValidationError, match="must lie in 0..5"):
             ObservationOracle(instance6).observe_batch(rows, cols)
 
+    @pytest.mark.parametrize(
+        "rows,cols,message",
+        [
+            ([[0, 2, 4]], [[1, 3, 2]], "row 0 is not a pairing: element 2 appears in more than one pair"),
+            ([[0, 2, 4]], [[1, 3, 4]], "row 0 is not a pairing: element 4 is paired with itself"),
+            ([[0, 2, 4], [0, 2, 4]], [[1, 3, 5], [1, 3, 3]], "row 1 is not a pairing: element 3 appears"),
+            # the first bad row is named, though a later one is out of range
+            ([[0, 0, 4], [0, 2, 4]], [[1, 3, 5], [1, 3, 9]], "row 0 is not a pairing: element 0 appears"),
+            ([[0, 2, 4], [0, 2, 4]], [[1, 3, 5], [1, 3, 9]], "row 1 is not a pairing: element 9 must lie"),
+        ],
+    )
+    def test_faulty_element_named(self, instance6, rows, cols, message):
+        oracle = ObservationOracle(instance6)
+        with pytest.raises(ValidationError, match=message):
+            oracle.observe_batch(rows, cols)
+        assert oracle.query_count == 0
+
+    def test_unsigned_end_beyond_intp_named_as_given(self, instance6):
+        rows = np.array([[0, 2, 4]], dtype=np.uint64)
+        cols = np.array([[1, 3, 2**64 - 1]], dtype=np.uint64)
+        with pytest.raises(ValidationError, match="element 18446744073709551615 must lie in 0..5"):
+            ObservationOracle(instance6).observe_batch(rows, cols)
+
+    def test_observe_refuses_a_list_of_pairs(self, instance6):
+        oracle = ObservationOracle(instance6)
+        with pytest.raises(ValidationError, match="observe takes a Pairing, got list"):
+            oracle.observe([(1, 2), (3, 4), (5, 6)])
+        assert oracle.query_count == 0
+
     def test_pair_given_in_both_orientations_raises(self, instance6):
         # (0, 1) and (1, 0) are one pair twice: elements 4 and 5 go unpaired
         oracle = ObservationOracle(instance6)

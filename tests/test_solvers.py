@@ -127,6 +127,10 @@ class TestSolvePnn:
 
 
 class TestSolveP2opt:
+    def test_initial_list_of_pairs_refused(self):
+        with pytest.raises(ValidationError, match="initial must be a Pairing, got list"):
+            solve_p2opt(np.zeros((4, 4)), [(1, 2), (3, 4)], SolverConfig())
+
     def test_worked_scenario_three_checks(self):
         # pairs {1,2},{3,4},{5,6}: the first two comparisons keep the current
         # wiring, the third accepts {3,5},{4,6}; with a limit of one exchange

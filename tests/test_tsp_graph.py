@@ -11,7 +11,12 @@ from pairing_tsp.tsp_graph import (
     validate_tour,
 )
 
-from conftest import NON_NUMBER_MATRICES, make_instance
+from conftest import (
+    NON_NUMBER_MATRICES,
+    make_fraction_instance,
+    make_instance,
+    make_integer_instance,
+)
 
 
 def _nan_at_23() -> np.ndarray:
@@ -85,6 +90,13 @@ class TestGraphShape:
         assert graph.edge_cost(GraphNode(1, 1), GraphNode(1, 2)) == -inst.value(1, 2)
         assert graph.edge_cost(GraphNode(1, 2), GraphNode(2, 2)) == 0.0
         assert graph.edge_cost(GraphNode(2, 4), GraphNode(3, 1)) == 0.0
+
+    @pytest.mark.parametrize("make", [make_instance, make_integer_instance, make_fraction_instance])
+    def test_edges_yield_edge_cost(self, make):
+        graph = build_graph(make(6, seed=3).c, 6)
+        for u, v, cost in graph.edges():
+            expected = graph.edge_cost(u, v)
+            assert cost == expected and type(cost) is type(expected)
 
     def test_forbidden_edges_absent(self):
         graph = build_graph(np.zeros((6, 6)), 6)
