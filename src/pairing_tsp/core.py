@@ -314,7 +314,8 @@ def pair_keys(rows, cols, n: int, *, first: int = 0) -> np.ndarray:
         )
     if rows.shape[1] != n // 2:
         raise ValidationError(f"pairing covers {2 * rows.shape[1]} elements, oracle hides {n}")
-    if not (np.issubdtype(rows.dtype, np.integer) and np.issubdtype(cols.dtype, np.integer)):
+    # kinds i and u only: a timedelta64 is a numpy integer type too, and a bool is not
+    if not (rows.dtype.kind in "iu" and cols.dtype.kind in "iu"):
         raise ValidationError(f"pair elements must be integers, got {rows.dtype} and {cols.dtype}")
     # cast before any arithmetic, so lo * n + hi cannot overflow a narrow
     # dtype; an unsigned end beyond intp's range turns negative and fails below
@@ -334,7 +335,9 @@ def pair_keys(rows, cols, n: int, *, first: int = 0) -> np.ndarray:
         ends = np.sort(np.hstack([lo, hi]), axis=1)
         row = int(np.argmax((ends[:, 0] < 0) | (ends[:, -1] >= n) | (np.diff(ends) == 0).any(1)))
         raise _fault(row, list(zip(rows[row].tolist(), cols[row].tolist())), n, first)
-    keys = lo * n + hi
+    keys = lo  # lo * n + hi, formed in lo's own buffer
+    keys *= n
+    keys += hi
     # the library's rows arrive almost sorted (fixed pairs, then an ascending
     # completion), and the stable sort takes such runs whole; a valid row's
     # keys are distinct, so any sort gives the same result
@@ -360,7 +363,12 @@ class Pairing:
             if len(t) != 2:
                 raise ValidationError(f"pair {t} does not contain exactly two elements")
             ends += t
-        bad = [e for e in ends if isinstance(e, bool) or not isinstance(e, (int, np.integer))]
+        # np.timedelta64 subclasses np.integer, but its int() is not an element
+        bad = [
+            e
+            for e in ends
+            if isinstance(e, (bool, np.timedelta64)) or not isinstance(e, (int, np.integer))
+        ]
         if bad:
             raise ValidationError(f"element {bad[0]!r} is not an integer")
         ends = [int(e) for e in ends]  # Python ints, so mixed numpy types never meet

@@ -18,16 +18,18 @@ order: the [1,j,3,2] rules for j = 4..N, then the [1,i,2,j] rules column by
 column (3 <= i < j). Each rule is realized by its `after` pairing
 {i,k},{j,l} and then its `before` pairing {i,j},{k,l}, both completed by the
 ascending pairing of the other elements. `_rows` turns the table into index
-arrays, never `Pairing` objects, and the reconstruction submits them through
-`ObservationOracle.observe_batch` in slices of N rules, then observes the
-anchor, so a slice never holds more than 2N pairings of N/2 pairs. The
+arrays, never `Pairing` objects. The reconstruction builds the rows of
+several N-rule slices in one `_rows` call, a block of at most `_BLOCK_ENDS`
+pair ends or else one slice (from N = 128 on), and submits the block through
+`ObservationOracle.observe_batch` one slice at a time, then observes the
+anchor, so a batch never holds more than 2N pairings of N/2 pairs. The
 minimal plan builds its rows through `_rows` too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 import numpy as np
 
 from .core import (
@@ -164,33 +166,53 @@ def observation_budget(n: int) -> int:
     return 2 * (n - 3) + (n - 2) * (n - 3) + 1
 
 
+@lru_cache(maxsize=8)
+def _grid(n: int) -> np.ndarray:
+    """Read-only (M, n) view whose every row is 0..n-1. Its row stride is
+    zero, so it holds one row whatever M is, and M is the most numpy allows:
+    `_completion` compresses its first R rows for any R."""
+    row = np.arange(n)
+    return np.broadcast_to(row, (np.iinfo(np.intp).max // row.nbytes, n))
+
+
 def _completion(n: int, fixed: np.ndarray) -> np.ndarray:
     """(R, n - F): per row, the elements of 0..n-1 outside the row's F distinct
     `fixed` ones, ascending, so consecutive entries pair them in ascending
     adjacent order.
-    One (R, n) mask clears each row's fixed elements; compressing 0..n-1
+    One (R, n) mask clears each row's fixed elements; compressing `_grid(n)`
     through it keeps the rest in order."""
-    free = np.ones((len(fixed), n), dtype=bool)
-    free[np.arange(len(fixed))[:, None], fixed] = False
-    return np.broadcast_to(np.arange(n), free.shape)[free].reshape(len(fixed), n - fixed.shape[1])
+    count = len(fixed)
+    free = np.ones((count, n), dtype=bool)
+    free[np.arange(count)[:, None], fixed] = False
+    return _grid(n)[:count][free].reshape(count, n - fixed.shape[1])
 
 
+@lru_cache(maxsize=8)
 def _rule_table(n: int) -> np.ndarray:
     """(Q, 4): every rule the reconstruction measures, 1-based, in query
-    order: [1,j,3,2] for j = 4..n, then [1,i,2,j] for each j and 3 <= i < j."""
+    order: [1,j,3,2] for j = 4..n, then [1,i,2,j] for each j and 3 <= i < j.
+    Built once per n and shared, so it is read-only."""
     j, i = np.tril_indices(n + 1, k=-1)  # ordered by j, then i
     keep = i >= 3
-    return np.concatenate(
+    table = np.concatenate(
         [
             np.column_stack(np.broadcast_arrays(1, np.arange(4, n + 1), 3, 2)),
             np.column_stack(np.broadcast_arrays(1, i[keep], 2, j[keep])),
         ]
     )
+    table.setflags(write=False)
+    return table
 
 
 #: The columns of a rule [i,j,k,l] that give, in `_rows` layout, the ends of
 #: its `after` pairing {i,k},{j,l} and then those of its `before` {i,j},{k,l}.
 _AFTER_BEFORE = np.array([[0, 2, 1, 3], [0, 1, 2, 3]])
+
+#: Pair ends (rows and cols together) that one `_rows` block of the
+#: reconstruction may hold, unless it is one slice: 2**15 intp ends are
+#: 256 KB. A slice of N rules has 2N rows of N/2 pairs, 2N**2 ends, so from
+#: N = 128 on a block is one slice.
+_BLOCK_ENDS = 2**15
 
 
 def _rows(n: int, fixed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -220,8 +242,8 @@ def reconstruct_tilde(oracle: ObservationOracle) -> tuple[TildeMatrix, int]:
     4 <= j <= N and 3 <= i < j, observe the anchor pairing, then express every
     entry as x plus a measured offset with x the (2,3) entry and solve for x
     from the anchor total. Queries go to the oracle in the N-rule slices of
-    one rule table that the module docstring describes. The query count is
-    exactly ``observation_budget(n)``.
+    one rule table, built in blocks, as the module docstring describes. The
+    query count is exactly ``observation_budget(n)``.
 
     Returns the shadow matrix and the number of oracle queries spent here.
     Arithmetic follows the oracle's value type: float instances reconstruct
@@ -231,12 +253,16 @@ def reconstruct_tilde(oracle: ObservationOracle) -> tuple[TildeMatrix, int]:
     start_count = oracle.query_count
 
     rules = _rule_table(n)
-    values = np.concatenate(
-        [
-            oracle.observe_batch(*_rows(n, rules[s : s + n, _AFTER_BEFORE] - 1))
-            for s in range(0, len(rules), n)
+    slice_rows = 2 * n
+    block = n * max(1, _BLOCK_ENDS // (slice_rows * n))  # rules per block
+    values = []
+    for s in range(0, len(rules), block):
+        rows, cols = _rows(n, rules[s : s + block, _AFTER_BEFORE] - 1)
+        values += [
+            oracle.observe_batch(rows[b : b + slice_rows], cols[b : b + slice_rows])
+            for b in range(0, len(rows), slice_rows)
         ]
-    )
+    values = np.concatenate(values)
     anchor_total = oracle.observe(anchor_pairing(n))
     spent = oracle.query_count - start_count
     # the rule values and the anchor total as numerators over one denominator

@@ -74,6 +74,14 @@ class TestPairing:
         with pytest.raises(ValidationError, match="element True is not an integer"):
             Pairing([(True, 2), (3, 4)])
 
+    @pytest.mark.parametrize("time", [np.timedelta64, np.datetime64])
+    def test_time_element_rejected(self, time):
+        # np.timedelta64 subclasses np.integer, but int() of it is no element
+        with pytest.raises(ValidationError, match="is not an integer"):
+            Pairing([(time(1, "s"), time(2, "s")), (3, 4)])
+        with pytest.raises(ValidationError, match="is not an integer"):
+            Pairing([(1, 2), (3, time(4, "s"))])
+
     def test_from_permutation(self):
         assert Pairing.from_permutation([3, 1, 4, 2]) == Pairing([(1, 3), (2, 4)])
 

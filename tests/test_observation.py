@@ -17,14 +17,18 @@ from pairing_tsp.core import (
 )
 from pairing_tsp.observation import (
     TildeMatrix,
+    _BLOCK_ENDS,
     _completion,
+    _grid,
     _rows,
+    _rule_table,
     anchor_pairing,
     definitional_tilde,
     exchange_rule_value,
     observation_budget,
     reconstruct_tilde,
 )
+from pairing_tsp import observation
 from pairing_tsp.oracle import ObservationOracle
 
 from pairing_tsp.solvers import SolverConfig, solve_p2opt, solve_pnn, solve_random
@@ -385,6 +389,78 @@ class TestBatchedReconstruction:
 
         tilde, _ = reconstruct_tilde(ObservationOracle(generate_instance(80, 0, 10000, seed)))
         assert hashlib.sha256(tilde.t.tobytes()).hexdigest() == digest
+
+
+class TestBlockBuild:
+    """`reconstruct_tilde` builds several slices' rows in one `_rows` block and
+    submits them slice by slice. From n = 30 to 60 a block spans several
+    slices and the last block (or slice) is partial; at n = 130 a block is one
+    slice."""
+
+    @pytest.mark.parametrize("n", [30, 44, 60])
+    def test_query_log_is_the_one_at_a_time_sequence(self, n):
+        oracle = RecordingOracle(make_instance(n, seed=n + 3))
+        _, spent = reconstruct_tilde(oracle)
+        expected = reference_queries(n)
+        assert oracle.pairings == expected
+        assert spent == len(expected)
+
+    @pytest.mark.parametrize("n", [30, 44, 60, 130])
+    def test_batches_hold_at_most_2n_rows_from_fewer_blocks(self, monkeypatch, n):
+        sizes, blocks = [], []
+        observe_batch, build_rows = ObservationOracle.observe_batch, observation._rows
+
+        def spy(self, rows, cols):
+            sizes.append(len(rows))
+            return observe_batch(self, rows, cols)
+
+        def block_spy(n, fixed):
+            built = build_rows(n, fixed)
+            blocks.append(built[0].size + built[1].size)
+            return built
+
+        monkeypatch.setattr(ObservationOracle, "observe_batch", spy)
+        monkeypatch.setattr(observation, "_rows", block_spy)
+        _, spent = reconstruct_tilde(ObservationOracle(make_instance(n, seed=n)))
+        assert max(sizes) <= 2 * n
+        assert sum(sizes) == spent == observation_budget(n)
+        # every slice but the last is full, then the anchor's one row
+        assert sizes[:-2] == [2 * n] * (len(sizes) - 2) and sizes[-1] == 1
+        assert max(blocks) <= max(_BLOCK_ENDS, 2 * n * n)
+        if 2 * n * n <= _BLOCK_ENDS // 2:
+            assert len(blocks) < len(sizes) - 1
+        else:
+            assert len(blocks) == len(sizes) - 1
+
+
+@pytest.mark.parametrize("width", [2, 4, 6])
+def test_completion_is_the_sorted_set_difference(width):
+    rng = np.random.default_rng(40 + width)
+    for n in range(max(4, width), 61, 2):
+        for count in (0, 1, 9):
+            fixed = [rng.choice(n, width, replace=False) for _ in range(count)]
+            fixed = np.array(fixed, dtype=np.intp).reshape(count, width)
+            rest = _completion(n, fixed)
+            assert rest.shape == (count, n - width)
+            for used, row in zip(fixed, rest):
+                assert row.tolist() == sorted(set(range(n)) - set(used.tolist()))
+
+
+@pytest.mark.parametrize("n", [4, 28, 80])
+def test_cached_grid_and_rule_table_are_read_only(n):
+    grid, table = _grid(n), _rule_table(n)
+    assert grid is _grid(n) and table is _rule_table(n)
+    for shared in (grid, table, grid[:3], table[:3]):
+        assert not shared.flags.writeable
+        with pytest.raises(ValueError):
+            shared[0, 0] = 1
+    assert (grid[:5] == np.arange(n)).all()
+    assert grid.strides[0] == 0
+    assert len(table) == observation_budget(n) // 2
+    # a reconstruction leaves both as they were
+    before = table.copy()
+    reconstruct_tilde(ObservationOracle(make_instance(n, seed=n)))
+    assert np.array_equal(_rule_table(n), before) and (_grid(n)[:5] == np.arange(n)).all()
 
 
 class TestNumericLayer:

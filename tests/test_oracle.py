@@ -189,6 +189,17 @@ class TestObserveBatch:
         expected = [ObservationOracle(instance6).observe(p) for p in pairings]
         assert ObservationOracle(instance6).observe_batch(rows, cols).tolist() == expected
 
+    @pytest.mark.parametrize("unit", ["m8[s]", "M8[s]"])
+    def test_time_dtype_refused_before_counting(self, instance6, unit):
+        # numpy counts timedelta64 among its integer types; it is no element
+        rows, cols = np.array([[0, 2, 4]]), np.array([[1, 3, 5]])
+        oracle = ObservationOracle(instance6)
+        with pytest.raises(ValidationError, match="pair elements must be integers"):
+            oracle.observe_batch(rows.astype(unit), cols.astype(unit))
+        with pytest.raises(ValidationError, match="pair elements must be integers"):
+            oracle.observe_batch(rows, cols.astype(unit))
+        assert oracle.query_count == 0
+
     @pytest.mark.parametrize("dtype", [np.uint8, np.int8])
     def test_narrow_dtype_keys_do_not_overflow(self, dtype):
         # keys lo * n + hi reach n * n - 2 = 1598, beyond both dtypes, so
