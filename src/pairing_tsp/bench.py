@@ -32,7 +32,6 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Iterable
 
@@ -421,6 +420,10 @@ def run_study(study: str, spec: ExperimentSpec) -> ExperimentReport:
     if workers <= 1 or len(tasks) <= 2:
         payloads = [_trial(*task) for task in tasks]
     else:
+        # imported here: the pool pulls in multiprocessing, which a serial
+        # study and every other entry point never need
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             payloads = list(pool.map(_trial, *zip(*tasks), chunksize=4))
     records = tuple(record for trial_records, _ in payloads for record in trial_records)

@@ -32,7 +32,11 @@ passes one gate, `checked_entries` (its count, shape, numbers, and finiteness
 off the diagonal), and an instance or shadow then `_check_symmetric_bounded`
 (symmetry and bounds). `frozen_matrix` makes the one dtype choice at
 admission: an `Instance` or `TildeMatrix` keeps an object array and casts
-others to float64.
+others to float64. An `Instance` also chooses, once, what its pairing
+totals are summed over (`_summands`): an int64 copy of a matrix of Python
+ints small enough that no pairing's partial sum can overflow, else the
+matrix itself; totals come back in the matrix's own dtype, so an exact
+total is still a Python int.
 
 A pairing has one check, `pair_keys`, which `Pairing` and the oracle's
 `observe_batch` both call: a row of N/2 pairs is a pairing exactly when its
@@ -40,7 +44,9 @@ ends cover all N elements. It returns each pair as one key lo*N + hi (its
 0-based smaller and larger end), sorted, which is canonical pair order and
 the flat index of the pair's entry. Every pairing total gathers
 `matrix.ravel().take(keys)` and adds left to right in `row_totals`, so a
-total is the same value bit for bit whichever path computed it.
+total is the same value bit for bit whichever path computed it. A
+`FractionArray` that keeps its numerators gathers those instead and
+divides once (`quotient_sum`).
 """
 
 from __future__ import annotations
@@ -435,12 +441,27 @@ def row_totals(entries: np.ndarray) -> np.ndarray:
     return np.add.reduce(np.ascontiguousarray(entries.T), axis=0)
 
 
-def pairing_sum(matrix: np.ndarray, pairing: Pairing):
-    """Sum of matrix[i][j] over the pairing's pairs (matrix is 0-based, full)."""
+def _gathered(matrix: np.ndarray, pairing: Pairing) -> np.ndarray:
+    """The (1, n/2) row of the pairing's entries of a full 0-based matrix."""
     if matrix.shape != (pairing.n, pairing.n):
         raise ValidationError(f"pairing covers {pairing.n} elements but matrix is {matrix.shape}")
-    # as a Python scalar: a float, or an exact int or Fraction
-    return row_totals(matrix.ravel().take(pairing._keys)).tolist()[0]
+    return matrix.ravel().take(pairing._keys)
+
+
+def pairing_sum(matrix: np.ndarray, pairing: Pairing):
+    """Sum of matrix[i][j] over the pairing's pairs (matrix is 0-based, full),
+    as a Python scalar: a float, or an exact int or Fraction. A
+    `FractionArray` that keeps its numerators is summed by `quotient_sum`."""
+    if isinstance(matrix, FractionArray) and matrix._integral is not None:
+        return quotient_sum(*matrix._integral, pairing)
+    return row_totals(_gathered(matrix, pairing)).tolist()[0]
+
+
+def quotient_sum(numerators: np.ndarray, denominator: int, pairing: Pairing):
+    """The pairing's total of numerators / denominator, for a pair as
+    `integral` returns it: the numerators are added and divided once through
+    `quotients`, so an exact total makes one `Fraction`, not n/2 - 1 additions."""
+    return quotients(row_totals(_gathered(numerators, pairing)), denominator).tolist()[0]
 
 
 def frozen_matrix(c: np.ndarray) -> np.ndarray:
@@ -475,6 +496,21 @@ def _check_symmetric_bounded(c: np.ndarray, n: int, c_min=-math.inf, c_max=math.
         raise ValidationError(f"c[{i + 1}][{j + 1}]={c[i][j]} is outside [{c_min}, {c_max}]")
 
 
+def _summands(c: np.ndarray) -> np.ndarray:
+    """What an admitted matrix `c`'s pairing totals are summed over: a
+    read-only int64 copy when every entry, the diagonal included, is a
+    Python int and n/2 times the largest magnitude fits int64, so every
+    partial sum of a pairing is exact; otherwise `c` itself."""
+    if c.dtype == object:
+        entries = c.ravel().tolist()
+        top = int(np.iinfo(np.int64).max)
+        if set(map(type, entries)) == {int} and len(c) // 2 * max(map(abs, entries)) <= top:
+            sums = np.array(entries, dtype=np.int64).reshape(c.shape)
+            sums.setflags(write=False)
+            return sums
+    return c
+
+
 @dataclass(frozen=True)
 class Instance:
     """A hidden symmetric compatibility matrix with declared value bounds.
@@ -482,6 +518,10 @@ class Instance:
     The diagonal is stored but never read; loaders accept any diagonal value.
     Entries are floats by default; an object array of ints / fractions keeps
     everything exact for the rational arithmetic mode used by the test suite.
+    `c` is what was admitted. Pairing totals, the oracle's included, are
+    summed over the private `_sums` that `_summands` chooses once here: an
+    int64 copy of a bounded all-int `c`, so exact totals add native ints
+    and come back as Python ints, else `c`.
     """
 
     n: int
@@ -496,9 +536,15 @@ class Instance:
         _check_symmetric_bounded(c, n, self.c_min, self.c_max)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "c", c)
+        object.__setattr__(self, "_sums", _summands(c))
 
     def value(self, i: int, j: int):
-        """Compatibility of elements i and j (1-based, i != j)."""
+        """Compatibility of elements i and j, two distinct `integer`s in
+        1..n, else a ValidationError."""
+        i, j = (_checked("element", "an integer", integer, e) for e in (i, j))
+        for e in (i, j):
+            if not 1 <= e <= self.n:
+                raise ValidationError(f"element {e} is outside 1..{self.n}")
         if i == j:
             raise ValidationError("the diagonal carries no compatibility value")
         return self.c[i - 1][j - 1]
@@ -506,7 +552,7 @@ class Instance:
 
 def total_compatibility(instance: Instance, pairing: Pairing):
     """Total compatibility of a pairing: the sum of its N/2 selected entries."""
-    return pairing_sum(instance.c, pairing)
+    return pairing_sum(instance._sums, pairing)
 
 
 def enumerate_pairings(n: int, *, max_n: int = DEFAULT_ENUMERATION_CAP) -> Iterator[Pairing]:

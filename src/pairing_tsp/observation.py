@@ -43,6 +43,7 @@ from .core import (
     integer,
     integral,
     pairing_sum,
+    quotient_sum,
     quotients,
     row_totals,
 )
@@ -112,9 +113,7 @@ class TildeMatrix:
         once, so `t` is not built."""
         if "_integral" not in self.__dict__:
             return pairing_sum(self.t, pairing)
-        numerators, denominator = self._integral
-        total = np.array([pairing_sum(numerators, pairing)], numerators.dtype)
-        return quotients(total, denominator).tolist()[0]
+        return quotient_sum(*self._integral, pairing)
 
 
 def _free_entries(n: int) -> np.ndarray:

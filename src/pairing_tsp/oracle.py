@@ -13,7 +13,9 @@ either orientation. Every query passes through `observe_batch` (`observe` is
 a one-row batch), so overriding that one method sees them all; the oracle
 keeps no log of them. Every row passes `core.pair_keys`, the one check of a
 pairing, before the counter moves, so a bad batch costs nothing; the oracle
-gathers by the keys it returns, as `core.pairing_sum` does.
+gathers by the keys it returns, as `core.pairing_sum` does, from the array
+the instance chose at admission to sum over (int64 for bounded Python-int
+instances), and returns the totals in the instance's dtype.
 """
 
 from __future__ import annotations
@@ -28,8 +30,10 @@ from .core import Instance, Pairing, ValidationError, pair_keys, row_totals
 class ObservationOracle:
     """Counts total-compatibility queries against a hidden instance.
 
-    Answers are exact sums of the hidden entries, with no noise. The counter
-    is guarded by a lock so benchmark workers may share one oracle.
+    Answers are exact sums of the hidden entries, with no noise: an int
+    instance's totals are added in int64 when admission found that exact,
+    and come back as Python ints either way. The counter is guarded by a
+    lock so benchmark workers may share one oracle.
     """
 
     def __init__(self, instance: Instance):
@@ -58,10 +62,14 @@ class ObservationOracle:
 
         Counts Q queries. Every row is validated before the counter moves.
         Returns a float64 array for float instances and an object array of
-        exact values for exact ones; value q equals `observe` on row q.
+        exact values (Python ints or `Fraction`s) for exact ones; value q
+        equals `observe` on row q.
         """
-        keys = pair_keys(rows, cols, self._hidden.n)
-        totals = row_totals(self._hidden.c.ravel().take(keys))
+        hidden = self._hidden
+        keys = pair_keys(rows, cols, hidden.n)
+        # summed over the instance's `_sums`, then given `c`'s dtype: an
+        # int64 total becomes a Python int, and a float64 one is not copied
+        totals = row_totals(hidden._sums.ravel().take(keys)).astype(hidden.c.dtype, copy=False)
         with self._lock:
             self._count += len(totals)
         return totals

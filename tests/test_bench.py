@@ -337,3 +337,25 @@ def test_report_bytes_pinned(study, threads, monkeypatch):
     report = run(ExperimentSpec(**fields))
     text = report.to_csv_text() + report.to_json_text()
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_import_leaves_the_process_pool_out():
+    """`run_study` imports the pool only when it uses one, so importing the
+    package loads neither `concurrent.futures` nor `multiprocessing`."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import pairing_tsp
+
+    src = str(Path(pairing_tsp.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = (
+        "import sys, pairing_tsp; "
+        "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"

@@ -602,3 +602,31 @@ class TestRowTotals:
         entries = cancelling_rows(3, 40, seed=5).astype(object)
         expected = [fold(row) for row in entries.tolist()]
         assert [v.hex() for v in row_totals(entries).tolist()] == [v.hex() for v in expected]
+
+
+class TestInstanceValue:
+    """`Instance.value` checks both elements as `exchange_rule_value` does."""
+
+    @pytest.mark.parametrize(
+        "i,j,message",
+        [
+            (0, 2, "element 0 is outside 1..4"),
+            (2, 0, "element 0 is outside 1..4"),
+            (5, 1, "element 5 is outside 1..4"),
+            (1, -1, "element -1 is outside 1..4"),
+            (1.5, 2, "element must be an integer, got 1.5"),
+            (2, "3", "element must be an integer, got '3'"),
+            (True, 2, "element must be an integer, got True"),
+            (3, 3, "the diagonal carries no compatibility value"),
+        ],
+    )
+    def test_bad_elements_are_named(self, i, j, message):
+        inst = Instance(n=4, c=matrix_from_pairs(4, {(1, 2): 1, (3, 4): 6}), c_min=0, c_max=10)
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            inst.value(i, j)
+
+    def test_valid_elements_read_the_entry(self):
+        inst = Instance(n=4, c=matrix_from_pairs(4, {(1, 2): 1, (3, 4): 6}), c_min=0, c_max=10)
+        assert inst.value(4, 3) == 6
+        assert inst.value(np.int64(1), np.uint8(2)) == 1
+        assert inst.value(1, 4) == 0
