@@ -310,6 +310,9 @@ def _resolve_start(spec: ExperimentSpec, n: int, solver_seed: int) -> int:
 
 
 def _observed_matrix(instance: Instance) -> tuple[np.ndarray, int]:
+    """The reconstructed shadow of `instance` and the queries it spent: the
+    observe step of every study, and of the command line's `observe` and
+    `solve --mode observed`."""
     oracle = ObservationOracle(instance)
     tilde, spent = reconstruct_tilde(oracle)
     return tilde.t, spent

@@ -3,8 +3,8 @@
 All randomness flows from explicit seeds, and every writer emits stable,
 sorted output, so repeating an invocation with the same seed reproduces its
 files byte for byte (benchmark timing columns are zeroed unless requested).
-Exit status is 0 on success, 1 on bad input or usage, 2 on an internal
-failure.
+Exit status is 0 on success, 1 on bad input, path or usage, 2 on an
+internal failure.
 """
 
 from __future__ import annotations
@@ -24,9 +24,9 @@ from .core import (
     Instance,
     ValidationError,
     _checked,
+    _first_best,
     dumps_instance_json,
     dumps_instance_text,
-    enumerate_pairings,
     float_bounds,
     integer,
     load_instance,
@@ -36,7 +36,7 @@ from .core import (
     real,
     total_compatibility,
 )
-from .observation import TildeMatrix, reconstruct_tilde
+from .observation import TildeMatrix
 from .oracle import ObservationOracle
 from .plan import execute_plan, minimal_observation_plan
 from .solvers import SolveResult, SolverConfig, solve_pnn, solve_pnn_p2opt, solve_random
@@ -130,27 +130,26 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _tilde_json(instance: Instance, tilde: TildeMatrix, strategy: str, observations: int) -> str:
+def _tilde_json(instance: Instance, tilde: np.ndarray, strategy: str, observations: int) -> str:
     payload = {
         "n": instance.n,
         "c_min": float(instance.c_min),
         "c_max": float(instance.c_max),
         "strategy": strategy,
         "observations": observations,
-        "tilde": [[float(v) for v in row] for row in tilde.t],
+        "tilde": [[float(v) for v in row] for row in tilde],
     }
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 def _cmd_observe(args) -> int:
     instance = load_instance(args.instance)
-    oracle = ObservationOracle(instance)
     if args.strategy == "minimal":
-        plan = minimal_observation_plan(instance.n)
-        tilde = execute_plan(oracle, plan)
+        oracle = ObservationOracle(instance)
+        tilde = execute_plan(oracle, minimal_observation_plan(instance.n)).t
         observations = oracle.query_count
     else:
-        tilde, observations = reconstruct_tilde(oracle)
+        tilde, observations = bench_mod._observed_matrix(instance)
     _emit(_tilde_json(instance, tilde, args.strategy, observations), args.out)
     return 0
 
@@ -190,9 +189,7 @@ def _cmd_solve(args) -> int:
     if args.mode == "observed":
         if instance is None:
             raise ValidationError("observed mode needs a raw instance file, not a shadow file")
-        oracle = ObservationOracle(instance)
-        tilde, observations = reconstruct_tilde(oracle)
-        solve_matrix = tilde.t
+        solve_matrix, observations = bench_mod._observed_matrix(instance)
     else:
         solve_matrix = matrix
 
@@ -208,14 +205,9 @@ def _cmd_solve(args) -> int:
     elif args.algo == "pnn+p2opt":
         result = solve_pnn_p2opt(solve_matrix, config)
     else:
-        # the first maximal pairing, on the matrix the mode solves on
-        pairing = max(
-            enumerate_pairings(n, max_n=args.enumeration_cap),
-            key=lambda p: pairing_sum(solve_matrix, p),
-        )
-        result = SolveResult(
-            pairing=pairing, score=pairing_sum(solve_matrix, pairing), noc=0, exchanges_used=0
-        )
+        # the search `exact_best_pairing` runs, on the matrix the mode solves on
+        pairing, total = _first_best(solve_matrix, args.enumeration_cap)
+        result = SolveResult(pairing=pairing, score=total, noc=0, exchanges_used=0)
 
     # score against the truth when we have it, else against the shadow sums
     if instance is not None:
@@ -312,7 +304,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 1
     except SystemExit as exc:  # argparse --help
         return int(exc.code or 0)
-    except FileNotFoundError as exc:
+    except (OSError, UnicodeDecodeError) as exc:  # a missing, unreadable or non-UTF-8 path
         sys.stderr.write(f"error: {exc}\n")
         return 1
     except InternalError as exc:

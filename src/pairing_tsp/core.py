@@ -30,7 +30,8 @@ exactly for ints and `Fraction`s and through `real` for the rest, and
 `float_bounds` for a pair read from a file or spec, as floats. Every matrix
 passes one gate, `checked_entries` (its count, shape, numbers, and finiteness
 off the diagonal), and an instance or shadow then `_check_symmetric_bounded`
-(symmetry and bounds). `frozen_matrix` makes the one dtype choice at
+(symmetry and bounds, and for a float matrix that no pairing total can
+overflow). `frozen_matrix` makes the one dtype choice at
 admission: an `Instance` or `TildeMatrix` keeps an object array and casts
 others to float64. An `Instance` also chooses, once, what its pairing
 totals are summed over (`_summands`): an int64 copy of a matrix of Python
@@ -58,7 +59,6 @@ import operator
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -258,22 +258,31 @@ def checked_entries(matrix, n=None) -> tuple[np.ndarray, int, tuple[np.ndarray, 
     # `quotients` made, and `integral` does not read them
     kept = isinstance(matrix, FractionArray) and matrix._integral is not None
     if matrix.dtype == object and not kept:
+        # test each distinct type once; scan the entries only to name a fault
         entries = matrix.ravel().tolist()
-        bad = [v for v in entries if isinstance(v, bool) or not isinstance(v, numbers.Real)]
+        kinds = set(map(type, entries))
+        bad = {k for k in kinds if issubclass(k, bool) or not issubclass(k, numbers.Real)}
         if bad:
-            raise ValidationError(f"matrix entries must be numbers, got {bad[0]!r}")
+            first = next(v for v in entries if type(v) in bad)
+            raise ValidationError(f"matrix entries must be numbers, got {first!r}")
     try:
         pair = integral(matrix)
     except OverflowError as exc:  # floats beside an int beyond float range
         raise ValidationError(f"matrix entries are not finite as floats: {exc}") from exc
-    numerators = pair[0]
+    _check_finite(pair[0], "c")
+    return matrix, n, pair
+
+
+def _check_finite(numerators: np.ndarray, name: str) -> None:
+    """A ValidationError naming the first entry off the diagonal of a square
+    `integral` numerator array that is not finite, as name[i][j] (1-based);
+    exact numerators are Python ints, always finite."""
     if numerators.dtype != object and not np.isfinite(numerators).all():
-        k = np.arange(n)
+        k = np.arange(len(numerators))
         bad = np.argwhere(~np.isfinite(numerators) & (k[:, None] != k))
         if len(bad):
             i, j = bad[0]
-            raise ValidationError(f"c[{i + 1}][{j + 1}]={numerators[i, j]} is not finite")
-    return matrix, n, pair
+            raise ValidationError(f"{name}[{i + 1}][{j + 1}]={numerators[i, j]} is not finite")
 
 
 def checked_seed(seed, name: str = "seed") -> int:
@@ -389,7 +398,7 @@ class Pairing:
         keys.setflags(write=False)
         first, second = np.divmod(keys[0], n)
         object.__setattr__(self, "pairs", tuple(zip((first + 1).tolist(), (second + 1).tolist())))
-        self.__dict__["_keys"] = keys
+        object.__setattr__(self, "_keys", keys)
 
     @classmethod
     def from_permutation(cls, order: Iterable[int]) -> "Pairing":
@@ -401,23 +410,19 @@ class Pairing:
 
     @classmethod
     def _from_canonical(cls, pairs: tuple[tuple[int, int], ...]) -> "Pairing":
-        # trusted fast path for internally generated canonical pairs; the
-        # observation loop constructs tens of thousands of these
+        # trusted fast path for internally generated canonical pairs, with
+        # the read-only (1, n/2) `pair_keys` row built from them unchecked
         self = object.__new__(cls)
         object.__setattr__(self, "pairs", pairs)
+        n = 2 * len(pairs)
+        keys = np.fromiter(((a - 1) * n + b - 1 for a, b in pairs), np.intp, n // 2)
+        keys.setflags(write=False)
+        object.__setattr__(self, "_keys", keys[None])
         return self
 
     @property
     def n(self) -> int:
         return 2 * len(self.pairs)
-
-    @cached_property
-    def _keys(self) -> np.ndarray:
-        # the read-only (1, n/2) `pair_keys` row of a `_from_canonical` pairing
-        n = self.n
-        keys = np.fromiter(((a - 1) * n + b - 1 for a, b in self.pairs), np.intp, n // 2)
-        keys.setflags(write=False)
-        return keys[None]
 
     def __iter__(self) -> Iterator[tuple[int, int]]:
         return iter(self.pairs)
@@ -475,7 +480,9 @@ def frozen_matrix(c: np.ndarray) -> np.ndarray:
 
 def _check_symmetric_bounded(c: np.ndarray, n: int, c_min=-math.inf, c_max=math.inf) -> None:
     """Name the first off-diagonal fault of an admitted float or object (n, n)
-    matrix: an asymmetry, then an entry outside [c_min, c_max]."""
+    matrix: an asymmetry, then an entry outside [c_min, c_max]. A float
+    matrix is refused too when n/2 times its largest off-diagonal magnitude
+    exceeds float64, so that no pairing total can overflow."""
     k = np.arange(n)
     lo, hi = c_min, c_max
     if c.dtype != object:
@@ -494,6 +501,13 @@ def _check_symmetric_bounded(c: np.ndarray, n: int, c_min=-math.inf, c_max=math.
     if len(bad):
         i, j = np.argwhere(upper)[bad[0]]
         raise ValidationError(f"c[{i + 1}][{j + 1}]={c[i][j]} is outside [{c_min}, {c_max}]")
+    if c.dtype != object:
+        top = float(np.abs(vals).max())
+        if n // 2 * top > sys.float_info.max:
+            raise ValidationError(
+                f"entries up to {top} in magnitude overflow float64 in a pairing total "
+                f"of {n // 2} of them"
+            )
 
 
 def _summands(c: np.ndarray) -> np.ndarray:
@@ -584,6 +598,15 @@ def enumerate_pairings(n: int, *, max_n: int = DEFAULT_ENUMERATION_CAP) -> Itera
     yield from recurse(list(range(1, n + 1)), [])
 
 
+def _first_best(matrix: np.ndarray, max_n: int) -> tuple[Pairing, object]:
+    """The first maximal pairing of `enumerate_pairings` on a full 0-based
+    matrix, which is the canonically smallest of any tie, and its
+    `pairing_sum`. `max` keeps the first of equal keys."""
+    scored = ((pairing_sum(matrix, p), p) for p in enumerate_pairings(len(matrix), max_n=max_n))
+    total, best = max(scored, key=operator.itemgetter(0))
+    return best, total
+
+
 def exact_best_pairing(
     instance: Instance, *, max_n: int = DEFAULT_ENUMERATION_CAP
 ) -> tuple[Pairing, float]:
@@ -592,14 +615,7 @@ def exact_best_pairing(
     Comparison is exact on the stored representation, so integer and rational
     instances break ties deterministically.
     """
-    best_pairing = None
-    best_score = None
-    for pairing in enumerate_pairings(instance.n, max_n=max_n):
-        score = total_compatibility(instance, pairing)
-        if best_score is None or score > best_score:
-            best_pairing, best_score = pairing, score
-    assert best_pairing is not None
-    return best_pairing, best_score
+    return _first_best(instance._sums, max_n)
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,7 @@ from .core import (
     Pairing,
     ValidationError,
     _checked,
+    _check_finite,
     _check_symmetric_bounded,
     checked_count,
     checked_entries,
@@ -125,10 +126,12 @@ def _free_entries(n: int) -> np.ndarray:
 def _mirrored(upper: np.ndarray, numerators: np.ndarray, denominator: int) -> TildeMatrix:
     """The shadow of `numerators` over `denominator`, row by row at the
     `upper` mask and mirrored below the diagonal; every other entry is zero.
-    Every shadow the library computes is made here."""
+    Every shadow the library computes is made here, and a float one that
+    overflowed on the way is refused: an entry that is not finite."""
     n = len(upper)
     full = np.zeros((n, n), numerators.dtype)
     full[upper] = full.T[upper] = numerators
+    _check_finite(full, "float64 overflowed: shadow entry t")
     return TildeMatrix._of_integral(full, denominator)
 
 

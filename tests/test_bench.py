@@ -1,4 +1,5 @@
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from pairing_tsp.bench import (
     CSV_HEADER,
     ExperimentSpec,
+    _observed_matrix,
     generate_instance,
     performance_indicator,
     random_start_node,
@@ -13,11 +15,12 @@ from pairing_tsp.bench import (
     run_initial_node_study,
     run_noc_study,
     run_performance_study,
+    run_study,
     trial_seeds,
 )
-from pairing_tsp.core import ValidationError
+from pairing_tsp.core import ValidationError, total_compatibility
 from pairing_tsp.observation import observation_budget
-from pairing_tsp.solvers import SolverConfig, solve_pnn
+from pairing_tsp.solvers import SolverConfig, solve_p2opt, solve_pnn, solve_pnn_p2opt
 
 
 class TestPerformanceIndicator:
@@ -359,3 +362,96 @@ def test_import_leaves_the_process_pool_out():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+class TestIntegerStartNode:
+    """A study with an integer `start_node` starts every solve at that node:
+    its records match `solve_pnn` / `solve_p2opt` started from node 3."""
+
+    @staticmethod
+    def _setting(spec, record):
+        inst = generate_instance(record.n, *spec.value_range, record.seed)
+        _, solver_seed = trial_seeds(spec.master_seed, 0, record.trial)
+        return inst, _observed_matrix(inst)[0], solver_seed
+
+    @staticmethod
+    def _assert_matches(spec, record, inst, result):
+        score = total_compatibility(inst, result.pairing)
+        assert record.p == performance_indicator(score, record.n, *spec.value_range)
+        assert (record.noc, record.exchanges) == (result.noc, result.exchanges_used)
+
+    def test_perf(self):
+        spec = small_spec(n_values=(8,), trials=2, algorithms=("pnn", "pnn+p2opt"), start_node=3)
+        report = run_performance_study(spec)
+        assert len(report.records) == 4
+        for record in report.records:
+            inst, shadow, solver_seed = self._setting(spec, record)
+            config = SolverConfig(seed=solver_seed, start_node=3, exchange_limit=600)
+            solve = solve_pnn if record.algo == "pnn" else solve_pnn_p2opt
+            self._assert_matches(spec, record, inst, solve(shadow, config))
+
+    def test_sweep(self):
+        spec = small_spec(
+            n_values=(10,), trials=2, exchange_limit=(0, 3), algorithms=("pnn+p2opt",), start_node=3
+        )
+        report = run_exchange_limit_sweep(spec)
+        assert len(report.records) == 4
+        for record in report.records:
+            inst, shadow, solver_seed = self._setting(spec, record)
+            config = SolverConfig(seed=solver_seed, start_node=3, exchange_limit=None)
+            constructed = solve_pnn(shadow, config)
+            limit = int(record.algo.rsplit("=", 1)[1])
+            refine = replace(config, exchange_limit=limit)
+            refined = solve_p2opt(shadow, constructed.pairing, refine)
+            self._assert_matches(spec, record, inst, refined)
+
+    def test_noc(self):
+        spec = small_spec(n_values=(12,), trials=2, algorithms=("pnn+p2opt",), start_node=3)
+        report = run_noc_study(spec)
+        assert len(report.records) == 2
+        for record in report.records:
+            inst, shadow, solver_seed = self._setting(spec, record)
+            config = SolverConfig(seed=solver_seed, start_node=3, exchange_limit=600)
+            self._assert_matches(spec, record, inst, solve_pnn_p2opt(shadow, config))
+
+    def test_start_node_changes_the_records(self):
+        spec = small_spec(n_values=(8,), trials=2, algorithms=("pnn",))
+        at_one = run_performance_study(spec).records
+        at_three = run_performance_study(replace(spec, start_node=3)).records
+        assert [r.p for r in at_one] != [r.p for r in at_three]
+
+
+class TestUnreachedFaults:
+    def test_threads_not_an_integer(self, monkeypatch):
+        monkeypatch.setenv("PAIRING_TSP_THREADS", "x")
+        with pytest.raises(ValidationError, match="PAIRING_TSP_THREADS must be an integer"):
+            run_performance_study(small_spec(n_values=(8,), trials=1))
+
+    @pytest.mark.parametrize(
+        "overrides,message",
+        [
+            (dict(algorithms="pnn"), "algorithms must be a sequence of names"),
+            (dict(trials=0), "trials must be >= 1, got 0"),
+            (dict(value_range=(5.0, 5.0)), "value range must satisfy max > min"),
+            (dict(value_range=(10.0, 1.0)), "value range must satisfy max > min"),
+        ],
+    )
+    def test_spec_field_named(self, overrides, message):
+        with pytest.raises(ValidationError, match=message):
+            small_spec(**overrides)
+
+    def test_json_spec_missing_n_values(self):
+        with pytest.raises(ValidationError, match="bad experiment spec: .*n_values"):
+            ExperimentSpec.from_json_dict({"trials": 1})
+
+    def test_json_spec_not_an_object(self):
+        with pytest.raises(ValidationError, match="experiment spec JSON must be an object"):
+            ExperimentSpec.from_json_dict([8, 1])
+
+    def test_unknown_study(self):
+        with pytest.raises(ValidationError, match="unknown study 'tour'"):
+            run_study("tour", small_spec())
+
+    def test_perf_with_a_list_of_limits(self):
+        with pytest.raises(ValidationError, match="the perf study needs a single exchange_limit"):
+            run_performance_study(small_spec(exchange_limit=(0, 5)))

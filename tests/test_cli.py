@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from pairing_tsp.bench import random_start_node
@@ -465,3 +466,116 @@ class TestSolveInputHardening:
         err = capsys.readouterr().err
         assert message in err
         assert "internal error" not in err
+
+
+#: Every pairing total of this N = 4 instance is +-1.6e308, finite, so it is
+#: admitted; reconstructing its shadow in float64 overflows all the same.
+OVERFLOWING_SHADOW_TEXT = "4 -8e307 8e307\n8e307 -8e307 8e307\n8e307 -8e307\n8e307\n"
+
+
+class TestBadPaths:
+    """A path that cannot be read or written is bad input: exit 1, never an
+    internal error."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "{dir}", "--algo", "pnn"],
+            ["observe", "{dir}"],
+            ["bench", "perf", "--spec", "{dir}"],
+            ["gen", "-n", "6", "--out", "{dir}"],
+            ["observe", "{inst}", "--out", "{dir}"],
+        ],
+    )
+    def test_directory_exits_one(self, instance_file, tmp_path, capsys, argv):
+        argv = [a.format(dir=tmp_path, inst=instance_file) for a in argv]
+        assert run_cli(*argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "directory" in err.lower()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "{bin}", "--algo", "pnn"],
+            ["observe", "{bin}"],
+            ["graph", "{bin}"],
+            ["bench", "perf", "--spec", "{bin}"],
+        ],
+    )
+    def test_non_utf8_file_exits_one(self, tmp_path, capsys, argv):
+        binary = tmp_path / "bin.txt"
+        binary.write_bytes(b"\xff\xfe")
+        assert run_cli(*[a.format(bin=binary) for a in argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "decode" in err
+
+
+class TestFloatOverflow:
+    """Input whose float arithmetic overflows is refused by name, with exit 1
+    and no output file, instead of printing NaN or Infinity."""
+
+    def test_entries_summing_past_float_range(self, tmp_path, capsys):
+        path = tmp_path / "huge.txt"
+        path.write_text("6 0 1e308\n" + " ".join(["1e308"] * 15) + "\n")
+        out = tmp_path / "out.json"
+        for argv in (["observe", str(path)], ["solve", str(path), "--algo", "pnn+p2opt"]):
+            assert run_cli(*argv, "--out", str(out)) == 1
+            err = capsys.readouterr().err
+            assert "overflow float64 in a pairing total of 3" in err
+            assert "internal error" not in err
+            assert not out.exists()
+
+    def test_shadow_overflowing_in_reconstruction(self, tmp_path, capsys):
+        path = tmp_path / "wide.txt"
+        path.write_text(OVERFLOWING_SHADOW_TEXT)
+        out = tmp_path / "out.json"
+        with np.errstate(over="ignore", invalid="ignore"):
+            for argv in (
+                ["observe", str(path)],
+                ["solve", str(path), "--algo", "pnn", "--mode", "observed"],
+            ):
+                assert run_cli(*argv, "--out", str(out)) == 1
+                err = capsys.readouterr().err
+                # the shadow's entry is named, not an entry of the file
+                assert "shadow entry t[2][3]=nan is not finite" in err
+                assert "c[2][3]" not in err
+                assert not out.exists()
+
+    def test_minimal_plan_shadow_of_the_same_file_is_finite(self, tmp_path, capsys):
+        path = tmp_path / "wide.txt"
+        path.write_text(OVERFLOWING_SHADOW_TEXT)
+        assert run_cli("observe", str(path), "--strategy", "minimal") == 0
+        tilde = json.loads(capsys.readouterr().out)["tilde"]
+        assert all(np.isfinite(tilde).flat)
+
+
+class TestInstanceFileFaults:
+    """`solve` parses JSON itself, so only `observe` and `graph` reach the
+    instance loader's own faults."""
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ('{"n": 4, "c_min": 0', "malformed instance JSON"),
+            ("[4, 0, 10, 1, 2, 3, 4, 5, 6]", "malformed number in instance file"),
+            ("4 0\n", "needs a 'N C_MIN C_MAX' header"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["observe", "graph"])
+    def test_exits_one_naming_the_fault(self, tmp_path, capsys, command, text, message):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        assert run_cli(command, str(path)) == 1
+        err = capsys.readouterr().err
+        assert message in err and "internal error" not in err
+
+
+def test_exact_solve_shares_the_library_tie_rule(tmp_path, capsys):
+    path = tmp_path / "constant.txt"
+    path.write_text("6 3 3\n" + " ".join(["3"] * 15) + "\n")
+    best, score = exact_best_pairing(load_instance(path))
+    assert best == Pairing([(1, 2), (3, 4), (5, 6)])
+    assert run_cli("solve", str(path), "--algo", "exact") == 0
+    data = json.loads(capsys.readouterr().out)
+    assert Pairing(data["pairing"]) == best
+    assert data["score"] == score == 9

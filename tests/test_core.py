@@ -1,7 +1,9 @@
 import functools
 import json
+import math
 import operator
 import re
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -630,3 +632,54 @@ class TestInstanceValue:
         assert inst.value(4, 3) == 6
         assert inst.value(np.int64(1), np.uint8(2)) == 1
         assert inst.value(1, 4) == 0
+
+
+class TestFloatOverflowAdmission:
+    """A float matrix is refused when n/2 times its largest off-diagonal
+    magnitude exceeds float64, so no pairing total can overflow; exact
+    matrices and bounds are not read for it."""
+
+    def test_entries_summing_past_float_range_refused(self):
+        with pytest.raises(ValidationError, match="overflow float64 in a pairing total of 3"):
+            Instance(n=6, c=np.full((6, 6), 1e308), c_min=0, c_max=1e308)
+
+    def test_negative_entries_count_by_magnitude(self):
+        c = np.zeros((4, 4))
+        c[0, 1] = c[1, 0] = -1e308
+        with pytest.raises(ValidationError, match="overflow float64"):
+            Instance(n=4, c=c, c_min=-1e308, c_max=0)
+
+    def test_diagonal_is_not_read(self):
+        c = np.ones((4, 4))
+        np.fill_diagonal(c, 1e308)
+        assert Instance(n=4, c=c, c_min=0, c_max=1).n == 4
+
+    def test_just_under_the_limit_admitted(self):
+        top = np.nextafter(sys.float_info.max / 3, 0)
+        assert 3 * top <= sys.float_info.max
+        inst = Instance(n=6, c=np.full((6, 6), top), c_min=0, c_max=top)
+        assert all(
+            math.isfinite(total_compatibility(inst, p)) for p in enumerate_pairings(6)
+        )
+
+    def test_exact_entries_beyond_float_range_admitted(self):
+        exact = np.full((4, 4), 10**400, dtype=object)
+        assert Instance(n=4, c=exact, c_min=0, c_max=10**400).n == 4
+
+
+class TestUnreachedFaults:
+    def test_pair_of_three_elements(self):
+        with pytest.raises(ValidationError, match=r"pair \(1, 2, 3\) does not contain exactly two"):
+            Pairing([(1, 2, 3), (4, 5)])
+
+    def test_no_pairs(self):
+        with pytest.raises(ValidationError, match="at least one pair"):
+            Pairing([])
+
+    def test_odd_permutation(self):
+        with pytest.raises(ValidationError, match="permutation length 3 is odd"):
+            Pairing.from_permutation([1, 2, 3])
+
+    def test_instance_json_array(self):
+        with pytest.raises(ValidationError, match="instance JSON must be an object"):
+            loads_instance_json("[4, 0, 10]")

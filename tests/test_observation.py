@@ -12,6 +12,7 @@ from pairing_tsp.core import (
     ValidationError,
     enumerate_pairings,
     integral,
+    loads_instance_text,
     pairing_sum,
     total_compatibility,
 )
@@ -695,3 +696,34 @@ class TestFractionInstances:
             str(refined.score),
         ]
         assert hashlib.sha256(json.dumps(outputs).encode()).hexdigest() == digest
+
+
+class TestFloatOverflowShadow:
+    """Every pairing total of this instance is +-1.6e308, finite, so it is
+    admitted; its float shadow overflows, and the shadow is refused by name."""
+
+    TEXT = "4 -8e307 8e307\n8e307 -8e307 8e307\n8e307 -8e307\n8e307\n"
+
+    def test_instance_admitted_with_finite_totals(self):
+        inst = loads_instance_text(self.TEXT)
+        totals = [total_compatibility(inst, p) for p in enumerate_pairings(4)]
+        assert totals == [1.6e308, -1.6e308, 1.6e308]
+
+    def test_reconstruction_refused(self):
+        inst = loads_instance_text(self.TEXT)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValidationError, match=r"shadow entry t\[2\]\[3\]=nan is not"):
+                reconstruct_tilde(ObservationOracle(inst))
+
+    def test_definitional_shadow_refused(self):
+        inst = loads_instance_text(self.TEXT)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValidationError, match=r"shadow entry t\[2\]\[4\]=-inf is not"):
+                definitional_tilde(inst.c)
+
+    def test_exact_shadow_of_the_same_entries(self):
+        inst = loads_instance_text(self.TEXT)
+        exact = np.array([[int(v) for v in row] for row in inst.c], dtype=object)
+        tilde = definitional_tilde(exact)
+        # t[2][4] = c24 - c12 - c14 + (c12 + c13 + c14), past float range on the way
+        assert tilde.t[1, 3] == -2 * int(8e307)

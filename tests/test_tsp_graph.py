@@ -253,3 +253,23 @@ class TestExhaustiveCorrespondence:
         assert seen_pairings == set(enumerate_pairings(4))
         best = max(total_compatibility(inst, p) for p in enumerate_pairings(4))
         assert min(t.cost(graph) for t in tours) == pytest.approx(-best)
+
+
+class TestUnreachedFaults:
+    def test_edge_cost_of_a_non_edge(self):
+        graph = build_graph(make_instance(4, seed=1).c, 4)
+        with pytest.raises(ValidationError, match="no edge between L1:1 and L3:1"):
+            graph.edge_cost(GraphNode(1, 1), GraphNode(3, 1))
+
+    def test_validate_tour_unknown_node(self):
+        graph = build_graph(make_instance(4, seed=1).c, 4)
+        tour = tour_from_pairing(graph, Pairing([(1, 2), (3, 4)]))
+        nodes = list(tour.sequence)
+        nodes[3] = GraphNode(3, 9)
+        verdict = validate_tour(graph, Tour(nodes))
+        assert not verdict
+        assert (verdict.reason, verdict.position) == ("unknown node L3:9", 3)
+
+    def test_pairing_from_tour_length_not_a_multiple_of_five(self):
+        with pytest.raises(ValidationError, match="tour length 4 is not a multiple of 5"):
+            pairing_from_tour(Tour([(1, 1), (1, 2), (2, 2), (3, 1)]))
