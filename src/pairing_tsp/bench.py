@@ -33,6 +33,7 @@ import math
 import os
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
+from fractions import Fraction
 from typing import Iterable
 
 import numpy as np
@@ -41,6 +42,7 @@ from .core import (
     Instance,
     ValidationError,
     _checked,
+    _checked_width,
     _instance_from_upper,
     checked_count,
     checked_seed,
@@ -63,7 +65,8 @@ def performance_indicator(score: float, n: int, c_min: float, c_max: float) -> f
     """Normalized pairing quality in [0, 1] relative to the declared bounds.
 
     Scores outside the feasible band signal a bounds violation upstream and
-    raise rather than clamp.
+    raise rather than clamp. A band wider than float64 is never NaN: its
+    ratio is computed exactly.
     """
     if not c_max > c_min:
         raise ValidationError(f"need c_max > c_min, got [{c_min}, {c_max}]")
@@ -73,13 +76,18 @@ def performance_indicator(score: float, n: int, c_min: float, c_max: float) -> f
         raise ValidationError(
             f"score {score} is outside the feasible band [{lo}, {hi}]"
         )
-    return (float(score) - lo) / (hi - lo)
+    if math.isfinite(hi - lo):
+        return (float(score) - lo) / (hi - lo)
+    # the band is wider than float64 though every total is finite: the same
+    # ratio, computed exactly from the given numbers and rounded once
+    score, c_min, c_max = map(Fraction, (score, c_min, c_max))
+    return float((Fraction(2 * score, n) - c_min) / (c_max - c_min))
 
 
 def generate_instance(n: int, c_min: float, c_max: float, seed: int) -> Instance:
     """Uniform random symmetric instance, deterministic per seed."""
     n = checked_count(n)
-    float_bounds(c_min, c_max)
+    _checked_width(*float_bounds(c_min, c_max))
     values = seeded_rng(seed).uniform(c_min, c_max, n * (n - 1) // 2)
     return _instance_from_upper(n, c_min, c_max, values)
 
@@ -150,6 +158,7 @@ class ExperimentSpec:
         )
         if not hi > lo:
             raise ValidationError(f"value range must satisfy max > min, got {self.value_range}")
+        _checked_width(lo, hi)
         object.__setattr__(self, "value_range", (lo, hi))
 
     @classmethod

@@ -25,6 +25,7 @@ from .core import (
     ValidationError,
     _checked,
     _first_best,
+    _read_text,
     dumps_instance_json,
     dumps_instance_text,
     float_bounds,
@@ -156,7 +157,7 @@ def _cmd_observe(args) -> int:
 
 def _load_solve_input(path: Path):
     """Returns (matrix, n, bounds, instance_or_none)."""
-    text = path.read_text()
+    text = _read_text(path)
     if text.lstrip().startswith("{"):
         try:
             data = json.loads(text)
@@ -253,7 +254,7 @@ def _cmd_graph(args) -> int:
 
 def _cmd_bench(args) -> int:
     try:
-        spec_data = json.loads(args.spec.read_text())
+        spec_data = json.loads(_read_text(args.spec))
     except json.JSONDecodeError as exc:
         raise ValidationError(f"malformed spec JSON: {exc}") from exc
     spec = bench_mod.ExperimentSpec.from_json_dict(spec_data)
@@ -304,7 +305,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 1
     except SystemExit as exc:  # argparse --help
         return int(exc.code or 0)
-    except (OSError, UnicodeDecodeError) as exc:  # a missing, unreadable or non-UTF-8 path
+    except OSError as exc:  # a missing or unreadable path
         sys.stderr.write(f"error: {exc}\n")
         return 1
     except InternalError as exc:

@@ -29,15 +29,17 @@ strings; `checked_bounds` for a pair of value bounds (finite, c_min <= c_max),
 exactly for ints and `Fraction`s and through `real` for the rest, and
 `float_bounds` for a pair read from a file or spec, as floats. Every matrix
 passes one gate, `checked_entries` (its count, shape, numbers, and finiteness
-off the diagonal), and an instance or shadow then `_check_symmetric_bounded`
-(symmetry and bounds, and for a float matrix that no pairing total can
-overflow). `frozen_matrix` makes the one dtype choice at
-admission: an `Instance` or `TildeMatrix` keeps an object array and casts
-others to float64. An `Instance` also chooses, once, what its pairing
-totals are summed over (`_summands`): an int64 copy of a matrix of Python
-ints small enough that no pairing's partial sum can overflow, else the
-matrix itself; totals come back in the matrix's own dtype, so an exact
-total is still a Python int.
+off the diagonal), which lists an object array's entries once. An `Instance`
+and a `TildeMatrix` share one admission, `_admitted`: the gate; a read-only
+copy, where an object array stays object and any other dtype becomes
+float64 before its `integral` pair is taken; `_check_symmetric_bounded` on
+that pair (symmetry and bounds, and, when the pair is float64, that no
+pairing total can overflow); and what pairing totals are summed over, an
+int64 copy of a matrix of Python ints small enough that no pairing's
+partial sum can overflow, else the matrix itself. Totals come back in the
+matrix's own dtype, so an exact total is still a Python int. The float
+stages whose result `_check_finite` refuses when it overflowed run under
+one `np.errstate`, `_float_stage`.
 
 A pairing has one check, `pair_keys`, which `Pairing` and the oracle's
 `observe_batch` both call: a row of N/2 pairs is a pairing exactly when its
@@ -52,6 +54,7 @@ divides once (`quotient_sum`).
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import numbers
@@ -142,6 +145,15 @@ def float_bounds(c_min, c_max) -> tuple[float, float]:
     return lo, hi
 
 
+def _checked_width(c_min, c_max) -> None:
+    """A ValidationError unless the width c_max - c_min of a value range is
+    finite in float64, since every uniform draw from the range scales by it."""
+    if not math.isfinite(float(c_max) - float(c_min)):
+        raise ValidationError(
+            f"value range [{c_min}, {c_max}] is too wide: max - min overflows float64"
+        )
+
+
 def pairing_count(n: int) -> int:
     """Number of distinct pairings of n elements, i.e. (n-1)!!."""
     return double_factorial(checked_count(n, 0) - 1)
@@ -212,34 +224,34 @@ def integral(array, divisor: int = 1) -> tuple[np.ndarray, int]:
         numerators, denominator = array._integral
         return numerators, denominator * divisor
     array = np.asarray(array)
-    if array.dtype.kind != "f":
-        exact = array.astype(object, copy=False)  # an integer dtype as Python ints
-        entries = exact.ravel().tolist()
-        kinds = set(map(type, entries))
-        if kinds <= {int}:  # Python ints are their own numerators
-            return exact, divisor
-        if all(issubclass(kind, numbers.Rational) for kind in kinds):
-            denominator = math.lcm(*{v.denominator for v in entries})
-            out = np.empty(len(entries), dtype=object)
-            if denominator == 1:
-                out[:] = [int(v.numerator) for v in entries]
-            else:
-                out[:] = [int(v.numerator) * (denominator // v.denominator) for v in entries]
-            return out.reshape(array.shape), denominator * divisor
-    floats = array.astype(np.float64, copy=False)  # Python floats in an object array too
-    return (floats if divisor == 1 else floats / divisor), 1
+    if array.dtype.kind == "f":
+        floats = array.astype(np.float64, copy=False)
+        return (floats if divisor == 1 else floats / divisor), 1
+    exact = array.astype(object, copy=False)  # an integer dtype as Python ints
+    entries = exact.ravel().tolist()
+    return _listed_integral(exact, entries, set(map(type, entries)), divisor)
 
 
-def checked_entries(matrix, n=None) -> tuple[np.ndarray, int, tuple[np.ndarray, int]]:
-    """`matrix`, its element count and its `integral` pair, if it passes the
-    one matrix gate, else a ValidationError naming the first fault. In
-    order: a given `n` must pass `checked_count`; the matrix must be a
-    rectangular, square array of a valid count (n x n when `n` is given);
-    its dtype must be an integer, float or object one, and an object
-    array's entries real numbers (never bools, strings or complex); and its
-    entries must be finite off the diagonal as `integral` reads them, so an
-    object array holding a Python float is checked as floats. The diagonal
-    is never read, so any number is admitted there."""
+def _listed_integral(array: np.ndarray, entries: list, kinds: set, divisor: int = 1):
+    """`integral` of an object array whose entries, and their distinct
+    types, the caller listed."""
+    if kinds <= {int}:  # Python ints are their own numerators
+        return array, divisor
+    if all(issubclass(kind, numbers.Rational) for kind in kinds):
+        denominator = math.lcm(*{v.denominator for v in entries})
+        scaled = (int(v.numerator) * (denominator // v.denominator) for v in entries)
+        return np.fromiter(scaled, object, len(entries)).reshape(array.shape), denominator * divisor
+    return integral(array.astype(np.float64), divisor)  # a Python float among the entries
+
+
+def _gate(matrix, n, store: bool = False) -> tuple[np.ndarray, int, tuple, tuple | None]:
+    """`checked_entries`, returning also an object array's entries and their
+    distinct types, listed once for both its type scan and `integral` (None
+    when `integral` reads no entries). With `store`, the matrix returned is
+    the read-only copy an instance or shadow keeps, and the pair is taken of
+    it: an object array stays object, and any other dtype becomes float64
+    first, so an integer dtype is never read as Python ints; a FractionArray
+    that keeps its pair is read-only already and is stored as it is."""
     if n is not None:
         n = checked_count(n)
     if not isinstance(matrix, FractionArray):  # keep the numerators it carries
@@ -255,22 +267,40 @@ def checked_entries(matrix, n=None) -> tuple[np.ndarray, int, tuple[np.ndarray, 
     if matrix.dtype.kind not in "iufO":
         raise ValidationError(f"matrix entries must be numbers, got dtype {matrix.dtype}")
     # a FractionArray with its numerators kept holds only the Fractions
-    # `quotients` made, and `integral` does not read them
-    kept = isinstance(matrix, FractionArray) and matrix._integral is not None
+    # `quotients` made, read-only: `integral` does not read them, and it is
+    # stored as it is, with its pair
+    kept = getattr(matrix, "_integral", None) is not None
+    listed = None
     if matrix.dtype == object and not kept:
         # test each distinct type once; scan the entries only to name a fault
         entries = matrix.ravel().tolist()
-        kinds = set(map(type, entries))
-        bad = {k for k in kinds if issubclass(k, bool) or not issubclass(k, numbers.Real)}
+        listed = entries, set(map(type, entries))
+        bad = {k for k in listed[1] if issubclass(k, bool) or not issubclass(k, numbers.Real)}
         if bad:
             first = next(v for v in entries if type(v) in bad)
             raise ValidationError(f"matrix entries must be numbers, got {first!r}")
+    if store and not kept:
+        matrix = matrix.copy() if matrix.dtype == object else matrix.astype(np.float64)
+        matrix.setflags(write=False)
     try:
-        pair = integral(matrix)
+        pair = integral(matrix) if listed is None else _listed_integral(matrix, *listed)
     except OverflowError as exc:  # floats beside an int beyond float range
         raise ValidationError(f"matrix entries are not finite as floats: {exc}") from exc
     _check_finite(pair[0], "c")
-    return matrix, n, pair
+    return matrix, n, pair, listed
+
+
+def checked_entries(matrix, n=None) -> tuple[np.ndarray, int, tuple[np.ndarray, int]]:
+    """`matrix`, its element count and its `integral` pair, if it passes the
+    one matrix gate, else a ValidationError naming the first fault. In
+    order: a given `n` must pass `checked_count`; the matrix must be a
+    rectangular, square array of a valid count (n x n when `n` is given);
+    its dtype must be an integer, float or object one, and an object
+    array's entries real numbers (never bools, strings or complex); and its
+    entries must be finite off the diagonal as `integral` reads them, so an
+    object array holding a Python float is checked as floats. The diagonal
+    is never read, so any number is admitted there."""
+    return _gate(matrix, n)[:3]
 
 
 def _check_finite(numerators: np.ndarray, name: str) -> None:
@@ -283,6 +313,19 @@ def _check_finite(numerators: np.ndarray, name: str) -> None:
         if len(bad):
             i, j = bad[0]
             raise ValidationError(f"{name}[{i + 1}][{j + 1}]={numerators[i, j]} is not finite")
+
+
+def _float_stage(stage):
+    """`stage` under the one floating-point policy of the stages whose float
+    result `_check_finite` refuses when it overflowed: numpy does not warn,
+    since that refusal names the fault."""
+
+    @functools.wraps(stage)
+    def run(*args, **kwargs):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return stage(*args, **kwargs)
+
+    return run
 
 
 def checked_seed(seed, name: str = "seed") -> int:
@@ -469,20 +512,13 @@ def quotient_sum(numerators: np.ndarray, denominator: int, pairing: Pairing):
     return quotients(row_totals(_gathered(numerators, pairing)), denominator).tolist()[0]
 
 
-def frozen_matrix(c: np.ndarray) -> np.ndarray:
-    """A read-only copy of a matrix `checked_entries` admitted, so the
-    caller's array stays writable: object (exact) arrays keep their dtype,
-    others become float64."""
-    c = c.copy() if c.dtype == object else c.astype(np.float64)
-    c.setflags(write=False)
-    return c
-
-
 def _check_symmetric_bounded(c: np.ndarray, n: int, c_min=-math.inf, c_max=math.inf) -> None:
-    """Name the first off-diagonal fault of an admitted float or object (n, n)
-    matrix: an asymmetry, then an entry outside [c_min, c_max]. A float
-    matrix is refused too when n/2 times its largest off-diagonal magnitude
-    exceeds float64, so that no pairing total can overflow."""
+    """Name the first off-diagonal fault of an admitted (n, n) matrix, given
+    in the arithmetic `integral` chose for it: float64 numerators, or exact
+    (object) entries. In order: an asymmetry, then an entry outside [c_min,
+    c_max]. Float numerators are refused too when n/2 times their largest
+    off-diagonal magnitude exceeds float64, so that no pairing total can
+    overflow."""
     k = np.arange(n)
     lo, hi = c_min, c_max
     if c.dtype != object:
@@ -510,19 +546,39 @@ def _check_symmetric_bounded(c: np.ndarray, n: int, c_min=-math.inf, c_max=math.
             )
 
 
-def _summands(c: np.ndarray) -> np.ndarray:
-    """What an admitted matrix `c`'s pairing totals are summed over: a
-    read-only int64 copy when every entry, the diagonal included, is a
-    Python int and n/2 times the largest magnitude fits int64, so every
-    partial sum of a pairing is exact; otherwise `c` itself."""
-    if c.dtype == object:
-        entries = c.ravel().tolist()
-        top = int(np.iinfo(np.int64).max)
-        if set(map(type, entries)) == {int} and len(c) // 2 * max(map(abs, entries)) <= top:
-            sums = np.array(entries, dtype=np.int64).reshape(c.shape)
+def _admitted(matrix, n, *bounds) -> tuple[np.ndarray, int, np.ndarray]:
+    """The one admission of an `Instance`, given its `bounds` (c_min,
+    c_max), and of a `TildeMatrix`, given none: a ValidationError naming the
+    first fault, else the read-only matrix kept, its count, and what its
+    pairing totals are summed over.
+
+    It passes `checked_entries`' gate, which lists an object array's entries
+    once, and keeps a copy: an object array stays object, any other dtype
+    becomes float64 before its `integral` pair is taken, so an integer
+    dtype is never read as Python ints. An instance's bounds must pass
+    `checked_bounds`; a shadow's first row and column must be zero. Both
+    then pass `_check_symmetric_bounded` on the pair. Totals are summed
+    over a read-only int64 copy when every entry, the diagonal included, is
+    a Python int and n/2 times the largest magnitude fits int64, so every
+    partial sum of a pairing is exact; otherwise over the matrix kept.
+    """
+    c, n, (numerators, _), listed = _gate(matrix, n, store=True)
+    if bounds:
+        checked_bounds(*bounds)
+    elif np.any(c[0] != 0) or np.any(c[:, 0] != 0):
+        raise ValidationError("first row and column must be exactly zero")
+    # float numerators are what the matrix computes with; exact ones are
+    # compared as the entries themselves, so a Fraction meets a bound exactly
+    _check_symmetric_bounded(c if numerators.dtype == object else numerators, n, *bounds)
+    if listed is not None and listed[1] == {int}:
+        try:
+            sums = c.astype(np.int64)
+        except OverflowError:  # an entry beyond int64
+            return c, n, c
+        if n // 2 * max(-int(sums.min()), int(sums.max())) <= np.iinfo(np.int64).max:
             sums.setflags(write=False)
-            return sums
-    return c
+            return c, n, sums
+    return c, n, c
 
 
 @dataclass(frozen=True)
@@ -533,7 +589,7 @@ class Instance:
     Entries are floats by default; an object array of ints / fractions keeps
     everything exact for the rational arithmetic mode used by the test suite.
     `c` is what was admitted. Pairing totals, the oracle's included, are
-    summed over the private `_sums` that `_summands` chooses once here: an
+    summed over the private `_sums` that `_admitted` chooses once here: an
     int64 copy of a bounded all-int `c`, so exact totals add native ints
     and come back as Python ints, else `c`.
     """
@@ -544,13 +600,10 @@ class Instance:
     c_max: float
 
     def __post_init__(self):
-        c, n, _ = checked_entries(self.c, self.n)
-        c = frozen_matrix(c)
-        checked_bounds(self.c_min, self.c_max)
-        _check_symmetric_bounded(c, n, self.c_min, self.c_max)
+        c, n, sums = _admitted(self.c, self.n, self.c_min, self.c_max)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "c", c)
-        object.__setattr__(self, "_sums", _summands(c))
+        object.__setattr__(self, "_sums", sums)
 
     def value(self, i: int, j: int):
         """Compatibility of elements i and j, two distinct `integer`s in
@@ -673,9 +726,17 @@ def loads_instance_json(text: str) -> Instance:
     )
 
 
+def _read_text(path: str | Path) -> str:
+    """A file's text, or a ValidationError naming a file that does not decode."""
+    try:
+        return Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
+
+
 def load_instance(path: str | Path) -> Instance:
     """Load an instance file, sniffing JSON vs text from the content."""
-    text = Path(path).read_text()
+    text = _read_text(path)
     if text.lstrip().startswith("{"):
         return loads_instance_json(text)
     return loads_instance_text(text)

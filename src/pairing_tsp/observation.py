@@ -36,11 +36,12 @@ from .core import (
     Pairing,
     ValidationError,
     _checked,
+    _admitted,
     _check_finite,
     _check_symmetric_bounded,
+    _float_stage,
     checked_count,
     checked_entries,
-    frozen_matrix,
     integer,
     integral,
     pairing_sum,
@@ -70,22 +71,19 @@ class TildeMatrix:
     """Shadow compatibilities: zero first row/column, pairing sums preserved.
 
     `TildeMatrix(n=..., t=...)` admits a given matrix, finite off the
-    diagonal and symmetric with a zero first row and column, and keeps a
-    read-only copy of it. The shadows the library computes come from
-    `_of_integral` as numerators over one denominator, and `t` is built from
-    them by `core.quotients` the first time it is read: an exact shadow's
-    `t` is then a `FractionArray`, whose numerators `integral` returns as
-    kept.
+    diagonal and symmetric with a zero first row and column, through the
+    admission it shares with `Instance`, and keeps a read-only copy of it
+    (a `FractionArray` that keeps its numerators is kept as it is). The
+    shadows the library computes come from `_of_integral` as numerators
+    over one denominator, and `t` is built from them by `core.quotients`
+    the first time it is read: an exact shadow's `t` is then a
+    `FractionArray`, whose numerators `integral` returns as kept.
     """
 
     n: int
 
     def __init__(self, n: int, t) -> None:
-        t, n, _ = checked_entries(t, n)
-        t = frozen_matrix(t)
-        if np.any(t[0] != 0) or np.any(t[:, 0] != 0):
-            raise ValidationError("first row and column must be exactly zero")
-        _check_symmetric_bounded(t, n)
+        t, n, _ = _admitted(t, n)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "t", t)
 
@@ -135,6 +133,7 @@ def _mirrored(upper: np.ndarray, numerators: np.ndarray, denominator: int) -> Ti
     return TildeMatrix._of_integral(full, denominator)
 
 
+@_float_stage
 def definitional_tilde(matrix: np.ndarray) -> TildeMatrix:
     """Shadow matrix computed directly from a known matrix (no oracle).
 
@@ -237,6 +236,7 @@ def _rows(n: int, fixed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rows.reshape(-1, n // 2), cols.reshape(-1, n // 2)
 
 
+@_float_stage
 def reconstruct_tilde(oracle: ObservationOracle) -> tuple[TildeMatrix, int]:
     """Recover the shadow matrix from sum-only queries.
 

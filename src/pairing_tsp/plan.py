@@ -46,6 +46,7 @@ from .core import (
     InternalError,
     Pairing,
     ValidationError,
+    _float_stage,
     checked_count,
     integral,
     pair_keys,
@@ -322,6 +323,7 @@ def minimal_observation_plan(n: int) -> ObservationPlan:
     return ObservationPlan(n=n, _index_arrays=(first, second))
 
 
+@_float_stage
 def execute_plan(oracle: ObservationOracle, plan: ObservationPlan) -> TildeMatrix:
     """Submit exactly the planned pairings, in order and as one batch, and
     recover the shadow matrix."""

@@ -8,10 +8,13 @@ an int.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from pairing_tsp.core import Instance, Pairing, ValidationError
+from pairing_tsp.core import total_compatibility
 from pairing_tsp.observation import TildeMatrix, definitional_tilde
 from pairing_tsp.solvers import SolverConfig, solve_p2opt, solve_pnn, solve_random
 from pairing_tsp.tsp_graph import build_graph
@@ -62,3 +65,46 @@ def test_float_beside_an_int_beyond_float_range_named(entry):
 @pytest.mark.parametrize("entry", COUNTED)
 def test_numpy_count_kept_as_int(entry):
     assert type(ENTRY_POINTS[entry](np.zeros((4, 4)), np.int64(4)).n) is int
+
+
+def test_object_floats_meet_the_float_overflow_rule():
+    # Python floats in an object array compute in float64, so N/2 entries
+    # of 1e308 would add up to inf
+    with pytest.raises(ValidationError, match="overflow float64 in a pairing total of 3"):
+        Instance(n=6, c=np.full((6, 6), 1e308, dtype=object), c_min=0, c_max=1e308)
+
+
+def test_object_floats_shadow_meets_the_float_overflow_rule():
+    t = np.full((6, 6), 1e308, dtype=object)
+    t[0, :] = t[:, 0] = 0.0
+    with pytest.raises(ValidationError, match="overflow float64 in a pairing total of 3"):
+        TildeMatrix(n=6, t=t)
+
+
+@pytest.mark.parametrize(
+    "entry,c_max",
+    [(Fraction(10000) + Fraction(1, 10**30), 10000.0), (2**53 + 1, float(2**53))],
+    ids=["fraction", "int"],
+)
+def test_exact_entry_compared_exactly_with_a_float_bound(entry, c_max):
+    # as floats both entries equal the bound; exactly, both exceed it
+    c = np.zeros((4, 4), dtype=object)
+    c[1, 2] = c[2, 1] = entry
+    with pytest.raises(ValidationError, match=r"c\[2\]\[3\]=.* is outside"):
+        Instance(n=4, c=c, c_min=0, c_max=c_max)
+
+
+def test_int64_instance_is_stored_and_summed_as_float64():
+    rng = np.random.default_rng(5)
+    c = np.triu(rng.integers(0, 10001, (10, 10)), 1)
+    c = c + c.T
+    inst = Instance(n=10, c=c, c_min=0, c_max=10000)
+    floats = Instance(n=10, c=c.astype(np.float64), c_min=0, c_max=10000)
+    assert inst.c.dtype == np.float64 and inst._sums is inst.c
+    assert inst.c.tobytes() == floats.c.tobytes()
+    pairings = [Pairing.from_permutation(rng.permutation(10) + 1) for _ in range(20)]
+    totals = [total_compatibility(inst, p) for p in pairings]
+    assert [type(v) for v in totals] == [float] * 20
+    assert np.array(totals).tobytes() == np.array(
+        [total_compatibility(floats, p) for p in pairings]
+    ).tobytes()

@@ -1,5 +1,6 @@
 import hashlib
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -455,3 +456,43 @@ class TestUnreachedFaults:
     def test_perf_with_a_list_of_limits(self):
         with pytest.raises(ValidationError, match="the perf study needs a single exchange_limit"):
             run_performance_study(small_spec(exchange_limit=(0, 5)))
+
+
+class TestWideValueRange:
+    """One rule refuses a value range whose width max - min overflows
+    float64, for the generator and for a spec before any trial runs."""
+
+    def test_generate_instance_refuses_it(self):
+        with pytest.raises(ValidationError, match=r"value range \[-1e\+308, 1e\+308\] is too wide"):
+            generate_instance(6, -1e308, 1e308, 0)
+
+    def test_spec_refuses_it(self):
+        with pytest.raises(ValidationError, match=r"value range \[-1e\+308, 1e\+308\] is too wide"):
+            small_spec(value_range=(-1e308, 1e308))
+
+    def test_widest_drawable_range_is_admitted(self):
+        inst = generate_instance(4, -8e307, 8e307, 0)
+        assert np.isfinite(inst.c).all()
+
+
+class TestPerformanceIndicatorWideBand:
+    """p is never NaN: a band wider than float64 is computed exactly, and a
+    finite band keeps the float formula's bits."""
+
+    def test_all_zero_scores_mid_band(self):
+        assert performance_indicator(0.0, 6, -1e308, 1e308) == 0.5
+
+    def test_top_of_an_overflowing_band_is_one(self):
+        assert performance_indicator(1.6e308, 4, -8e307, 8e307) == 1.0
+        assert performance_indicator(-1.6e308, 4, -8e307, 8e307) == 0.0
+
+    def test_exact_score_in_an_overflowing_band(self):
+        # (score - 3 c_min) / (3 (c_max - c_min)), in rationals
+        exact = (10**308 + 3 * Fraction(1e308)) / (6 * Fraction(1e308))
+        assert performance_indicator(10**308, 6, -1e308, 1e308) == float(exact)
+
+    def test_finite_band_keeps_its_bits(self):
+        for score, n, lo, hi in [(1234.5678, 10, 0.1, 9999.9), (-3.3, 8, -7.7, 1.1)]:
+            band_lo, band_hi = (n / 2) * lo, (n / 2) * hi
+            expected = (score - band_lo) / (band_hi - band_lo)
+            assert performance_indicator(score, n, lo, hi) == expected

@@ -579,3 +579,98 @@ def test_exact_solve_shares_the_library_tie_rule(tmp_path, capsys):
     data = json.loads(capsys.readouterr().out)
     assert Pairing(data["pairing"]) == best
     assert data["score"] == score == 9
+
+
+def _strict_json(text: str):
+    """json.loads refusing NaN and the infinities, which strict parsers reject."""
+
+    def refuse(name):
+        raise ValueError(f"not strict JSON: {name}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+class TestWideValueRanges:
+    """A range too wide to draw from is refused by name; a band wider than
+    float64 over finite totals still gives a finite p."""
+
+    def test_gen_refuses_a_range_whose_width_overflows(self, tmp_path, capsys):
+        out = tmp_path / "inst.txt"
+        assert run_cli("gen", "-n", "6", "--cmin=-1e308", "--cmax=1e308", "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err == (
+            "error: value range [-1e+308, 1e+308] is too wide: max - min overflows float64\n"
+        )
+        assert not out.exists()
+
+    def test_bench_refuses_a_range_whose_width_overflows(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text('{"n_values": [6], "trials": 1, "value_range": [-1e308, 1e308]}')
+        assert run_cli("bench", "perf", "--spec", str(spec), "--out", str(tmp_path / "r")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: value range [-1e+308, 1e+308] is too wide")
+        assert list(tmp_path.iterdir()) == [spec]
+
+    @pytest.mark.parametrize(
+        "text,p",
+        [
+            ("6 -1e308 1e308\n" + " ".join(["0"] * 15) + "\n", 0.5),
+            (OVERFLOWING_SHADOW_TEXT, 1.0),
+        ],
+        ids=["all-zero", "wide"],
+    )
+    def test_solve_p_is_finite_when_the_band_overflows(self, tmp_path, capsys, text, p):
+        path = tmp_path / "inst.txt"
+        path.write_text(text)
+        assert run_cli("solve", str(path), "--algo", "pnn+p2opt") == 0
+        assert _strict_json(capsys.readouterr().out)["p"] == p
+
+
+class TestCleanStderr:
+    """A bad input prints its one `error:` line and nothing else, not even a
+    numpy warning from the stage that found the fault."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["observe", "{wide}"], ["solve", "{wide}", "--algo", "pnn", "--mode", "observed"]],
+    )
+    def test_overflowing_shadow_prints_one_line(self, tmp_path, argv):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import pairing_tsp
+
+        path = tmp_path / "wide.txt"
+        path.write_text(OVERFLOWING_SHADOW_TEXT)
+        src = str(Path(pairing_tsp.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        env.pop("PYTHONWARNINGS", None)
+        done = subprocess.run(
+            [sys.executable, "-m", "pairing_tsp.cli", *[a.format(wide=path) for a in argv]],
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+        assert done.returncode == 1
+        assert done.stdout == ""
+        assert done.stderr == "error: float64 overflowed: shadow entry t[2][3]=nan is not finite\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "{bin}", "--algo", "pnn"],
+        ["observe", "{bin}"],
+        ["graph", "{bin}"],
+        ["bench", "perf", "--spec", "{bin}"],
+    ],
+)
+def test_non_utf8_file_is_named(tmp_path, capsys, argv):
+    binary = tmp_path / "bin.txt"
+    binary.write_bytes(b"\xff\xfe")
+    assert run_cli(*[a.format(bin=binary) for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {binary}: ") and "decode" in err
+    assert err.count("\n") == 1
