@@ -43,6 +43,7 @@ from .core import (
     ValidationError,
     _checked,
     _checked_width,
+    _finite,
     _instance_from_upper,
     checked_count,
     checked_seed,
@@ -64,24 +65,36 @@ STUDIES = ("perf", "sweep", "noc", "start")
 def performance_indicator(score: float, n: int, c_min: float, c_max: float) -> float:
     """Normalized pairing quality in [0, 1] relative to the declared bounds.
 
-    Scores outside the feasible band signal a bounds violation upstream and
-    raise rather than clamp. A band wider than float64 is never NaN: its
-    ratio is computed exactly.
+    `n` must pass `checked_count`, the bounds must be finite numbers with
+    c_max > c_min, and the score a finite number; ints and `Fraction`s are
+    taken exactly, as `checked_bounds` takes them. Scores outside the
+    feasible band signal a bounds violation upstream and raise rather than
+    clamp. A band that float64 cannot form, wider than float64 or with a
+    bound beyond float range, is computed exactly, so p is never NaN.
     """
+    n = checked_count(n)
+    finite = _finite("c_min", c_min) & _finite("c_max", c_max)
     if not c_max > c_min:
         raise ValidationError(f"need c_max > c_min, got [{c_min}, {c_max}]")
-    lo = (n / 2) * c_min
-    hi = (n / 2) * c_max
+    if not finite:
+        raise ValidationError(f"bounds c_min={c_min}, c_max={c_max} must be finite")
+    if not _finite("score", score):
+        raise ValidationError(f"score {score} is not finite")
+    try:
+        lo, hi = (n / 2) * c_min, (n / 2) * c_max
+    except OverflowError:  # an exact bound beyond float range
+        lo = hi = math.inf
+    if not math.isfinite(hi - lo):
+        # float64 cannot form the band though every total is finite: the same
+        # ratio, computed exactly from the given numbers and rounded once
+        score, c_min, c_max = map(Fraction, (score, c_min, c_max))
+        lo, hi = n * c_min / 2, n * c_max / 2
     if score < lo or score > hi:
         raise ValidationError(
             f"score {score} is outside the feasible band [{lo}, {hi}]"
         )
-    if math.isfinite(hi - lo):
-        return (float(score) - lo) / (hi - lo)
-    # the band is wider than float64 though every total is finite: the same
-    # ratio, computed exactly from the given numbers and rounded once
-    score, c_min, c_max = map(Fraction, (score, c_min, c_max))
-    return float((Fraction(2 * score, n) - c_min) / (c_max - c_min))
+    # with a float lo, score - lo is float(score) - lo: the float formula's bits
+    return float((score - lo) / (hi - lo))
 
 
 def generate_instance(n: int, c_min: float, c_max: float, seed: int) -> Instance:

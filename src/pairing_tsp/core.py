@@ -26,18 +26,24 @@ counts; `_checked` with the `integer` converter for every other integer (seeds,
 limits, spec fields, numbers read from files) and with the `real` converter
 for every real number read from a file or spec, both refusing bools and
 strings; `checked_bounds` for a pair of value bounds (finite, c_min <= c_max),
-exactly for ints and `Fraction`s and through `real` for the rest, and
-`float_bounds` for a pair read from a file or spec, as floats. Every matrix
-passes one gate, `checked_entries` (its count, shape, numbers, and finiteness
-off the diagonal), which lists an object array's entries once. An `Instance`
-and a `TildeMatrix` share one admission, `_admitted`: the gate; a read-only
-copy, where an object array stays object and any other dtype becomes
-float64 before its `integral` pair is taken; `_check_symmetric_bounded` on
-that pair (symmetry and bounds, and, when the pair is float64, that no
-pairing total can overflow); and what pairing totals are summed over, an
-int64 copy of a matrix of Python ints small enough that no pairing's
-partial sum can overflow, else the matrix itself. Totals come back in the
-matrix's own dtype, so an exact total is still a Python int. The float
+exactly for ints and `Fraction`s and through `real` for the rest (`_finite`),
+and `float_bounds` for a pair read from a file or spec, as floats. Every
+matrix passes one gate, `checked_entries` (its count, shape, numbers, and
+finiteness off the diagonal), which lists an object array's entries once.
+Symmetry has one check, `_check_symmetric_bounded` (symmetry, then bounds,
+and, when the numerators are float64, that no pairing total can overflow),
+run on `integral`'s numerators, which a positive denominator leaves in the
+same order. `checked_symmetric` runs it after the gate for a matrix given
+without bounds. An `Instance` and a `TildeMatrix` share one admission,
+`_admitted`: the gate; a read-only copy, where an object array stays object
+and any other dtype becomes float64 before its `integral` pair is taken; an
+instance's bounds, or a shadow's zero first row and column; the symmetry
+check on the numerators, except that an instance's exact entries are
+compared as themselves, to meet its bounds exactly; and what pairing totals
+are summed over, an int64 copy of a matrix of Python ints small enough that
+no pairing's partial sum can overflow, else the matrix itself. An instance's
+totals come back in the matrix's own dtype, so an exact total is still a
+Python int; a shadow keeps its pair and sums that. The float
 stages whose result `_check_finite` refuses when it overflowed run under
 one `np.errstate`, `_float_stage`.
 
@@ -120,15 +126,20 @@ def checked_count(n, minimum: int = 4) -> int:
     return value
 
 
+def _finite(name: str, value) -> bool:
+    """Whether a real number is finite, else a ValidationError naming it. An
+    int or `Fraction` always is, and is never put through `float`, so it may
+    lie beyond float range; any other value must pass `real`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Rational):
+        return math.isfinite(_checked(name, "a number", real, value))
+    return True
+
+
 def checked_bounds(c_min, c_max) -> None:
     """A ValidationError unless both bounds are finite reals with c_min <=
-    c_max. Ints and `Fraction`s are always finite and are compared exactly,
-    never through `float`, so an exact instance may declare bounds beyond
-    float range; any other bound must pass `real`."""
-    finite = True
-    for name, value in (("c_min", c_min), ("c_max", c_max)):
-        if isinstance(value, bool) or not isinstance(value, numbers.Rational):
-            finite = math.isfinite(_checked(name, "a number", real, value)) and finite
+    c_max, by `_finite`: ints and `Fraction`s are compared exactly, so an
+    exact instance may declare bounds beyond float range."""
+    finite = _finite("c_min", c_min) & _finite("c_max", c_max)
     if not (finite and c_min <= c_max):
         raise ValidationError(
             f"bounds c_min={c_min}, c_max={c_max} must be finite with c_min <= c_max"
@@ -179,16 +190,18 @@ def quotients(numerators: np.ndarray, denominator: int) -> np.ndarray:
     """numerators / denominator as a read-only array, for a pair as
     `integral` returns it; the only way back out of one.
 
-    Float numerators divide in float64. Python-int numerators become a
+    Float numerators divide in float64; read-only float64 ones over 1 are
+    returned as they are, since x / 1 is x. Python-int numerators become a
     `FractionArray` that keeps the pair reduced by the gcd of the
     denominator and every numerator, which is exactly `integral`'s pair of
     the result: the same ints over the lcm of the entries' denominators.
     Each distinct value's `Fraction` is made once and shared.
     """
     if numerators.dtype != object:
-        out = np.true_divide(numerators, denominator, dtype=np.float64)
-        out.setflags(write=False)
-        return out
+        if denominator != 1 or numerators.flags.writeable or numerators.dtype != np.float64:
+            numerators = np.true_divide(numerators, denominator, dtype=np.float64)
+            numerators.setflags(write=False)
+        return numerators
     flat = numerators.ravel().tolist()
     common = math.gcd(denominator, *flat)
     if common > 1:
@@ -514,12 +527,12 @@ def quotient_sum(numerators: np.ndarray, denominator: int, pairing: Pairing):
 
 def _check_symmetric_bounded(c: np.ndarray, n: int, c_min=-math.inf, c_max=math.inf) -> None:
     """Name the first off-diagonal fault of an admitted (n, n) matrix, given
-    in the arithmetic `integral` chose for it: float64 numerators, or exact
-    (object) entries. In order: an asymmetry, then an entry outside [c_min,
-    c_max]. Float numerators are refused too when n/2 times their largest
-    off-diagonal magnitude exceeds float64, so that no pairing total can
-    overflow."""
-    k = np.arange(n)
+    as its `integral` numerators (float64 or Python ints), or, for an
+    `Instance` with bounds, as its exact entries. In order: an asymmetry,
+    then an entry outside [c_min, c_max]. Float numerators are refused too
+    when n/2 times their largest off-diagonal magnitude exceeds float64, so
+    that no pairing total can overflow. Only `checked_symmetric` and
+    `_admitted` call it."""
     lo, hi = c_min, c_max
     if c.dtype != object:
         # an exact bound beyond float range compares with every float as an infinity
@@ -527,7 +540,7 @@ def _check_symmetric_bounded(c: np.ndarray, n: int, c_min=-math.inf, c_max=math.
             (math.inf if b > 0 else -math.inf) if abs(b) > sys.float_info.max else b
             for b in (lo, hi)
         )
-    upper = k[:, None] < k
+    upper = np.arange(n)[:, None] < np.arange(n)
     vals = c[upper]  # row by row, so the first fault found is the first named
     mism = np.flatnonzero(vals != c.T[upper])
     if len(mism):
@@ -546,39 +559,51 @@ def _check_symmetric_bounded(c: np.ndarray, n: int, c_min=-math.inf, c_max=math.
             )
 
 
-def _admitted(matrix, n, *bounds) -> tuple[np.ndarray, int, np.ndarray]:
+def checked_symmetric(matrix, n=None) -> tuple[np.ndarray, int, tuple[np.ndarray, int]]:
+    """`checked_entries`, and then `_check_symmetric_bounded` on the
+    `integral` numerators: the one symmetry check of a matrix given without
+    bounds. A positive denominator keeps every == of the numerators."""
+    matrix, n, pair = checked_entries(matrix, n)
+    _check_symmetric_bounded(pair[0], n)
+    return matrix, n, pair
+
+
+def _admitted(matrix, n, *bounds) -> tuple[np.ndarray, int, tuple[np.ndarray, int], np.ndarray]:
     """The one admission of an `Instance`, given its `bounds` (c_min,
     c_max), and of a `TildeMatrix`, given none: a ValidationError naming the
-    first fault, else the read-only matrix kept, its count, and what its
-    pairing totals are summed over.
+    first fault, else the read-only matrix kept, its count, its `integral`
+    pair, and what its pairing totals are summed over.
 
     It passes `checked_entries`' gate, which lists an object array's entries
     once, and keeps a copy: an object array stays object, any other dtype
     becomes float64 before its `integral` pair is taken, so an integer
     dtype is never read as Python ints. An instance's bounds must pass
     `checked_bounds`; a shadow's first row and column must be zero. Both
-    then pass `_check_symmetric_bounded` on the pair. Totals are summed
-    over a read-only int64 copy when every entry, the diagonal included, is
-    a Python int and n/2 times the largest magnitude fits int64, so every
-    partial sum of a pairing is exact; otherwise over the matrix kept.
+    then pass `_check_symmetric_bounded` on the numerators, except an
+    instance's exact entries, which are compared as themselves so that a
+    `Fraction` meets a bound exactly. Totals are summed over a read-only
+    int64 copy when every entry, the diagonal included, is a Python int and
+    n/2 times the largest magnitude fits int64, so every partial sum of a
+    pairing is exact; otherwise over the matrix kept.
     """
-    c, n, (numerators, _), listed = _gate(matrix, n, store=True)
+    c, n, pair, listed = _gate(matrix, n, store=True)
+    numerators = pair[0]
     if bounds:
         checked_bounds(*bounds)
-    elif np.any(c[0] != 0) or np.any(c[:, 0] != 0):
+    elif np.any(numerators[0] != 0) or np.any(numerators[:, 0] != 0):
         raise ValidationError("first row and column must be exactly zero")
-    # float numerators are what the matrix computes with; exact ones are
-    # compared as the entries themselves, so a Fraction meets a bound exactly
-    _check_symmetric_bounded(c if numerators.dtype == object else numerators, n, *bounds)
+    # an instance's exact entries are compared as themselves, so that a
+    # Fraction meets a bound exactly; everything else compares numerators
+    _check_symmetric_bounded(c if bounds and numerators.dtype == object else numerators, n, *bounds)
     if listed is not None and listed[1] == {int}:
         try:
             sums = c.astype(np.int64)
         except OverflowError:  # an entry beyond int64
-            return c, n, c
+            return c, n, pair, c
         if n // 2 * max(-int(sums.min()), int(sums.max())) <= np.iinfo(np.int64).max:
             sums.setflags(write=False)
-            return c, n, sums
-    return c, n, c
+            return c, n, pair, sums
+    return c, n, pair, c
 
 
 @dataclass(frozen=True)
@@ -600,7 +625,7 @@ class Instance:
     c_max: float
 
     def __post_init__(self):
-        c, n, sums = _admitted(self.c, self.n, self.c_min, self.c_max)
+        c, n, _, sums = _admitted(self.c, self.n, self.c_min, self.c_max)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "_sums", sums)
@@ -631,6 +656,7 @@ def enumerate_pairings(n: int, *, max_n: int = DEFAULT_ENUMERATION_CAP) -> Itera
     stream has (n-1)!! entries and grows double-factorially.
     """
     n = checked_count(n, 2)
+    max_n = _checked("max_n", "an integer", integer, max_n)
     if n > max_n:
         raise ValidationError(
             f"enumerating {n} elements means {pairing_count(n)} pairings; "

@@ -38,13 +38,11 @@ from .core import (
     _checked,
     _admitted,
     _check_finite,
-    _check_symmetric_bounded,
     _float_stage,
     checked_count,
-    checked_entries,
+    checked_symmetric,
     integer,
     integral,
-    pairing_sum,
     quotient_sum,
     quotients,
     row_totals,
@@ -55,7 +53,7 @@ from .oracle import ObservationOracle
 def exchange_rule_value(i: int, j: int, k: int, l: int, matrix: np.ndarray):
     """(m[i][k] + m[j][l]) - (m[i][j] + m[k][l]) for four distinct `integer`s in
     1..n and a symmetric matrix that passes `checked_entries`, else a ValidationError."""
-    m = checked_entries(matrix)[0]
+    m = checked_symmetric(matrix)[0]
     indices = tuple(_checked("rule index", "an integer", integer, e) for e in (i, j, k, l))
     if len(set(indices)) != 4:
         raise ValidationError(f"exchange rule needs four distinct indices, got {indices}")
@@ -70,22 +68,25 @@ def exchange_rule_value(i: int, j: int, k: int, l: int, matrix: np.ndarray):
 class TildeMatrix:
     """Shadow compatibilities: zero first row/column, pairing sums preserved.
 
-    `TildeMatrix(n=..., t=...)` admits a given matrix, finite off the
-    diagonal and symmetric with a zero first row and column, through the
-    admission it shares with `Instance`, and keeps a read-only copy of it
-    (a `FractionArray` that keeps its numerators is kept as it is). The
-    shadows the library computes come from `_of_integral` as numerators
-    over one denominator, and `t` is built from them by `core.quotients`
-    the first time it is read: an exact shadow's `t` is then a
-    `FractionArray`, whose numerators `integral` returns as kept.
+    A shadow keeps its `integral` pair (numerators over one denominator)
+    for life. `TildeMatrix(n=..., t=...)` admits a given matrix, finite off
+    the diagonal and symmetric with a zero first row and column, through
+    the admission it shares with `Instance`, and keeps a read-only copy of
+    it as `t` with the pair that admission computed (a `FractionArray` that
+    keeps its numerators is kept as it is, with them). The shadows the
+    library computes come from `_of_integral` as the pair alone, and `t` is
+    built from it by `core.quotients` the first time it is read: an exact
+    shadow's `t` is then a `FractionArray`, whose numerators `integral`
+    returns as kept, and a float one's `t` is its numerators themselves.
     """
 
     n: int
 
     def __init__(self, n: int, t) -> None:
-        t, n, _ = _admitted(t, n)
+        t, n, pair, _ = _admitted(t, n)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "t", t)
+        object.__setattr__(self, "_integral", pair)
 
     @classmethod
     def _of_integral(cls, numerators: np.ndarray, denominator: int) -> "TildeMatrix":
@@ -98,8 +99,7 @@ class TildeMatrix:
 
     @cached_property
     def t(self) -> np.ndarray:
-        # the pair is dropped once read: an exact `t` keeps its own copy
-        return quotients(*self.__dict__.pop("_integral"))
+        return quotients(*self._integral)
 
     @property
     def free_entry_count(self) -> int:
@@ -108,10 +108,8 @@ class TildeMatrix:
 
     def total(self, pairing: Pairing):
         """Pairing total over the shadow matrix; equals the hidden total.
-        A shadow whose `t` was never read sums its numerators and divides
-        once, so `t` is not built."""
-        if "_integral" not in self.__dict__:
-            return pairing_sum(self.t, pairing)
+        It sums the numerators and divides once, so `t` is not built: a
+        float, or an exact `Fraction` even when the entries are ints."""
         return quotient_sum(*self._integral, pairing)
 
 
@@ -129,6 +127,7 @@ def _mirrored(upper: np.ndarray, numerators: np.ndarray, denominator: int) -> Ti
     n = len(upper)
     full = np.zeros((n, n), numerators.dtype)
     full[upper] = full.T[upper] = numerators
+    full.setflags(write=False)  # kept for life, and shared by a float `t`
     _check_finite(full, "float64 overflowed: shadow entry t")
     return TildeMatrix._of_integral(full, denominator)
 
@@ -140,12 +139,11 @@ def definitional_tilde(matrix: np.ndarray) -> TildeMatrix:
     Entry (i, j) with i, j >= 2 is
         C[i][j] - C[1][i] - C[1][j] + (2 / (N-2)) * sum_k C[1][k];
     row and column 1 are zero. Exact inputs produce exact fractions. The
-    matrix passes `checked_entries` and must be symmetric, since only its
-    upper triangle is read. The shadow is computed on the gate's `integral`
-    pair, so an exact matrix's entries are added as int numerators.
+    matrix must pass `checked_symmetric`, since only its upper triangle is
+    read. The shadow is computed on the check's `integral` pair, so an
+    exact matrix's entries are added as int numerators.
     """
-    _, n, (numerators, denominator) = checked_entries(matrix)
-    _check_symmetric_bounded(numerators, n)
+    _, n, (numerators, denominator) = checked_symmetric(matrix)
     row1 = numerators[0]
     # the correction as a numerator over its denominator, so that integer
     # numerators give integer numerators; on floats the scale is 1
@@ -163,7 +161,9 @@ def anchor_pairing(n: int) -> Pairing:
 
 
 def observation_budget(n: int) -> int:
-    """Query count of the reconstruction: exactly what `reconstruct_tilde` spends."""
+    """Query count of the reconstruction: exactly what `reconstruct_tilde`
+    spends. `n` must pass `checked_count`."""
+    n = checked_count(n)
     return 2 * (n - 3) + (n - 2) * (n - 3) + 1
 
 

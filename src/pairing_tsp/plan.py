@@ -61,7 +61,9 @@ class PlanRankError(InternalError):
 
 
 def plan_size(n: int) -> int:
-    """Minimum number of observations for n elements: (n-1)(n-2)/2."""
+    """Minimum number of observations for n elements: (n-1)(n-2)/2. `n`
+    must pass `checked_count`."""
+    n = checked_count(n)
     return (n - 1) * (n - 2) // 2
 
 

@@ -24,8 +24,7 @@ from .core import (
     InternalError,
     Pairing,
     ValidationError,
-    _check_symmetric_bounded,
-    checked_entries,
+    checked_symmetric,
 )
 
 
@@ -113,12 +112,11 @@ class PairingTspGraph:
 
 
 def build_graph(matrix: np.ndarray, n: int) -> PairingTspGraph:
-    """Assemble the layered graph over a symmetric n x n value matrix that
-    passes `checked_entries`. An asymmetric matrix is refused: `edge_cost`
+    """Assemble the layered graph over an n x n value matrix that passes
+    `checked_symmetric`. An asymmetric matrix is refused: `edge_cost`
     reads the entry in the direction travelled, so a tour's cost would
     depend on its direction."""
-    matrix, n, (numerators, _) = checked_entries(matrix, n)
-    _check_symmetric_bounded(numerators, n)
+    matrix, n, _ = checked_symmetric(matrix, n)
     return PairingTspGraph(n=n, c=matrix)
 
 

@@ -15,11 +15,14 @@ import pytest
 
 from pairing_tsp.core import Instance, Pairing, ValidationError
 from pairing_tsp.core import total_compatibility
+from pairing_tsp.core import quotients
 from pairing_tsp.observation import TildeMatrix, definitional_tilde
+from pairing_tsp.observation import exchange_rule_value
 from pairing_tsp.solvers import SolverConfig, solve_p2opt, solve_pnn, solve_random
 from pairing_tsp.tsp_graph import build_graph
 
 from conftest import NON_FINITE_MATRICES, NON_INTEGER_COUNTS
+from conftest import NON_NUMBER_MATRICES
 
 #: Each entry point, given a 4x4 matrix and the element count it takes.
 ENTRY_POINTS = {
@@ -108,3 +111,58 @@ def test_int64_instance_is_stored_and_summed_as_float64():
     assert np.array(totals).tobytes() == np.array(
         [total_compatibility(floats, p) for p in pairings]
     ).tobytes()
+
+
+#: Every entry point that takes a matrix: the ones above and `exchange_rule_value`.
+MATRIX_ENTRY_POINTS = {
+    **ENTRY_POINTS,
+    "exchange_rule_value": lambda c: exchange_rule_value(1, 2, 3, 4, c),
+}
+
+#: The entry points that read a matrix as given, asymmetric or not.
+SOLVERS = ("solve_pnn", "solve_p2opt", "solve_random")
+
+#: Malformed matrices that every entry point refuses with a ValidationError.
+MALFORMED_MATRICES = {
+    **{case: matrix for case, (matrix, _) in NON_NUMBER_MATRICES.items()},
+    **{case: matrix for case, (matrix, _) in NON_FINITE_MATRICES.items()},
+    "ragged list": [[0, 0, 0, 0], [0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]],
+    "ragged object rows": np.array([[0, 0, 0, 0], [0, 0, 0]], dtype=object),
+    "non-square": np.zeros((4, 6)),
+    "one-dimensional": np.zeros(16),
+    "odd": np.zeros((5, 5)),
+    "too small": np.zeros((2, 2)),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("entry", MATRIX_ENTRY_POINTS)
+@pytest.mark.parametrize("case", MALFORMED_MATRICES)
+def test_malformed_matrix_refused(entry, case):
+    with pytest.raises(ValidationError):
+        MATRIX_ENTRY_POINTS[entry](MALFORMED_MATRICES[case])
+
+
+def _asymmetric(dtype, value) -> np.ndarray:
+    """A 4x4 zero matrix but for `value` at (2, 3), 1-based."""
+    c = np.zeros((4, 4), dtype=dtype)
+    c[1, 2] = value
+    return c
+
+
+#: Matrices that pass the gate but are not symmetric at (2, 3), 1-based.
+ASYMMETRIC_MATRICES = {
+    "float64": _asymmetric(np.float64, 0.5),
+    "int64": _asymmetric(np.int64, 1),
+    "object int": _asymmetric(object, 1),
+    "object Fraction": _asymmetric(object, Fraction(1, 3)),
+    "kept FractionArray": quotients(_asymmetric(object, 1), 3),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("entry", [e for e in MATRIX_ENTRY_POINTS if e not in SOLVERS])
+@pytest.mark.parametrize("case", ASYMMETRIC_MATRICES)
+def test_asymmetric_matrix_refused(entry, case):
+    with pytest.raises(ValidationError, match=r"matrix is not symmetric at c\[2\]\[3\]"):
+        MATRIX_ENTRY_POINTS[entry](ASYMMETRIC_MATRICES[case])

@@ -496,3 +496,45 @@ class TestPerformanceIndicatorWideBand:
             band_lo, band_hi = (n / 2) * lo, (n / 2) * hi
             expected = (score - band_lo) / (band_hi - band_lo)
             assert performance_indicator(score, n, lo, hi) == expected
+
+
+class TestPerformanceIndicatorAdmission:
+    """Every argument is admitted: a bad one gets a ValidationError, never a
+    raw exception or a number."""
+
+    @pytest.mark.parametrize("n", [0, 3, 5, True, 4.0, "4"], ids=repr)
+    def test_count_admitted(self, n):
+        with pytest.raises(ValidationError, match="element count must be even and >= 4"):
+            performance_indicator(0, n, 0, 1)
+
+    @pytest.mark.parametrize("score", [float("nan"), float("inf"), -float("inf")], ids=repr)
+    def test_non_finite_score_refused(self, score):
+        with pytest.raises(ValidationError, match="is not finite"):
+            performance_indicator(score, 4, 0, 1)
+
+    @pytest.mark.parametrize("score", ["1", None, True, 1j], ids=repr)
+    def test_score_that_is_not_a_number_named(self, score):
+        with pytest.raises(ValidationError, match="score must be a number"):
+            performance_indicator(score, 4, 0, 1)
+
+    def test_infinite_bounds_refused(self):
+        with pytest.raises(ValidationError, match="must be finite"):
+            performance_indicator(0, 4, -float("inf"), float("inf"))
+        with pytest.raises(ValidationError, match="c_max must be a number"):
+            performance_indicator(0, 4, 0, "1")
+
+    def test_reversed_and_equal_bounds_keep_their_message(self):
+        for lo, hi in [(10, 0), (5, 5), (float("nan"), 0)]:
+            with pytest.raises(ValidationError, match="need c_max > c_min"):
+                performance_indicator(0, 4, lo, hi)
+
+    def test_exact_bounds_beyond_float_range(self):
+        assert performance_indicator(0, 4, -(10**400), 10**400) == 0.5
+        assert performance_indicator(10**400, 4, -(10**400), 10**400) == 0.75
+        with pytest.raises(ValidationError, match="outside the feasible band"):
+            performance_indicator(2 * 10**400 + 1, 4, -(10**400), 10**400)
+
+    def test_exact_score_kept_exact(self):
+        assert performance_indicator(Fraction(1, 3), 4, 0, 1) == 1 / 6
+        big = 10**308 * 3
+        assert performance_indicator(big, 6, -(10**308), 10**308) == 1.0

@@ -683,3 +683,21 @@ class TestUnreachedFaults:
     def test_instance_json_array(self):
         with pytest.raises(ValidationError, match="instance JSON must be an object"):
             loads_instance_json("[4, 0, 10]")
+
+
+class TestEnumerationCapAdmitted:
+    """`max_n` passes `_checked` with the `integer` converter, as every
+    other integer argument does."""
+
+    @pytest.mark.parametrize("max_n", ["x", None, 4.0, True], ids=repr)
+    def test_enumeration_cap_that_is_not_an_int_named(self, max_n):
+        with pytest.raises(ValidationError, match="max_n must be an integer"):
+            list(enumerate_pairings(4, max_n=max_n))
+
+    @pytest.mark.parametrize("max_n", ["x", None, True], ids=repr)
+    def test_exact_best_pairing_cap_named(self, max_n):
+        with pytest.raises(ValidationError, match="max_n must be an integer"):
+            exact_best_pairing(make_instance(4, 0), max_n=max_n)
+
+    def test_numpy_cap_accepted(self):
+        assert len(list(enumerate_pairings(4, max_n=np.int64(4)))) == 3

@@ -727,3 +727,60 @@ class TestFloatOverflowShadow:
         tilde = definitional_tilde(exact)
         # t[2][4] = c24 - c12 - c14 + (c12 + c13 + c14), past float range on the way
         assert tilde.t[1, 3] == -2 * int(8e307)
+
+
+@pytest.mark.parametrize("n", ["x", 3, 5, 2, 4.0, True], ids=repr)
+def test_observation_budget_admits_its_count(n):
+    with pytest.raises(ValidationError, match="element count must be even and >= 4"):
+        observation_budget(n)
+
+
+class TestOneShadowState:
+    """A shadow keeps its `integral` pair for life: `t` is built from it
+    when first read, and `total` sums it the same way before and after."""
+
+    def test_readmitted_exact_shadow_keeps_t_and_totals(self):
+        inst = make_fraction_instance(6, 3)
+        shadow, _ = reconstruct_tilde(ObservationOracle(inst))
+        again = TildeMatrix(n=6, t=shadow.t)
+        assert again.t.tolist() == shadow.t.tolist()
+        assert {type(v) for v in again.t.flat} == {Fraction}
+        for pairing in enumerate_pairings(6):
+            total = total_compatibility(inst, pairing)
+            assert again.total(pairing) == shadow.total(pairing) == total
+
+    def test_float_total_same_bits_before_and_after_t_is_read(self):
+        inst = make_instance(8, 5)
+        pairings = list(enumerate_pairings(8))
+        for make in (
+            lambda: reconstruct_tilde(ObservationOracle(inst))[0],
+            lambda: definitional_tilde(inst.c),
+            lambda: TildeMatrix(n=8, t=definitional_tilde(inst.c).t),
+        ):
+            shadow = make()
+            before = [shadow.total(p).hex() for p in pairings]
+            t = shadow.t
+            assert not t.flags.writeable
+            assert [shadow.total(p).hex() for p in pairings] == before
+            assert [pairing_sum(t, p).hex() for p in pairings] == before
+
+    def test_exact_total_same_value_before_and_after_t_is_read(self):
+        inst = make_integer_instance(6, 2)
+        pairings = list(enumerate_pairings(6))
+        for shadow in (
+            reconstruct_tilde(ObservationOracle(inst))[0],
+            definitional_tilde(inst.c),
+        ):
+            before = [shadow.total(p) for p in pairings]
+            assert before == [total_compatibility(inst, p) for p in pairings]
+            t = shadow.t
+            assert [shadow.total(p) for p in pairings] == before
+            assert [pairing_sum(t, p) for p in pairings] == before
+
+    def test_total_of_admitted_ints_is_an_equal_fraction(self):
+        t = np.zeros((4, 4), dtype=object)
+        t[1, 2] = t[2, 1] = 7
+        shadow = TildeMatrix(n=4, t=t)
+        total = shadow.total(Pairing([(1, 4), (2, 3)]))
+        assert total == 7 and isinstance(total, Fraction)
+        assert shadow.t[1, 2] == 7 and type(shadow.t[1, 2]) is int

@@ -458,3 +458,9 @@ class TestSweep:
         calls.clear()
         execute_plan(ObservationOracle(make_instance(28, seed=3)), plan)
         assert calls == [np.float64]
+
+
+@pytest.mark.parametrize("n", ["x", 5, 3, 2, 4.0, True], ids=repr)
+def test_plan_size_admits_its_count(n):
+    with pytest.raises(ValidationError, match="element count must be even and >= 4"):
+        plan_size(n)
