@@ -123,7 +123,8 @@ class ExperimentSpec:
     ValidationError naming it before any trial runs. Scalars are kept as
     given, since the report echoes them; sequences become tuples. Sizes,
     trials, limits, the seed and an integer start node must pass
-    `core.integer`, so 8.7, "8", true or [1, 2] is rejected, not truncated.
+    `core.integer`, so 8.7, "8", true or [1, 2] is rejected, not truncated,
+    and `n_values` must hold at least one size.
     """
 
     n_values: tuple[int, ...]
@@ -138,6 +139,8 @@ class ExperimentSpec:
         n_values = _checked(
             "n_values", "a list of integers", lambda v: tuple(map(integer, v)), self.n_values
         )
+        if not n_values:
+            raise ValidationError("n_values must be a non-empty list of integers")
         object.__setattr__(self, "n_values", n_values)
         if isinstance(self.algorithms, str):
             raise ValidationError("algorithms must be a sequence of names")
@@ -430,6 +433,8 @@ def run_study(study: str, spec: ExperimentSpec) -> ExperimentReport:
         raise ValidationError("the sweep needs exchange_limit to be a non-empty list of limits")
     if study != "sweep" and listed:
         raise ValidationError(f"the {study} study needs a single exchange_limit, not a list")
+    if study == "perf" and not spec.algorithms:
+        raise ValidationError("the perf study needs algorithms to be a non-empty list of names")
     # every study but start resolves start_node, on every size
     if study != "start" and spec.start_node not in (None, "random"):
         start = spec.start_node

@@ -388,12 +388,19 @@ def pair_keys(rows, cols, n: int, *, first: int = 0) -> np.ndarray:
     # kinds i and u only: a timedelta64 is a numpy integer type too, and a bool is not
     if not (rows.dtype.kind in "iu" and cols.dtype.kind in "iu"):
         raise ValidationError(f"pair elements must be integers, got {rows.dtype} and {cols.dtype}")
-    # cast before any arithmetic, so lo * n + hi cannot overflow a narrow
-    # dtype; an unsigned end beyond intp's range turns negative and fails below
-    lo, hi = rows.astype(np.intp, copy=False), cols.astype(np.intp, copy=False)
+    # lo and hi are intp before any arithmetic, so lo * n + hi cannot
+    # overflow a narrow dtype. Two arrays of one dtype that intp holds are
+    # compared as they are, and only lo and hi are widened; any others are
+    # widened first, so a uint64 end beyond intp's range turns negative and
+    # fails below
+    ends = rows, cols
+    if rows.dtype != cols.dtype or rows.dtype == np.uint64:
+        ends = rows.astype(np.intp), cols.astype(np.intp)
+    lo = np.minimum(*ends).astype(np.intp, copy=False)
+    hi = np.maximum(*ends).astype(np.intp, copy=False)
     if first:
-        lo, hi = lo - first, hi - first
-    lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
+        lo -= first
+        hi -= first
     q = len(rows)
     # a row has n slots, so it is a pairing exactly when its n ends cover
     # 0..n-1; a repeated element, a self-pair included, leaves one uncovered

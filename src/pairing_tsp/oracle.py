@@ -10,8 +10,9 @@ Queries arrive one at a time (`observe`, a `Pairing`) or as a batch
 (`observe_batch`): Q pairings given as two (Q, N/2) integer arrays of 0-based
 elements, row q pairing rows[q, k] with cols[q, k], in any pair order and
 either orientation. Every query passes through `observe_batch` (`observe` is
-a one-row batch), so overriding that one method sees them all; the oracle
-keeps no log of them. Every row passes `core.pair_keys`, the one check of a
+a one-row batch), so overriding that one method sees them all; such an
+override must widen narrow rows before any arithmetic. The oracle keeps no
+log of them. Every row passes `core.pair_keys`, the one check of a
 pairing, before the counter moves, so a bad batch costs nothing; the oracle
 gathers by the keys it returns, as `core.pairing_sum` does, from the array
 the instance chose at admission to sum over (int64 for bounded Python-int
@@ -64,6 +65,10 @@ class ObservationOracle:
         Returns a float64 array for float instances and an object array of
         exact values (Python ints or `Fraction`s) for exact ones; value q
         equals `observe` on row q.
+
+        The library's own rows may arrive as read-only uint8 arrays (the
+        reconstruction's kept schedule), so an override must widen them, or
+        take them `.tolist()`, before any arithmetic, as `pair_keys` does.
         """
         hidden = self._hidden
         keys = pair_keys(rows, cols, hidden.n)

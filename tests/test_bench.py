@@ -458,6 +458,37 @@ class TestUnreachedFaults:
             run_performance_study(small_spec(exchange_limit=(0, 5)))
 
 
+class TestEmptyStudy:
+    """A study with nothing to run is refused by name before any trial,
+    as `trials: 0` and the sweep's empty limit list are."""
+
+    @pytest.mark.parametrize("n_values", [(), []])
+    def test_spec_refuses_empty_n_values(self, n_values):
+        with pytest.raises(ValidationError, match="n_values must be a non-empty list"):
+            small_spec(n_values=n_values)
+
+    def test_json_spec_refuses_empty_n_values(self):
+        with pytest.raises(ValidationError, match="n_values must be a non-empty list"):
+            ExperimentSpec.from_json_dict({"n_values": [], "trials": 1})
+
+    def test_perf_refuses_no_algorithms_before_any_trial(self, monkeypatch):
+        import pairing_tsp.bench as bench
+
+        def no_trial(*task):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(bench, "_trial", no_trial)
+        spec = small_spec(n_values=(8,), trials=1, algorithms=())
+        with pytest.raises(ValidationError, match="the perf study needs algorithms"):
+            run_study("perf", spec)
+
+    @pytest.mark.parametrize("study", ["sweep", "noc", "start"])
+    def test_other_studies_do_not_read_algorithms(self, study):
+        limit = (0, 5) if study == "sweep" else 600
+        spec = small_spec(n_values=(6,), trials=1, algorithms=(), exchange_limit=limit)
+        assert run_study(study, spec).records
+
+
 class TestWideValueRange:
     """One rule refuses a value range whose width max - min overflows
     float64, for the generator and for a spec before any trial runs."""

@@ -341,6 +341,27 @@ class TestBenchSpecValidation:
         assert run_cli("bench", "start", "--spec", str(path), "--out", str(tmp_path / "r")) == 0
 
 
+class TestEmptyStudyRefused:
+    @pytest.mark.parametrize(
+        "spec,message",
+        [
+            ({"n_values": [], "trials": 1}, "n_values must be a non-empty list"),
+            (
+                {"n_values": [8], "trials": 1, "algorithms": []},
+                "the perf study needs algorithms to be a non-empty list",
+            ),
+        ],
+        ids=["no-sizes", "no-algorithms"],
+    )
+    def test_exits_one_and_writes_no_report(self, tmp_path, capsys, spec, message):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        assert run_cli("bench", "perf", "--spec", str(path), "--out", str(tmp_path / "r")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == [path]
+
+
 class TestUsageErrors:
     def test_unknown_subcommand(self, capsys):
         assert run_cli("frobnicate") == 1

@@ -18,11 +18,15 @@ from pairing_tsp.core import (
 )
 from pairing_tsp.observation import (
     TildeMatrix,
+    _AFTER_BEFORE,
     _BLOCK_ENDS,
+    _KEPT_BYTES,
     _completion,
+    _free_entries,
     _grid,
     _rows,
     _rule_table,
+    _schedule,
     anchor_pairing,
     definitional_tilde,
     exchange_rule_value,
@@ -422,6 +426,7 @@ class TestBlockBuild:
 
         monkeypatch.setattr(ObservationOracle, "observe_batch", spy)
         monkeypatch.setattr(observation, "_rows", block_spy)
+        observation._schedule.cache_clear()
         _, spent = reconstruct_tilde(ObservationOracle(make_instance(n, seed=n)))
         assert max(sizes) <= 2 * n
         assert sum(sizes) == spent == observation_budget(n)
@@ -432,6 +437,108 @@ class TestBlockBuild:
             assert len(blocks) < len(sizes) - 1
         else:
             assert len(blocks) == len(sizes) - 1
+
+
+def spy_on_reconstruction(monkeypatch, n):
+    """Reconstruct a float instance of size n, recording the size of every
+    batch the oracle gets and the rows of every `_rows` call."""
+    sizes, built = [], []
+    observe_batch, build_rows = ObservationOracle.observe_batch, observation._rows
+
+    def spy(self, rows, cols):
+        sizes.append(len(rows))
+        return observe_batch(self, rows, cols)
+
+    def rows_spy(n, fixed):
+        rows, cols = build_rows(n, fixed)
+        built.append(len(rows))
+        return rows, cols
+
+    monkeypatch.setattr(ObservationOracle, "observe_batch", spy)
+    monkeypatch.setattr(observation, "_rows", rows_spy)
+    _, spent = reconstruct_tilde(ObservationOracle(make_instance(n, seed=n)))
+    assert sum(sizes) == spent == observation_budget(n)
+    return sizes, built
+
+
+class TestKeptSchedule:
+    """Up to n = 162 the reconstruction's rows are built once per n and kept
+    as `_schedule(n)`; larger n are built block by block on every call."""
+
+    @pytest.mark.parametrize("n", [4, 30, 80, 162])
+    def test_kept_arrays_are_read_only_uint8_copies_of_the_rows(self, n):
+        rows, cols = _schedule(n)
+        built_rows, built_cols = _rows(n, _rule_table(n)[:, _AFTER_BEFORE] - 1)
+        assert rows.shape == cols.shape == (observation_budget(n) - 1, n // 2)
+        for kept in (rows, cols):
+            assert kept.dtype == np.uint8 and not kept.flags.writeable
+            with pytest.raises(ValueError):
+                kept[0, 0] = 1
+        assert (rows == built_rows).all() and (cols == built_cols).all()
+        assert _schedule(n)[0] is rows
+
+    def test_built_once_over_three_reconstructions(self):
+        _schedule.cache_clear()
+        for seed in range(3):
+            reconstruct_tilde(ObservationOracle(make_instance(30, seed=seed)))
+        info = _schedule.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+
+    @pytest.mark.parametrize("n", [4, 30, 80])
+    def test_warm_reconstruction_builds_no_rows(self, monkeypatch, n):
+        reconstruct_tilde(ObservationOracle(make_instance(n, seed=1)))
+        sizes, built = spy_on_reconstruction(monkeypatch, n)
+        assert built == []
+        # every slice but the last is full, then the anchor's one row
+        assert sizes[:-2] == [2 * n] * (len(sizes) - 2)
+        assert 0 < sizes[-2] <= 2 * n and sizes[-1] == 1
+
+    def test_budget_keeps_162_and_builds_164_per_block(self, monkeypatch):
+        assert observation_budget(162) * 162 <= _KEPT_BYTES < observation_budget(164) * 164
+        _schedule.cache_clear()
+        sizes, built = spy_on_reconstruction(monkeypatch, 164)
+        assert _schedule.cache_info().currsize == 0
+        # one `_rows` block per slice, each slice submitted as it is built
+        assert built == sizes[:-1] and sizes[-1] == 1
+        assert sizes[:-2] == [2 * 164] * (len(sizes) - 2)
+
+    @pytest.mark.parametrize("n", [30, 60])
+    @pytest.mark.parametrize(
+        "make", [make_instance, make_integer_instance, make_fraction_instance]
+    )
+    def test_kept_and_built_shadows_are_identical(self, monkeypatch, make, n):
+        instance = make(n, seed=n + 7)
+        kept, kept_spent = reconstruct_tilde(ObservationOracle(instance))
+        monkeypatch.setattr(observation, "_KEPT_BYTES", 0)
+        built, built_spent = reconstruct_tilde(ObservationOracle(instance))
+        assert kept_spent == built_spent == observation_budget(n)
+        (kept_num, kept_den), (built_num, built_den) = kept._integral, built._integral
+        assert kept_den == built_den and kept_num.dtype == built_num.dtype
+        if kept_num.dtype == object:  # exact: the same Python ints
+            assert list(map(type, kept_num.flat)) == list(map(type, built_num.flat))
+            assert kept_num.tolist() == built_num.tolist()
+        else:
+            assert kept_num.tobytes() == built_num.tobytes()
+
+
+@pytest.mark.parametrize("n", [4, 28, 80])
+def test_cached_free_entries_are_read_only_and_shared(n):
+    upper = _free_entries(n)
+    assert upper is _free_entries(n) and not upper.flags.writeable
+    with pytest.raises(ValueError):
+        upper[1, 2] = False
+    k = np.arange(n)
+    assert (upper == ((0 < k[:, None]) & (k[:, None] < k))).all()
+    from pairing_tsp.plan import execute_plan, minimal_observation_plan
+
+    # the reconstruction, the minimal plan and the definitional shadow share it
+    hits = _free_entries.cache_info().hits
+    instance = make_instance(n, seed=n)
+    reconstruct_tilde(ObservationOracle(instance))
+    execute_plan(ObservationOracle(instance), minimal_observation_plan(n))
+    definitional_tilde(instance.c)
+    assert _free_entries.cache_info().hits == hits + 3
+    assert upper is _free_entries(n)
 
 
 @pytest.mark.parametrize("width", [2, 4, 6])

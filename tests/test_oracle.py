@@ -211,6 +211,16 @@ class TestObserveBatch:
         narrow = ObservationOracle(inst).observe_batch(rows.astype(dtype), cols.astype(dtype))
         assert [v.hex() for v in narrow.tolist()] == [v.hex() for v in wide.tolist()]
 
+    @pytest.mark.parametrize("row_dtype,col_dtype", [(np.int8, np.uint64), (np.uint8, np.int16)])
+    def test_mixed_dtypes_give_the_intp_keys(self, row_dtype, col_dtype):
+        n = 40
+        rows, cols = shuffled_rows([solve_random(n, seed).pairing for seed in range(30)], seed=5)
+        keys = pair_keys(rows.astype(row_dtype), cols.astype(col_dtype), n)
+        assert keys.dtype == np.intp
+        assert (keys == pair_keys(rows.astype(np.intp), cols.astype(np.intp), n)).all()
+        one_based = pair_keys((rows + 1).astype(row_dtype), (cols + 1).astype(col_dtype), n, first=1)
+        assert (one_based == keys).all()
+
     @pytest.mark.parametrize("bad", [-1, 6])
     def test_out_of_range_end_in_a_later_row_raises_the_range_error(self, instance6, bad):
         # without the range check, -1 in row 1 would mark row 0's last slot
