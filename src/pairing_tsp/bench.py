@@ -58,8 +58,16 @@ from .oracle import ObservationOracle
 from .solvers import SolverConfig, solve_p2opt, solve_pnn, solve_pnn_p2opt, solve_random
 
 THREADS_ENV = "PAIRING_TSP_THREADS"
-KNOWN_ALGORITHMS = ("random", "pnn", "pnn+p2opt")
 STUDIES = ("perf", "sweep", "noc", "start")
+
+#: The solve each algorithm name stands for, on (n, matrix, config), in the
+#: studies and in `solve --algo`; the random baseline reads only n and the seed.
+SOLVERS = {
+    "random": lambda n, matrix, config: solve_random(n, config.seed),
+    "pnn": lambda n, matrix, config: solve_pnn(matrix, config),
+    "pnn+p2opt": lambda n, matrix, config: solve_pnn_p2opt(matrix, config),
+}
+KNOWN_ALGORITHMS = tuple(SOLVERS)
 
 
 def performance_indicator(score: float, n: int, c_min: float, c_max: float) -> float:
@@ -326,12 +334,14 @@ def random_start_node(seed: int, n: int) -> int:
     return int(rng.integers(1, n + 1))
 
 
-def _resolve_start(spec: ExperimentSpec, n: int, solver_seed: int) -> int:
-    if spec.start_node is None:
+def _resolve_start(start_node, n: int, seed: int) -> int:
+    """The node a study's `start_node`, or `solve --start-node`, stands for:
+    None is node 1 and "random" is `random_start_node(seed, n)`."""
+    if start_node is None:
         return 1
-    if spec.start_node == "random":
-        return random_start_node(solver_seed, n)
-    return spec.start_node
+    if start_node == "random":
+        return random_start_node(seed, n)
+    return start_node
 
 
 def _observed_matrix(instance: Instance) -> tuple[np.ndarray, int]:
@@ -396,17 +406,14 @@ def _trial(
             record(f"pnn+p2opt@start={start}", refined, c_millis + r_millis)
         return records, []
 
-    start = _resolve_start(spec, n, solver_seed)
+    start = _resolve_start(spec.start_node, n, solver_seed)
     # a sweep's exchange_limit is a list; each limit is put in for its own refine
     limit = None if study == "sweep" else spec.exchange_limit
     config = SolverConfig(seed=solver_seed, start_node=start, exchange_limit=limit)
     if study == "perf":
         for algo in spec.algorithms:
-            if algo == "random":
-                record(algo, *_timed(solve_random, n, solver_seed), observed=0)
-            else:
-                solve = solve_pnn if algo == "pnn" else solve_pnn_p2opt
-                record(algo, *_timed(solve, shadow, config))
+            observed = 0 if algo == "random" else observations
+            record(algo, *_timed(SOLVERS[algo], n, shadow, config), observed=observed)
         return records, []
     if study == "sweep":
         constructed = solve_pnn(shadow, config)

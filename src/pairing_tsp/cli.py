@@ -25,14 +25,14 @@ from .core import (
     ValidationError,
     _checked,
     _first_best,
+    _json,
+    _read_instance,
     _read_text,
     dumps_instance_json,
     dumps_instance_text,
     float_bounds,
     integer,
     load_instance,
-    loads_instance_json,
-    loads_instance_text,
     pairing_sum,
     real,
     total_compatibility,
@@ -40,7 +40,7 @@ from .core import (
 from .observation import TildeMatrix
 from .oracle import ObservationOracle
 from .plan import execute_plan, minimal_observation_plan
-from .solvers import SolveResult, SolverConfig, solve_pnn, solve_pnn_p2opt, solve_random
+from .solvers import SolveResult, SolverConfig
 from .tsp_graph import build_graph
 
 #: Sizes above this need --full; keeps accidental runs desk-scale.
@@ -88,7 +88,7 @@ def _build_parser() -> _Parser:
 
     solve = sub.add_parser("solve", help="run a solver on an instance or shadow file")
     solve.add_argument("file", type=Path)
-    solve.add_argument("--algo", choices=("random", "pnn", "pnn+p2opt", "exact"), required=True)
+    solve.add_argument("--algo", choices=(*bench_mod.KNOWN_ALGORITHMS, "exact"), required=True)
     solve.add_argument("--seed", type=int, default=0)
     solve.add_argument("--start-node", type=_start_node_arg, default=1)
     solve.add_argument("--exchange-limit", type=int, default=600)
@@ -157,31 +157,22 @@ def _cmd_observe(args) -> int:
 
 def _load_solve_input(path: Path):
     """Returns (matrix, n, bounds, instance_or_none)."""
-    text = _read_text(path)
-    if text.lstrip().startswith("{"):
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"malformed JSON in {path}: {exc}") from exc
-        if isinstance(data, dict) and "tilde" in data:
-            try:
-                n, matrix = data["n"], np.asarray(data["tilde"], dtype=np.float64)
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ValidationError(f"malformed shadow file {path}: {exc!r}") from exc
-            n = _checked("n", "an integer", integer, n)
-            # the float64 cast above would take true and "1" too
-            for v in np.asarray(data["tilde"], dtype=object).flat:
-                _checked("tilde entry", "a number", real, v)
-            bounds = None
-            if "c_min" in data and "c_max" in data:
-                bounds = float_bounds(data["c_min"], data["c_max"])
-            # validates shape, finite symmetric entries and the zero first
-            # row and column
-            return TildeMatrix(n=n, t=matrix).t, n, bounds, None
-        instance = loads_instance_json(text)
-    else:
-        instance = loads_instance_text(text)
-    return instance.c, instance.n, (instance.c_min, instance.c_max), instance
+    data = _read_instance(path, shadows=True)
+    if isinstance(data, Instance):
+        return data.c, data.n, (data.c_min, data.c_max), data
+    try:
+        n, matrix = data["n"], np.asarray(data["tilde"], dtype=np.float64)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(f"malformed shadow file {path}: {exc!r}") from exc
+    n = _checked("n", "an integer", integer, n)
+    # the float64 cast above would take true and "1" too
+    for v in np.asarray(data["tilde"], dtype=object).flat:
+        _checked("tilde entry", "a number", real, v)
+    bounds = None
+    if "c_min" in data and "c_max" in data:
+        bounds = float_bounds(data["c_min"], data["c_max"])
+    # validates shape, finite symmetric entries and the zero first row and column
+    return TildeMatrix(n=n, t=matrix).t, n, bounds, None
 
 
 def _cmd_solve(args) -> int:
@@ -194,21 +185,15 @@ def _cmd_solve(args) -> int:
     else:
         solve_matrix = matrix
 
-    start = args.start_node
-    if start == "random":
-        start = bench_mod.random_start_node(args.seed, n)
+    start = bench_mod._resolve_start(args.start_node, n, args.seed)
     config = SolverConfig(seed=args.seed, start_node=start, exchange_limit=args.exchange_limit)
 
-    if args.algo == "random":
-        result = solve_random(n, args.seed, matrix=solve_matrix)
-    elif args.algo == "pnn":
-        result = solve_pnn(solve_matrix, config)
-    elif args.algo == "pnn+p2opt":
-        result = solve_pnn_p2opt(solve_matrix, config)
-    else:
+    if args.algo == "exact":
         # the search `exact_best_pairing` runs, on the matrix the mode solves on
         pairing, total = _first_best(solve_matrix, args.enumeration_cap)
         result = SolveResult(pairing=pairing, score=total, noc=0, exchanges_used=0)
+    else:
+        result = bench_mod.SOLVERS[args.algo](n, solve_matrix, config)
 
     # score against the truth when we have it, else against the shadow sums
     if instance is not None:
@@ -253,10 +238,7 @@ def _cmd_graph(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    try:
-        spec_data = json.loads(_read_text(args.spec))
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"malformed spec JSON: {exc}") from exc
+    spec_data = _json(_read_text(args.spec), "spec JSON")
     spec = bench_mod.ExperimentSpec.from_json_dict(spec_data)
     oversized = [n for n in spec.n_values if n > FULL_SCALE_THRESHOLD]
     if oversized and not args.full:

@@ -55,7 +55,12 @@ the flat index of the pair's entry. Every pairing total gathers
 `matrix.ravel().take(keys)` and adds left to right in `row_totals`, so a
 total is the same value bit for bit whichever path computed it. A
 `FractionArray` that keeps its numerators gathers those instead and
-divides once (`quotient_sum`).
+divides once (`quotient_sum`). A pairing given as an argument has one check,
+`checked_pairing` (a `Pairing` of the matrix's, oracle's or graph's n
+elements), and every pairing total passes it in `_gathered`.
+
+An instance file's kind has one home, `_read_instance`: JSON when its text
+starts with '{', else the text format.
 """
 
 from __future__ import annotations
@@ -86,7 +91,9 @@ class InternalError(RuntimeError):
 
 
 def double_factorial(n: int) -> int:
-    """Product n * (n-2) * (n-4) * ...; by convention (-1)!! = 0!! = 1."""
+    """Product n * (n-2) * (n-4) * ... of an `integer` n; by convention
+    (-1)!! = 0!! = 1."""
+    n = _checked("n", "an integer", integer, n)
     result = 1
     while n > 1:
         result *= n
@@ -273,7 +280,7 @@ def _gate(matrix, n, store: bool = False) -> tuple[np.ndarray, int, tuple, tuple
         except (TypeError, ValueError) as exc:
             raise ValidationError(f"matrix is not a rectangular array: {exc}") from exc
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise ValidationError(f"matrix must be square, got shape {matrix.shape}")
+        raise ValidationError(f"matrix is {matrix.shape}, not square")
     if n is not None and matrix.shape[0] != n:
         raise ValidationError(f"matrix shape {matrix.shape} does not match n={n}")
     n = checked_count(matrix.shape[0])
@@ -377,12 +384,13 @@ def pair_keys(rows, cols, n: int, *, first: int = 0) -> np.ndarray:
     for each pair's 0-based smaller end lo and larger end hi, ascending,
     which is canonical pair order; `np.divmod(keys, n)` decodes them.
     """
-    rows, cols = np.asarray(rows), np.asarray(cols)
+    expected = "rows and cols must be two (Q, N/2) arrays of one shape"
+    try:
+        rows, cols = np.asarray(rows), np.asarray(cols)
+    except (TypeError, ValueError) as exc:  # ragged rows
+        raise ValidationError(f"{expected}: {exc}") from exc
     if rows.ndim != 2 or rows.shape != cols.shape:
-        raise ValidationError(
-            f"rows and cols must be two (Q, N/2) arrays of one shape, "
-            f"got {rows.shape} and {cols.shape}"
-        )
+        raise ValidationError(f"{expected}, got {rows.shape} and {cols.shape}")
     if rows.shape[1] != n // 2:
         raise ValidationError(f"pairing covers {2 * rows.shape[1]} elements, oracle hides {n}")
     # kinds i and u only: a timedelta64 is a numpy integer type too, and a bool is not
@@ -436,9 +444,12 @@ class Pairing:
 
     def __init__(self, pairs: Iterable[Iterable[int]]):
         ends = []
-        for p in pairs:
-            t = tuple(p)
-            if len(t) != 2:
+        for p in _checked("pairs", "an iterable of pairs", iter, pairs):
+            try:
+                t = tuple(p)
+            except TypeError:  # not a sequence of elements at all
+                t = p
+            if type(t) is not tuple or len(t) != 2:
                 raise ValidationError(f"pair {t} does not contain exactly two elements")
             ends += t
         # np.timedelta64 subclasses np.integer, but its int() is not an element
@@ -466,7 +477,7 @@ class Pairing:
     @classmethod
     def from_permutation(cls, order: Iterable[int]) -> "Pairing":
         """Pair consecutive entries of a permutation of 1..n."""
-        seq = list(order)
+        seq = _checked("permutation", "an iterable of integers", list, order)
         if len(seq) % 2 != 0:
             raise ValidationError(f"permutation length {len(seq)} is odd")
         return cls(zip(seq[0::2], seq[1::2]))
@@ -509,17 +520,35 @@ def row_totals(entries: np.ndarray) -> np.ndarray:
     return np.add.reduce(np.ascontiguousarray(entries.T), axis=0)
 
 
-def _gathered(matrix: np.ndarray, pairing: Pairing) -> np.ndarray:
-    """The (1, n/2) row of the pairing's entries of a full 0-based matrix."""
-    if matrix.shape != (pairing.n, pairing.n):
-        raise ValidationError(f"pairing covers {pairing.n} elements but matrix is {matrix.shape}")
-    return matrix.ravel().take(pairing._keys)
+def checked_pairing(pairing, n: int, refusal: str = "pairing must be") -> Pairing:
+    """`pairing` if it is a `Pairing` of `n` elements: the one check of a
+    pairing argument. Another type is refused as "<refusal> a Pairing, got
+    <type>", in its caller's words, and another size as "pairing covers <k>
+    elements, not <n>"."""
+    if not isinstance(pairing, Pairing):
+        raise ValidationError(f"{refusal} a Pairing, got {type(pairing).__name__}")
+    if pairing.n != n:
+        raise ValidationError(f"pairing covers {pairing.n} elements, not {n}")
+    return pairing
+
+
+def _gathered(matrix: np.ndarray, pairing) -> np.ndarray:
+    """The (1, n/2) row of the pairing's entries of an admitted square
+    0-based matrix, once `checked_pairing` admits the pairing."""
+    return matrix.ravel().take(checked_pairing(pairing, len(matrix))._keys)
 
 
 def pairing_sum(matrix: np.ndarray, pairing: Pairing):
     """Sum of matrix[i][j] over the pairing's pairs (matrix is 0-based, full),
-    as a Python scalar: a float, or an exact int or Fraction. A
+    as a Python scalar: a float, or an exact int or Fraction. The matrix
+    passes `checked_entries` and the pairing `checked_pairing`. A
     `FractionArray` that keeps its numerators is summed by `quotient_sum`."""
+    return _pairing_sum(checked_entries(matrix)[0], pairing)
+
+
+def _pairing_sum(matrix: np.ndarray, pairing: Pairing):
+    """`pairing_sum` of a matrix admitted already: the solvers' scores, the
+    enumeration and `total_compatibility` do not admit it again."""
     if isinstance(matrix, FractionArray) and matrix._integral is not None:
         return quotient_sum(*matrix._integral, pairing)
     return row_totals(_gathered(matrix, pairing)).tolist()[0]
@@ -651,7 +680,7 @@ class Instance:
 
 def total_compatibility(instance: Instance, pairing: Pairing):
     """Total compatibility of a pairing: the sum of its N/2 selected entries."""
-    return pairing_sum(instance._sums, pairing)
+    return _pairing_sum(instance._sums, pairing)
 
 
 def enumerate_pairings(n: int, *, max_n: int = DEFAULT_ENUMERATION_CAP) -> Iterator[Pairing]:
@@ -688,7 +717,7 @@ def _first_best(matrix: np.ndarray, max_n: int) -> tuple[Pairing, object]:
     """The first maximal pairing of `enumerate_pairings` on a full 0-based
     matrix, which is the canonically smallest of any tie, and its
     `pairing_sum`. `max` keeps the first of equal keys."""
-    scored = ((pairing_sum(matrix, p), p) for p in enumerate_pairings(len(matrix), max_n=max_n))
+    scored = ((_pairing_sum(matrix, p), p) for p in enumerate_pairings(len(matrix), max_n=max_n))
     total, best = max(scored, key=operator.itemgetter(0))
     return best, total
 
@@ -741,11 +770,19 @@ def loads_instance_text(text: str) -> Instance:
     return _instance_from_upper(n, c_min, c_max, values)
 
 
-def loads_instance_json(text: str) -> Instance:
+def _json(text: str, what: str):
+    """The JSON value in `text`, or a ValidationError "malformed <what>"."""
     try:
-        data = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ValidationError(f"malformed instance JSON: {exc}") from exc
+        raise ValidationError(f"malformed {what}: {exc}") from exc
+
+
+def loads_instance_json(text: str) -> Instance:
+    return _instance_from_json(_json(text, "instance JSON"))
+
+
+def _instance_from_json(data) -> Instance:
     if not isinstance(data, dict):
         raise ValidationError("instance JSON must be an object")
     for key in ("n", "c_min", "c_max", "upper_triangle"):
@@ -769,10 +806,21 @@ def _read_text(path: str | Path) -> str:
 
 def load_instance(path: str | Path) -> Instance:
     """Load an instance file, sniffing JSON vs text from the content."""
+    return _read_instance(path)
+
+
+def _read_instance(path: str | Path, shadows: bool = False) -> Instance | dict:
+    """The instance in the file at `path`: JSON when its text starts with
+    '{', else the text format; the one place a file's kind is decided. With
+    `shadows`, a JSON object holding "tilde" is a shadow file, returned as
+    that object for the caller to admit."""
     text = _read_text(path)
-    if text.lstrip().startswith("{"):
+    if not text.lstrip().startswith("{"):
+        return loads_instance_text(text)
+    if not shadows:
         return loads_instance_json(text)
-    return loads_instance_text(text)
+    data = _json(text, f"JSON in {path}")
+    return data if isinstance(data, dict) and "tilde" in data else _instance_from_json(data)
 
 
 def dumps_instance_text(instance: Instance) -> str:

@@ -25,7 +25,7 @@ import threading
 
 import numpy as np
 
-from .core import Instance, Pairing, ValidationError, pair_keys, row_totals
+from .core import Instance, Pairing, checked_pairing, pair_keys, row_totals
 
 
 class ObservationOracle:
@@ -53,9 +53,8 @@ class ObservationOracle:
             return self._count
 
     def observe(self, pairing: Pairing):
-        """Total compatibility of a `Pairing`; counts one query."""
-        if not isinstance(pairing, Pairing):
-            raise ValidationError(f"observe takes a Pairing, got {type(pairing).__name__}")
+        """Total compatibility of a `Pairing` of n elements; counts one query."""
+        checked_pairing(pairing, self.n, "observe takes")
         return self.observe_batch(*np.divmod(pairing._keys, pairing.n)).tolist()[0]
 
     def observe_batch(self, rows, cols) -> np.ndarray:

@@ -26,8 +26,10 @@ from .core import (
     Pairing,
     ValidationError,
     _checked,
+    _pairing_sum,
     checked_count,
     checked_entries,
+    checked_pairing,
     checked_seed,
     integer,
     pairing_sum,
@@ -98,7 +100,7 @@ def solve_random(n: int, seed: int, matrix: Optional[np.ndarray] = None) -> Solv
     rng = seeded_rng(seed)
     order = rng.permutation(n) + 1
     pairing = Pairing.from_permutation(int(v) for v in order)
-    score = None if matrix is None else pairing_sum(checked_entries(matrix)[0], pairing)
+    score = None if matrix is None else pairing_sum(matrix, pairing)
     return SolveResult(pairing=pairing, score=score, noc=0, exchanges_used=0)
 
 
@@ -213,7 +215,7 @@ def solve_pnn(matrix: np.ndarray, config: SolverConfig) -> SolveResult:
     pairing = _built_pairing(pairs)
     return SolveResult(
         pairing=pairing,
-        score=pairing_sum(matrix, pairing),
+        score=_pairing_sum(matrix, pairing),
         noc=0,
         exchanges_used=0,
         visits=np.array(visits, dtype=np.intp),
@@ -289,10 +291,7 @@ def solve_p2opt(matrix: np.ndarray, initial: Pairing, config: SolverConfig) -> S
     # exact entries are compared as integer numerators, which a positive
     # common denominator leaves in the same order
     matrix, n, (numerators, _) = checked_entries(matrix)
-    if not isinstance(initial, Pairing):
-        raise ValidationError(f"initial must be a Pairing, got {type(initial).__name__}")
-    if initial.n != n:
-        raise ValidationError(f"initial pairing covers {initial.n} elements, matrix has {n}")
+    checked_pairing(initial, n, "initial must be")
     flat = numerators.ravel()
     # slot layout: pair k occupies slots 2k and 2k+1 (0-based elements);
     # ends[t] is slot t's element times n and ends[n + t] the element itself
@@ -323,7 +322,7 @@ def solve_p2opt(matrix: np.ndarray, initial: Pairing, config: SolverConfig) -> S
     pairing = _built_pairing((ends[n:] + 1).reshape(m, 2).tolist())
     return SolveResult(
         pairing=pairing,
-        score=pairing_sum(matrix, pairing),
+        score=_pairing_sum(matrix, pairing),
         noc=sum(trace),
         exchanges_used=exchanges,
         trace=tuple(trace),

@@ -24,6 +24,7 @@ from .core import (
     InternalError,
     Pairing,
     ValidationError,
+    checked_pairing,
     checked_symmetric,
 )
 
@@ -84,15 +85,8 @@ class PairingTspGraph:
         return self.c.dtype.type(0)
 
     def neighbors(self, u: GraphNode) -> list[GraphNode]:
-        if u.layer == 1:
-            out = [GraphNode(1, i) for i in range(1, self.n + 1) if i != u.index]
-            out.append(GraphNode(2, u.index))
-            return out
-        if u.layer == 2:
-            out = [GraphNode(1, u.index)]
-            out.extend(GraphNode(3, k) for k in range(1, self.n // 2 + 1))
-            return out
-        return [GraphNode(2, i) for i in range(1, self.n + 1)]
+        """The nodes `has_edge` links to `u`, in `nodes()` order."""
+        return [v for v in self.nodes() if self.has_edge(u, v)]
 
     def edges(self) -> Iterator[tuple[GraphNode, GraphNode, float]]:
         """Every edge once, in a deterministic order, with its cost."""
@@ -250,10 +244,7 @@ def tour_from_pairing(graph: PairingTspGraph, pairing: Pairing) -> Tour:
     through its first element's layer-two twin. The tour starts at the first
     block's L1:i, so that block's L2:i closes it.
     """
-    if pairing.n != graph.n:
-        raise ValidationError(
-            f"pairing covers {pairing.n} elements but graph has {graph.n}"
-        )
+    checked_pairing(pairing, graph.n)
     blocks = [v for k, (i, j) in enumerate(pairing.pairs, start=1) for v in (i, i, j, j, k)]
     tour = rhythm_tour(blocks[1:])
     verdict = validate_tour(graph, tour)
