@@ -132,7 +132,8 @@ class ExperimentSpec:
     given, since the report echoes them; sequences become tuples. Sizes,
     trials, limits, the seed and an integer start node must pass
     `core.integer`, so 8.7, "8", true or [1, 2] is rejected, not truncated,
-    and `n_values` must hold at least one size.
+    `n_values` must hold at least one size, and no algorithm may be listed
+    twice, since a perf study would run it twice and aggregate both runs.
     """
 
     n_values: tuple[int, ...]
@@ -177,6 +178,8 @@ class ExperimentSpec:
                 raise ValidationError(
                     f"unknown algorithm '{algo}', expected one of {KNOWN_ALGORITHMS}"
                 )
+            if self.algorithms.count(algo) > 1:
+                raise ValidationError(f"algorithm '{algo}' is listed more than once")
         lo, hi = _checked(
             "value_range", "two finite numbers [min, max]", _finite_pair, self.value_range
         )

@@ -302,7 +302,10 @@ def reconstruct_tilde(oracle: ObservationOracle) -> tuple[TildeMatrix, int]:
     Returns the shadow matrix and the number of oracle queries spent here.
     Arithmetic follows the oracle's value type: float instances reconstruct
     in floating point, integer or fractional instances reconstruct exactly.
+    Anything but an `ObservationOracle` (or a subclass) is a ValidationError.
     """
+    if not isinstance(oracle, ObservationOracle):
+        raise ValidationError(f"oracle must be an ObservationOracle, got {type(oracle).__name__}")
     n = checked_count(oracle.n)
     start_count = oracle.query_count
 

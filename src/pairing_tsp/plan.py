@@ -328,7 +328,13 @@ def minimal_observation_plan(n: int) -> ObservationPlan:
 @_float_stage
 def execute_plan(oracle: ObservationOracle, plan: ObservationPlan) -> TildeMatrix:
     """Submit exactly the planned pairings, in order and as one batch, and
-    recover the shadow matrix."""
+    recover the shadow matrix. An oracle that is not an `ObservationOracle`
+    (or a subclass), or a plan that is not an `ObservationPlan`, is a
+    ValidationError."""
+    if not isinstance(oracle, ObservationOracle):
+        raise ValidationError(f"oracle must be an ObservationOracle, got {type(oracle).__name__}")
+    if not isinstance(plan, ObservationPlan):
+        raise ValidationError(f"plan must be an ObservationPlan, got {type(plan).__name__}")
     if plan.n != oracle.n:
         raise ValidationError(f"plan is for n={plan.n} but oracle hides n={oracle.n}")
     values = oracle.observe_batch(*plan._index_arrays)

@@ -1,21 +1,36 @@
 """Three-layer tour formulation of the pairing problem.
 
-Layers one and two each hold N nodes, layer three N/2. Inside layer one every
-pair of nodes is linked with cost equal to the negated compatibility; each
-layer-one node is linked only to its same-index twin in layer two; layers two
-and three are completely linked. All links outside layer one cost zero, so a
-closed tour's cost is the negated total compatibility of the pairing read off
-its layer-one adjacencies, and minimizing tour cost maximizes the pairing.
+The graph's structure is one rule, written once: `_layers` gives each
+layer's nodes (N in layers one and two, N/2 in layer three) and `_LINKS`
+the linked layer pairs. Layer one is complete, each layer-one node is
+linked only to its same-index twin in layer two, and layers two and three
+are completely linked. `nodes`, `has_node`, `has_edge` (in O(1)),
+`neighbors`, `edges`, `edge_count` and the tour check all read that rule
+through `_Structure`, which needs only n: `pairing_from_tour` checks a tour
+against it without any matrix. Links inside layer one cost the negated
+compatibility and all others cost zero, so a closed tour's cost is the
+negated total compatibility of the pairing read off its layer-one
+adjacencies, and minimizing tour cost maximizes the pairing.
 
 The graph is deliberately not complete: a closed tour that visits every node
 can neither take three consecutive layer-one steps nor bounce from layer
 three through layer two straight back to layer three, which is exactly the
 structural guarantee that tours and pairings correspond.
+
+A node is admitted once, by `_node`: a pair of `core.integer`s becomes a
+`GraphNode` of two Python ints, and anything else is a ValidationError that
+names it. `Tour` admits each node it is given, so the tour check reads them
+as they are; `has_node`, `has_edge`, `neighbors` and `edge_cost` admit
+their arguments, and `validate_tour` and `pairing_from_tour` refuse a tour
+that is not a `Tour`. A well-formed node outside the graph is not in it:
+`has_node` and `has_edge` say False and `neighbors` gives [].
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import chain
 from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
@@ -24,8 +39,11 @@ from .core import (
     InternalError,
     Pairing,
     ValidationError,
+    _checked,
+    checked_count,
     checked_pairing,
     checked_symmetric,
+    integer,
 )
 
 
@@ -38,71 +56,104 @@ class GraphNode(NamedTuple):
         return f"L{self.layer}:{self.index}"
 
 
+def _node(value) -> GraphNode:
+    """`value` as a `GraphNode` of two Python ints: the one node admission. A
+    node already in that form, as every node the graph gives out is, is
+    returned as it is."""
+    if type(value) is GraphNode and type(value.layer) is type(value.index) is int:
+        return value
+    return _checked("node", "a pair of integers", lambda v: GraphNode(*map(integer, v)), value)
+
+
+@lru_cache(maxsize=8)
+def _layers(n: int) -> dict[int, dict[GraphNode, None]]:
+    """Each layer's nodes in index order, as dict keys: N, N and N/2 of them."""
+    sizes = {1: n, 2: n, 3: n // 2}
+    return {k: dict.fromkeys(GraphNode(k, i + 1) for i in range(s)) for k, s in sizes.items()}
+
+
+#: The linked layer pairs: True where a link joins same-index twins only,
+#: False where it joins every node of one layer to every node of the other.
+_LINKS = {(1, 1): False, (1, 2): True, (2, 3): False}
+#: `_LINKS` read in either direction.
+_LINKED = {**_LINKS, **{(b, a): twin for (a, b), twin in _LINKS.items()}}
+
+
 @dataclass(frozen=True)
-class PairingTspGraph:
-    """The layered graph; holds the compatibility matrix for edge costs."""
+class _Structure:
+    """The rule alone, for n elements: the nodes and which pairs are linked.
+    The public methods admit their nodes; the private ones take admitted
+    nodes."""
 
     n: int
-    c: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "_layers", _layers(self.n))
 
     @property
     def node_count(self) -> int:
-        return 5 * self.n // 2
+        return sum(map(len, self._layers.values()))
 
     def nodes(self) -> Iterator[GraphNode]:
-        for i in range(1, self.n + 1):
-            yield GraphNode(1, i)
-        for i in range(1, self.n + 1):
-            yield GraphNode(2, i)
-        for k in range(1, self.n // 2 + 1):
-            yield GraphNode(3, k)
+        return chain.from_iterable(self._layers.values())
 
-    def has_node(self, node: GraphNode) -> bool:
-        if node.layer in (1, 2):
-            return 1 <= node.index <= self.n
-        if node.layer == 3:
-            return 1 <= node.index <= self.n // 2
-        return False
+    def has_node(self, node) -> bool:
+        return self._inside(_node(node))
 
-    def has_edge(self, u: GraphNode, v: GraphNode) -> bool:
-        if not (self.has_node(u) and self.has_node(v)) or u == v:
-            return False
-        layers = {u.layer, v.layer}
-        if layers == {1}:
-            return True
-        if layers == {1, 2}:
-            return u.index == v.index
-        if layers == {2, 3}:
-            return True
-        return False
+    def has_edge(self, u, v) -> bool:
+        return self._linked(_node(u), _node(v))
 
-    def edge_cost(self, u: GraphNode, v: GraphNode):
-        """Cost of an existing edge; negated compatibility inside layer one."""
-        if not self.has_edge(u, v):
-            raise ValidationError(f"no edge between {u.label} and {v.label}")
-        if u.layer == 1 and v.layer == 1:
-            return -self.c[u.index - 1][v.index - 1]
-        return self.c.dtype.type(0)
-
-    def neighbors(self, u: GraphNode) -> list[GraphNode]:
-        """The nodes `has_edge` links to `u`, in `nodes()` order."""
-        return [v for v in self.nodes() if self.has_edge(u, v)]
-
-    def edges(self) -> Iterator[tuple[GraphNode, GraphNode, float]]:
-        """Every edge once, in a deterministic order, with its cost."""
-        for i in range(1, self.n + 1):
-            for j in range(i + 1, self.n + 1):
-                yield GraphNode(1, i), GraphNode(1, j), -self.c[i - 1][j - 1]
-        for i in range(1, self.n + 1):
-            yield GraphNode(1, i), GraphNode(2, i), self.c.dtype.type(0)
-        for i in range(1, self.n + 1):
-            for k in range(1, self.n // 2 + 1):
-                yield GraphNode(2, i), GraphNode(3, k), self.c.dtype.type(0)
+    def neighbors(self, u) -> list[GraphNode]:
+        """The nodes linked to `u`, in `nodes()` order."""
+        u = _node(u)
+        return [v for layer in self._layers for v in self._partners(u, layer) if v != u]
 
     @property
     def edge_count(self) -> int:
-        n = self.n
-        return n * (n - 1) // 2 + n + n * (n // 2)
+        """Half the degree sum, since each edge has two ends."""
+        return sum(len(self.neighbors(u)) for u in self.nodes()) // 2
+
+    def _inside(self, node: GraphNode) -> bool:
+        return node in self._layers.get(node.layer, ())
+
+    def _linked(self, u: GraphNode, v: GraphNode) -> bool:
+        return u != v and self._inside(v) and v in self._partners(u, v.layer)
+
+    def _partners(self, u: GraphNode, layer: int):
+        """The nodes of `layer` that `_LINKS` joins to u: its twin across a
+        twin link, or the whole of `layer` (u itself too, when it is u's own
+        layer) across a complete one. None if u is not in the graph."""
+        twin = _LINKED.get((u.layer, layer))
+        if twin is None or not self._inside(u):
+            return ()
+        return (GraphNode(layer, u.index),) if twin else self._layers[layer]
+
+
+@dataclass(frozen=True)
+class PairingTspGraph(_Structure):
+    """The layered graph; holds the compatibility matrix for edge costs."""
+
+    c: np.ndarray
+
+    def _cost(self, u: GraphNode, v: GraphNode):
+        if u.layer == v.layer == 1:
+            return -self.c[u.index - 1][v.index - 1]
+        return self.c.dtype.type(0)
+
+    def edge_cost(self, u, v):
+        """Cost of an existing edge; negated compatibility inside layer one."""
+        u, v = _node(u), _node(v)
+        if not self._linked(u, v):
+            raise ValidationError(f"no edge between {u.label} and {v.label}")
+        return self._cost(u, v)
+
+    def edges(self) -> Iterator[tuple[GraphNode, GraphNode, float]]:
+        """Every edge once, with its cost: link by link in `_LINKS` order,
+        each node u of the link's first layer with its partners after u in
+        `nodes()` order, which is the order in which nodes compare."""
+        for a, b in _LINKS:
+            for u in self._layers[a]:
+                yield from ((u, v, self._cost(u, v)) for v in self._partners(u, b) if v > u)
 
 
 def build_graph(matrix: np.ndarray, n: int) -> PairingTspGraph:
@@ -123,7 +174,8 @@ class Tour:
     sequence: tuple[GraphNode, ...]
 
     def __init__(self, sequence):
-        object.__setattr__(self, "sequence", tuple(GraphNode(*node) for node in sequence))
+        nodes = _checked("tour", "an iterable of graph nodes", iter, sequence)
+        object.__setattr__(self, "sequence", tuple(map(_node, nodes)))
 
     def __len__(self) -> int:
         return len(self.sequence)
@@ -150,8 +202,7 @@ def rhythm_tour(indices: list[int]) -> Tour:
     three, back to layer two), closed on the layer-two twin of the first
     node."""
     seq = [GraphNode((1, 1, 2, 3, 2)[pos % 5], index) for pos, index in enumerate(indices)]
-    seq.append(GraphNode(2, indices[0]))
-    return Tour(seq)
+    return Tour(seq + [GraphNode(2, indices[0])])
 
 
 @dataclass(frozen=True)
@@ -164,74 +215,71 @@ class TourVerdict:
         return self.ok
 
 
-def validate_tour(graph: PairingTspGraph, tour: Tour) -> TourVerdict:
+#: The layers of three consecutive visits that no tour may take, and why.
+_FRAGMENTS = {
+    (1, 1, 1): "three consecutive first-layer visits",
+    (3, 2, 3): "second-layer node bridges two third-layer visits",
+}
+
+
+def _sequence(tour) -> tuple[GraphNode, ...]:
+    """A `Tour`'s nodes, admitted when it was made, else a ValidationError
+    naming the type."""
+    if not isinstance(tour, Tour):
+        raise ValidationError(f"tour must be a Tour, got {type(tour).__name__}")
+    return tour.sequence
+
+
+def validate_tour(graph: _Structure, tour: Tour) -> TourVerdict:
     """Check a tour against the layered-graph constraints.
 
     Rejections report the first violated constraint and the 0-based position
     in the sequence where it bites. Beyond node coverage and edge existence,
     the two forbidden fragments are re-checked explicitly: three consecutive
     layer-one visits, and a layer-three node reached again straight through
-    layer two.
+    layer two. Only the graph's rule is read, never its costs; a `tour`
+    that is not a `Tour` is a ValidationError.
     """
-    n = graph.n
-    seq = tour.sequence
-    if len(seq) != 5 * n // 2:
-        return TourVerdict(False, f"tour has {len(seq)} nodes, expected {5 * n // 2}", None)
+    seq = _sequence(tour)
+    m = len(seq)
+    if m != graph.node_count:
+        return TourVerdict(False, f"tour has {m} nodes, expected {graph.node_count}", None)
     seen = set()
     for pos, node in enumerate(seq):
-        if not graph.has_node(node):
+        if not graph._inside(node):
             return TourVerdict(False, f"unknown node {node.label}", pos)
         if node in seen:
             return TourVerdict(False, f"node {node.label} visited twice", pos)
         seen.add(node)
     # all nodes exactly once follows: 5n/2 distinct valid nodes
-    m = len(seq)
     # the fragment rules are implied by edge existence plus Hamiltonicity,
     # but they are re-checked first and explicitly so violations are named
     layers = [node.layer for node in seq]
-    for pos in range(m):
-        if layers[pos] == layers[(pos + 1) % m] == layers[(pos + 2) % m] == 1:
-            return TourVerdict(False, "three consecutive first-layer visits", pos)
-        if (
-            layers[pos] == 3
-            and layers[(pos + 1) % m] == 2
-            and layers[(pos + 2) % m] == 3
-        ):
-            return TourVerdict(
-                False, "second-layer node bridges two third-layer visits", pos
-            )
-    for pos in range(m):
-        a, b = seq[pos], seq[(pos + 1) % m]
-        if not graph.has_edge(a, b):
+    for pos, visits in enumerate(zip(layers, layers[1:] + layers[:1], layers[2:] + layers[:2])):
+        if visits in _FRAGMENTS:
+            return TourVerdict(False, _FRAGMENTS[visits], pos)
+    for pos, (a, b) in enumerate(zip(seq, seq[1:] + seq[:1])):
+        if not graph._linked(a, b):
             return TourVerdict(False, f"no such edge: {a.label} to {b.label}", pos)
     return TourVerdict(True)
 
 
-def _structural_graph(tour: Tour) -> PairingTspGraph:
-    # a zero matrix carries the topology; costs are irrelevant for validity
-    if len(tour.sequence) % 5 != 0:
-        raise ValidationError(f"tour length {len(tour.sequence)} is not a multiple of 5")
-    n = 2 * len(tour.sequence) // 5
-    return build_graph(np.zeros((n, n)), n)
-
-
 def pairing_from_tour(tour: Tour) -> Pairing:
-    """Read the pairing off a valid tour's layer-one adjacencies."""
-    graph = _structural_graph(tour)
-    verdict = validate_tour(graph, tour)
+    """Read the pairing off a valid tour's layer-one adjacencies, checking
+    the tour against the rule for the N its length gives."""
+    seq = _sequence(tour)
+    m = len(seq)
+    if m % 5 != 0:
+        raise ValidationError(f"tour length {m} is not a multiple of 5")
+    n = checked_count(2 * m // 5)
+    verdict = validate_tour(_Structure(n), tour)
     if not verdict:
         raise ValidationError(f"invalid tour: {verdict.reason} (position {verdict.position})")
-    seq = tour.sequence
-    m = len(seq)
-    pairs = []
-    for pos in range(m):
-        a, b = seq[pos], seq[(pos + 1) % m]
-        if a.layer == 1 and b.layer == 1:
-            pairs.append((a.index, b.index))
-    if len(pairs) != graph.n // 2:
+    pairs = [(a.index, b.index) for a, b in zip(seq, seq[1:] + seq[:1]) if a.layer == b.layer == 1]
+    if len(pairs) != n // 2:
         raise InternalError(
             f"valid tour produced {len(pairs)} first-layer adjacencies, "
-            f"expected {graph.n // 2}"
+            f"expected {n // 2}"
         )
     return Pairing(pairs)
 
