@@ -47,6 +47,7 @@ from .core import (
     _instance_from_upper,
     checked_count,
     checked_seed,
+    checked_type,
     float_bounds,
     integer,
     real,
@@ -320,10 +321,7 @@ def start_run_seed(master_seed: int, setting_index: int, trial: int, start: int)
 def worker_count() -> int:
     env = os.environ.get(THREADS_ENV)
     if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise ValidationError(f"{THREADS_ENV} must be an integer, got {env!r}") from exc
+        return max(1, _checked(THREADS_ENV, "an integer", int, env))
     return min(os.cpu_count() or 1, 8)
 
 
@@ -438,6 +436,7 @@ def run_study(study: str, spec: ExperimentSpec) -> ExperimentReport:
     """
     if study not in STUDIES:
         raise ValidationError(f"unknown study '{study}', expected one of {STUDIES}")
+    checked_type(spec, ExperimentSpec, "spec must be")
     listed = isinstance(spec.exchange_limit, tuple)
     if study == "sweep" and not (listed and spec.exchange_limit):
         raise ValidationError("the sweep needs exchange_limit to be a non-empty list of limits")

@@ -27,9 +27,16 @@ limits, spec fields, numbers read from files) and with the `real` converter
 for every real number read from a file or spec, both refusing bools and
 strings; `checked_bounds` for a pair of value bounds (finite, c_min <= c_max),
 exactly for ints and `Fraction`s and through `real` for the rest (`_finite`),
-and `float_bounds` for a pair read from a file or spec, as floats. Every
-matrix passes one gate, `checked_entries` (its count, shape, numbers, and
-finiteness off the diagonal), which lists an object array's entries once.
+and `float_bounds` for a pair read from a file or spec, as floats. An
+argument that must be a library object (an `Instance`, a `Pairing`, an
+oracle, a plan, a graph, a tour, a config or a spec), or an instance's
+text or path, has one rule, `checked_type`, which any subclass passes;
+anything else is refused as "<refusal> a|an <Kind>, got <type>" in its
+caller's words. An element number has one rule, `checked_element`: an
+`integer` in 1..n, refused as "<name> must be an integer, got ..." or
+"<name> <e> is outside 1..<n>". Every matrix passes one gate,
+`checked_entries` (its count, shape, numbers, and finiteness off the
+diagonal), which lists an object array's entries once.
 Symmetry has one check, `_check_symmetric_bounded` (symmetry, then bounds,
 and, when the numerators are float64, that no pairing total can overflow),
 run on `integral`'s numerators, which a positive denominator leaves in the
@@ -70,6 +77,7 @@ import json
 import math
 import numbers
 import operator
+import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -94,11 +102,7 @@ def double_factorial(n: int) -> int:
     """Product n * (n-2) * (n-4) * ... of an `integer` n; by convention
     (-1)!! = 0!! = 1."""
     n = _checked("n", "an integer", integer, n)
-    result = 1
-    while n > 1:
-        result *= n
-        n -= 2
-    return result
+    return math.prod(range(n, 1, -2))
 
 
 def integer(value) -> int:
@@ -122,6 +126,27 @@ def _checked(name: str, expected: str, convert, value):
         return convert(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"{name} must be {expected}, got {value!r}") from exc
+
+
+def checked_type(value, kind, refusal: str):
+    """`value` if it is an instance of `kind`, a type or a tuple of types, so
+    a subclass passes: the one check of a library-object argument. Anything
+    else is a ValidationError "<refusal> a|an <Kind>, got <type>", where
+    <Kind> names each type of a tuple, joined by "or"."""
+    if not isinstance(value, kind):
+        names = " or ".join(k.__name__ for k in (kind if isinstance(kind, tuple) else (kind,)))
+        article = "an" if names[0] in "AEIOU" else "a"
+        raise ValidationError(f"{refusal} {article} {names}, got {type(value).__name__}")
+    return value
+
+
+def checked_element(value, n: int, name: str) -> int:
+    """`value` as an int if it is an `integer` in 1..n: the one check of an
+    element number, else a ValidationError naming it as `name`."""
+    e = _checked(name, "an integer", integer, value)
+    if not 1 <= e <= n:
+        raise ValidationError(f"{name} {e} is outside 1..{n}")
+    return e
 
 
 def checked_count(n, minimum: int = 4) -> int:
@@ -522,12 +547,10 @@ def row_totals(entries: np.ndarray) -> np.ndarray:
 
 def checked_pairing(pairing, n: int, refusal: str = "pairing must be") -> Pairing:
     """`pairing` if it is a `Pairing` of `n` elements: the one check of a
-    pairing argument. Another type is refused as "<refusal> a Pairing, got
-    <type>", in its caller's words, and another size as "pairing covers <k>
-    elements, not <n>"."""
-    if not isinstance(pairing, Pairing):
-        raise ValidationError(f"{refusal} a Pairing, got {type(pairing).__name__}")
-    if pairing.n != n:
+    pairing argument. Another type is refused by `checked_type` as
+    "<refusal> a Pairing, got <type>", in its caller's words, and another
+    size as "pairing covers <k> elements, not <n>"."""
+    if checked_type(pairing, Pairing, refusal).n != n:
         raise ValidationError(f"pairing covers {pairing.n} elements, not {n}")
     return pairing
 
@@ -669,10 +692,7 @@ class Instance:
     def value(self, i: int, j: int):
         """Compatibility of elements i and j, two distinct `integer`s in
         1..n, else a ValidationError."""
-        i, j = (_checked("element", "an integer", integer, e) for e in (i, j))
-        for e in (i, j):
-            if not 1 <= e <= self.n:
-                raise ValidationError(f"element {e} is outside 1..{self.n}")
+        i, j = (checked_element(e, self.n, "element") for e in (i, j))
         if i == j:
             raise ValidationError("the diagonal carries no compatibility value")
         return self.c[i - 1][j - 1]
@@ -680,6 +700,7 @@ class Instance:
 
 def total_compatibility(instance: Instance, pairing: Pairing):
     """Total compatibility of a pairing: the sum of its N/2 selected entries."""
+    checked_type(instance, Instance, "instance must be")
     return _pairing_sum(instance._sums, pairing)
 
 
@@ -730,6 +751,7 @@ def exact_best_pairing(
     Comparison is exact on the stored representation, so integer and rational
     instances break ties deterministically.
     """
+    checked_type(instance, Instance, "instance must be")
     return _first_best(instance._sums, max_n)
 
 
@@ -757,8 +779,12 @@ def _instance_from_upper(n: int, c_min: float, c_max: float, values) -> Instance
     return Instance(n=n, c=c, c_min=c_min, c_max=c_max)
 
 
+#: What an instance's text may be given as.
+_TEXT = (str, bytes, bytearray)
+
+
 def loads_instance_text(text: str) -> Instance:
-    tokens = text.split()
+    tokens = checked_type(text, _TEXT, "text must be").split()
     if len(tokens) < 3:
         raise ValidationError("instance text needs a 'N C_MIN C_MAX' header")
     try:
@@ -779,7 +805,7 @@ def _json(text: str, what: str):
 
 
 def loads_instance_json(text: str) -> Instance:
-    return _instance_from_json(_json(text, "instance JSON"))
+    return _instance_from_json(_json(checked_type(text, _TEXT, "text must be"), "instance JSON"))
 
 
 def _instance_from_json(data) -> Instance:
@@ -797,9 +823,11 @@ def _instance_from_json(data) -> Instance:
 
 
 def _read_text(path: str | Path) -> str:
-    """A file's text, or a ValidationError naming a file that does not decode."""
+    """The text of the file at `path`, a str or `os.PathLike`, or a
+    ValidationError naming a path of another type or a file that does not
+    decode."""
     try:
-        return Path(path).read_text()
+        return Path(checked_type(path, (str, os.PathLike), "path must be")).read_text()
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{path}: {exc}") from exc
 
@@ -824,15 +852,15 @@ def _read_instance(path: str | Path, shadows: bool = False) -> Instance | dict:
 
 
 def dumps_instance_text(instance: Instance) -> str:
+    checked_type(instance, Instance, "instance must be")
     lines = [f"{instance.n} {float(instance.c_min)!r} {float(instance.c_max)!r}"]
-    for i in range(instance.n):
-        row = instance.c[i, i + 1 :]
-        if len(row):
-            lines.append(" ".join(repr(float(v)) for v in row))
+    for i in range(instance.n - 1):  # the last row holds nothing right of the diagonal
+        lines.append(" ".join(repr(float(v)) for v in instance.c[i, i + 1 :]))
     return "\n".join(lines) + "\n"
 
 
 def instance_to_json_dict(instance: Instance) -> dict:
+    checked_type(instance, Instance, "instance must be")
     upper: list[float] = []
     for i in range(instance.n):
         upper.extend(float(v) for v in instance.c[i, i + 1 :])

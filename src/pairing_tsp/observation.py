@@ -43,13 +43,13 @@ import numpy as np
 from .core import (
     Pairing,
     ValidationError,
-    _checked,
     _admitted,
     _check_finite,
     _float_stage,
     checked_count,
+    checked_element,
     checked_symmetric,
-    integer,
+    checked_type,
     integral,
     quotient_sum,
     quotients,
@@ -59,16 +59,13 @@ from .oracle import ObservationOracle
 
 
 def exchange_rule_value(i: int, j: int, k: int, l: int, matrix: np.ndarray):
-    """(m[i][k] + m[j][l]) - (m[i][j] + m[k][l]) for four distinct `integer`s in
-    1..n and a symmetric matrix that passes `checked_entries`, else a ValidationError."""
+    """(m[i][k] + m[j][l]) - (m[i][j] + m[k][l]) for a symmetric matrix that
+    passes `checked_entries` and four distinct rule indices that pass
+    `checked_element`, else a ValidationError."""
     m = checked_symmetric(matrix)[0]
-    indices = tuple(_checked("rule index", "an integer", integer, e) for e in (i, j, k, l))
-    if len(set(indices)) != 4:
-        raise ValidationError(f"exchange rule needs four distinct indices, got {indices}")
-    for e in indices:
-        if not 1 <= e <= len(m):
-            raise ValidationError(f"index {e} is outside 1..{len(m)}")
-    i, j, k, l = indices
+    i, j, k, l = (checked_element(e, len(m), "rule index") for e in (i, j, k, l))
+    if len({i, j, k, l}) != 4:
+        raise ValidationError(f"exchange rule needs four distinct indices, got {(i, j, k, l)}")
     return (m[i - 1][k - 1] + m[j - 1][l - 1]) - (m[i - 1][j - 1] + m[k - 1][l - 1])
 
 
@@ -304,8 +301,7 @@ def reconstruct_tilde(oracle: ObservationOracle) -> tuple[TildeMatrix, int]:
     in floating point, integer or fractional instances reconstruct exactly.
     Anything but an `ObservationOracle` (or a subclass) is a ValidationError.
     """
-    if not isinstance(oracle, ObservationOracle):
-        raise ValidationError(f"oracle must be an ObservationOracle, got {type(oracle).__name__}")
+    checked_type(oracle, ObservationOracle, "oracle must be")
     n = checked_count(oracle.n)
     start_count = oracle.query_count
 

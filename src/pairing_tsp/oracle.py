@@ -25,7 +25,7 @@ import threading
 
 import numpy as np
 
-from .core import Instance, Pairing, ValidationError, checked_pairing, pair_keys, row_totals
+from .core import Instance, Pairing, checked_pairing, checked_type, pair_keys, row_totals
 
 
 class ObservationOracle:
@@ -38,9 +38,7 @@ class ObservationOracle:
     """
 
     def __init__(self, instance: Instance):
-        if not isinstance(instance, Instance):
-            raise ValidationError(f"instance must be an Instance, got {type(instance).__name__}")
-        self._hidden = instance
+        self._hidden = checked_type(instance, Instance, "instance must be")
         self._lock = threading.Lock()
         self._count = 0
 

@@ -48,6 +48,7 @@ from .core import (
     ValidationError,
     _float_stage,
     checked_count,
+    checked_type,
     integral,
     pair_keys,
     quotients,
@@ -331,10 +332,8 @@ def execute_plan(oracle: ObservationOracle, plan: ObservationPlan) -> TildeMatri
     recover the shadow matrix. An oracle that is not an `ObservationOracle`
     (or a subclass), or a plan that is not an `ObservationPlan`, is a
     ValidationError."""
-    if not isinstance(oracle, ObservationOracle):
-        raise ValidationError(f"oracle must be an ObservationOracle, got {type(oracle).__name__}")
-    if not isinstance(plan, ObservationPlan):
-        raise ValidationError(f"plan must be an ObservationPlan, got {type(plan).__name__}")
+    checked_type(oracle, ObservationOracle, "oracle must be")
+    checked_type(plan, ObservationPlan, "plan must be")
     if plan.n != oracle.n:
         raise ValidationError(f"plan is for n={plan.n} but oracle hides n={oracle.n}")
     values = oracle.observe_batch(*plan._index_arrays)

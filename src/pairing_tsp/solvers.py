@@ -28,9 +28,11 @@ from .core import (
     _checked,
     _pairing_sum,
     checked_count,
+    checked_element,
     checked_entries,
     checked_pairing,
     checked_seed,
+    checked_type,
     integer,
     pairing_sum,
     seeded_rng,
@@ -165,9 +167,8 @@ def solve_pnn(matrix: np.ndarray, config: SolverConfig) -> SolveResult:
     """
     # ties are found on integer numerators: a positive scale keeps every ==
     matrix, n, (numerators, _) = checked_entries(matrix)
-    start = 1 if config.start_node is None else config.start_node
-    if not 1 <= start <= n:
-        raise ValidationError(f"start node {start} is outside 1..{n}")
+    checked_type(config, SolverConfig, "config must be")
+    start = checked_element(1 if config.start_node is None else config.start_node, n, "start node")
     m = n // 2
     cycle = np.arange(m)
     # cycle c draws among m - c layer-three and then n - 2 - 2c layer-two
@@ -292,6 +293,7 @@ def solve_p2opt(matrix: np.ndarray, initial: Pairing, config: SolverConfig) -> S
     # common denominator leaves in the same order
     matrix, n, (numerators, _) = checked_entries(matrix)
     checked_pairing(initial, n, "initial must be")
+    checked_type(config, SolverConfig, "config must be")
     flat = numerators.ravel()
     # slot layout: pair k occupies slots 2k and 2k+1 (0-based elements);
     # ends[t] is slot t's element times n and ends[n + t] the element itself

@@ -19,10 +19,13 @@ structural guarantee that tours and pairings correspond.
 
 A node is admitted once, by `_node`: a pair of `core.integer`s becomes a
 `GraphNode` of two Python ints, and anything else is a ValidationError that
-names it. `Tour` admits each node it is given, so the tour check reads them
-as they are; `has_node`, `has_edge`, `neighbors` and `edge_cost` admit
-their arguments, and `validate_tour` and `pairing_from_tour` refuse a tour
-that is not a `Tour`. A well-formed node outside the graph is not in it:
+names it. `Tour` admits each node it is given, and refuses an empty
+sequence, so the tour check reads them as they are; `has_node`,
+`has_edge`, `neighbors` and `edge_cost` admit their arguments. A graph or
+tour argument passes `core.checked_type`: `validate_tour`,
+`tour_from_pairing` and `Tour.cost` refuse a graph that is not a
+`PairingTspGraph`, and `validate_tour` and `pairing_from_tour` a tour that
+is not a `Tour`. A well-formed node outside the graph is not in it:
 `has_node` and `has_edge` say False and `neighbors` gives [].
 """
 
@@ -43,6 +46,7 @@ from .core import (
     checked_count,
     checked_pairing,
     checked_symmetric,
+    checked_type,
     integer,
 )
 
@@ -175,7 +179,10 @@ class Tour:
 
     def __init__(self, sequence):
         nodes = _checked("tour", "an iterable of graph nodes", iter, sequence)
-        object.__setattr__(self, "sequence", tuple(map(_node, nodes)))
+        sequence = tuple(map(_node, nodes))
+        if not sequence:
+            raise ValidationError("tour must contain at least one node")
+        object.__setattr__(self, "sequence", sequence)
 
     def __len__(self) -> int:
         return len(self.sequence)
@@ -190,6 +197,7 @@ class Tour:
 
     def cost(self, graph: PairingTspGraph):
         """Sum of edge costs along the closed sequence."""
+        checked_type(graph, PairingTspGraph, "graph must be")
         total = graph.edge_cost(self.sequence[-1], self.sequence[0])
         for a, b in zip(self.sequence, self.sequence[1:]):
             total = total + graph.edge_cost(a, b)
@@ -222,25 +230,23 @@ _FRAGMENTS = {
 }
 
 
-def _sequence(tour) -> tuple[GraphNode, ...]:
-    """A `Tour`'s nodes, admitted when it was made, else a ValidationError
-    naming the type."""
-    if not isinstance(tour, Tour):
-        raise ValidationError(f"tour must be a Tour, got {type(tour).__name__}")
-    return tour.sequence
-
-
-def validate_tour(graph: _Structure, tour: Tour) -> TourVerdict:
+def validate_tour(graph: PairingTspGraph, tour: Tour) -> TourVerdict:
     """Check a tour against the layered-graph constraints.
 
     Rejections report the first violated constraint and the 0-based position
     in the sequence where it bites. Beyond node coverage and edge existence,
     the two forbidden fragments are re-checked explicitly: three consecutive
     layer-one visits, and a layer-three node reached again straight through
-    layer two. Only the graph's rule is read, never its costs; a `tour`
-    that is not a `Tour` is a ValidationError.
+    layer two. Only the graph's rule is read, never its costs. A `graph`
+    that is not a `PairingTspGraph`, or a `tour` that is not a `Tour`, is a
+    ValidationError.
     """
-    seq = _sequence(tour)
+    checked_type(graph, PairingTspGraph, "graph must be")
+    return _verdict(graph, checked_type(tour, Tour, "tour must be").sequence)
+
+
+def _verdict(graph: _Structure, seq: tuple[GraphNode, ...]) -> TourVerdict:
+    """`validate_tour` of an admitted tour's nodes, against the rule alone."""
     m = len(seq)
     if m != graph.node_count:
         return TourVerdict(False, f"tour has {m} nodes, expected {graph.node_count}", None)
@@ -267,12 +273,12 @@ def validate_tour(graph: _Structure, tour: Tour) -> TourVerdict:
 def pairing_from_tour(tour: Tour) -> Pairing:
     """Read the pairing off a valid tour's layer-one adjacencies, checking
     the tour against the rule for the N its length gives."""
-    seq = _sequence(tour)
+    seq = checked_type(tour, Tour, "tour must be").sequence
     m = len(seq)
     if m % 5 != 0:
         raise ValidationError(f"tour length {m} is not a multiple of 5")
     n = checked_count(2 * m // 5)
-    verdict = validate_tour(_Structure(n), tour)
+    verdict = _verdict(_Structure(n), seq)
     if not verdict:
         raise ValidationError(f"invalid tour: {verdict.reason} (position {verdict.position})")
     pairs = [(a.index, b.index) for a, b in zip(seq, seq[1:] + seq[:1]) if a.layer == b.layer == 1]
@@ -292,6 +298,7 @@ def tour_from_pairing(graph: PairingTspGraph, pairing: Pairing) -> Tour:
     through its first element's layer-two twin. The tour starts at the first
     block's L1:i, so that block's L2:i closes it.
     """
+    checked_type(graph, PairingTspGraph, "graph must be")
     checked_pairing(pairing, graph.n)
     blocks = [v for k, (i, j) in enumerate(pairing.pairs, start=1) for v in (i, i, j, j, k)]
     tour = rhythm_tour(blocks[1:])

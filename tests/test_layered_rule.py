@@ -18,11 +18,11 @@ import pytest
 
 from pairing_tsp.bench import ExperimentSpec
 from pairing_tsp.cli import main
-from pairing_tsp.core import ValidationError
+from pairing_tsp.core import Pairing, ValidationError
 from pairing_tsp.observation import reconstruct_tilde
 from pairing_tsp.oracle import ObservationOracle
 from pairing_tsp.plan import execute_plan, minimal_observation_plan
-from pairing_tsp.tsp_graph import GraphNode, Tour, build_graph, validate_tour
+from pairing_tsp.tsp_graph import GraphNode, Tour, build_graph, tour_from_pairing, validate_tour
 
 from conftest import RecordingOracle, make_instance
 
@@ -80,6 +80,19 @@ def _graph_calls():
         "has_edge of ints": (lambda: graph.has_edge(1, 2), r"got 1$"),
         "has_node of a string": (lambda: graph.has_node("a"), r"got 'a'"),
         "neighbors of None": (lambda: graph.neighbors(None), r"got None"),
+        "empty Tour": (lambda: Tour([]), r"^tour must contain at least one node$"),
+        "validate on None": (
+            lambda: validate_tour(None, tour_from_pairing(graph, Pairing([(1, 2), (3, 4)]))),
+            r"^graph must be a PairingTspGraph, got NoneType$",
+        ),
+        "tour_from_pairing on None": (
+            lambda: tour_from_pairing(None, Pairing([(1, 2), (3, 4)])),
+            r"^graph must be a PairingTspGraph, got NoneType$",
+        ),
+        "cost on None": (
+            lambda: tour_from_pairing(graph, Pairing([(1, 2), (3, 4)])).cost(None),
+            r"^graph must be a PairingTspGraph, got NoneType$",
+        ),
     }
 
 

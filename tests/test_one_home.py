@@ -1,11 +1,13 @@
 """Each decision has one home, and the arguments it admits are refused by name.
 
 The command line takes its algorithm names, their solves and the start-node
-rule from `bench`, and its file kinds from `core`; the layered graph derives
-`neighbors` from `has_edge`; and every entry point that takes a pairing
-admits it through `core.checked_pairing`. The rest covers branches no other
-test reaches. Every refusal here is a `ValidationError`, or exit 1 with one
-`error:` line, and no numpy warning is raised on the way.
+rule from `bench`, and its file kinds from `core`; the layered graph's
+`neighbors` read the one adjacency rule that `has_edge` reads too, and give
+the lists the graph's definition gives, in node order; and every entry
+point that takes a pairing admits it through `core.checked_pairing`. The
+rest covers branches no other test reaches. Every refusal here is a
+`ValidationError`, or exit 1 with one `error:` line, and no numpy warning
+is raised on the way.
 """
 
 from __future__ import annotations
