@@ -665,7 +665,7 @@ def _admitted(matrix, n, *bounds) -> tuple[np.ndarray, int, tuple[np.ndarray, in
     return c, n, pair, c
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Instance:
     """A hidden symmetric compatibility matrix with declared value bounds.
 
@@ -675,7 +675,8 @@ class Instance:
     `c` is what was admitted. Pairing totals, the oracle's included, are
     summed over the private `_sums` that `_admitted` chooses once here: an
     int64 copy of a bounded all-int `c`, so exact totals add native ints
-    and come back as Python ints, else `c`.
+    and come back as Python ints, else `c`. Instances compare and hash by
+    identity, as every record holding a matrix does.
     """
 
     n: int

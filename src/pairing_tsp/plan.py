@@ -31,6 +31,9 @@ u = -r + sum(r) / (m + 1) (m levels), and sweeps once with that u. Plan
 construction certifies, in integer arithmetic through the same sweep, that
 the coefficient matrix is exactly I + J, which is nonsingular (determinant
 m + 1) and makes the observation vectors full rank over the rationals.
+`ObservationPlan(n)` is the one way to build a plan: it admits n, then
+builds and certifies the schedule, and `minimal_observation_plan` only
+calls it.
 """
 
 from __future__ import annotations
@@ -250,15 +253,23 @@ def _t_coefficients(n: int) -> np.ndarray:
 class ObservationPlan:
     """A minimum-size observation schedule with its recovery recipe.
 
-    `_index_arrays` is the submission order as read-only canonical (size, n/2)
-    arrays; `pairings`, derived from them, and `derivations` are computed on
-    first access. `derivations` expresses every exchange-rule value of the
-    reconstruction procedure, and the anchor total, as a signed rational
-    combination of the planned observations.
+    `ObservationPlan(n)` is the one way to build a plan: `n` must pass
+    `checked_count`, and the schedule is built and certified by
+    `_certified_rows`. `_index_arrays` is the submission order as read-only
+    canonical (size, n/2) arrays; `pairings`, derived from them, and
+    `derivations` are computed on first access. `derivations` expresses
+    every exchange-rule value of the reconstruction procedure, and the
+    anchor total, as a signed rational combination of the planned
+    observations. Plans compare and hash by `n`.
     """
 
     n: int
-    _index_arrays: tuple[np.ndarray, np.ndarray] = field(compare=False, repr=False)
+    _index_arrays: tuple[np.ndarray, np.ndarray] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        n = checked_count(self.n)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "_index_arrays", _certified_rows(n))
 
     @property
     def size(self) -> int:
@@ -294,14 +305,14 @@ class ObservationPlan:
         return out
 
 
-def minimal_observation_plan(n: int) -> ObservationPlan:
-    """Build and certify a schedule of exactly (n-1)(n-2)/2 observations.
+def _certified_rows(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only 0-based (first, second) ends of a checked count's
+    schedule of exactly (n-1)(n-2)/2 observations, certified.
 
     The certification checks that the pairings are distinct and that the
     T equations' coefficient matrix, computed in integers, is exactly I + J:
     nonsingular, and the system the closed-form level solve inverts.
     """
-    n = checked_count(n)
     try:
         keys = pair_keys(*_plan_rows(n), n)
     except ValidationError as exc:
@@ -323,7 +334,13 @@ def minimal_observation_plan(n: int) -> ObservationPlan:
     first, second = np.divmod(keys, n)
     first.setflags(write=False)
     second.setflags(write=False)
-    return ObservationPlan(n=n, _index_arrays=(first, second))
+    return first, second
+
+
+def minimal_observation_plan(n: int) -> ObservationPlan:
+    """`ObservationPlan(n)`: a certified schedule of exactly (n-1)(n-2)/2
+    observations."""
+    return ObservationPlan(n)
 
 
 @_float_stage

@@ -12,6 +12,11 @@ compatibility and all others cost zero, so a closed tour's cost is the
 negated total compatibility of the pairing read off its layer-one
 adjacencies, and minimizing tour cost maximizes the pairing.
 
+`PairingTspGraph(n, c)` is the one way to build a graph, and its one
+admission: `c` must pass `checked_symmetric` for an `n` that passes
+`checked_count`, and `build_graph` only calls it. Graphs compare and hash
+by identity, as every record holding a matrix does.
+
 The graph is deliberately not complete: a closed tour that visits every node
 can neither take three consecutive layer-one steps nor bounce from layer
 three through layer two straight back to layer three, which is exactly the
@@ -83,7 +88,7 @@ _LINKS = {(1, 1): False, (1, 2): True, (2, 3): False}
 _LINKED = {**_LINKS, **{(b, a): twin for (a, b), twin in _LINKS.items()}}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Structure:
     """The rule alone, for n elements: the nodes and which pairs are linked.
     The public methods admit their nodes; the private ones take admitted
@@ -133,11 +138,24 @@ class _Structure:
         return (GraphNode(layer, u.index),) if twin else self._layers[layer]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PairingTspGraph(_Structure):
-    """The layered graph; holds the compatibility matrix for edge costs."""
+    """The layered graph; holds the compatibility matrix for edge costs.
+
+    The constructor is the one admission: `c` must pass
+    `checked_symmetric` for `n`, which must pass `checked_count`. An
+    asymmetric matrix is refused, since `edge_cost` reads the entry in the
+    direction travelled and a tour's cost would depend on its direction.
+    Graphs compare and hash by identity, as records holding a matrix do.
+    """
 
     c: np.ndarray
+
+    def __post_init__(self):
+        c, n, _ = checked_symmetric(self.c, self.n)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "c", c)
+        super().__post_init__()
 
     def _cost(self, u: GraphNode, v: GraphNode):
         if u.layer == v.layer == 1:
@@ -161,11 +179,8 @@ class PairingTspGraph(_Structure):
 
 
 def build_graph(matrix: np.ndarray, n: int) -> PairingTspGraph:
-    """Assemble the layered graph over an n x n value matrix that passes
-    `checked_symmetric`. An asymmetric matrix is refused: `edge_cost`
-    reads the entry in the direction travelled, so a tour's cost would
-    depend on its direction."""
-    matrix, n, _ = checked_symmetric(matrix, n)
+    """`PairingTspGraph(n, matrix)`: the layered graph over an n x n
+    symmetric value matrix, admitted by the constructor."""
     return PairingTspGraph(n=n, c=matrix)
 
 

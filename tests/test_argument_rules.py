@@ -140,7 +140,9 @@ ARGUMENTS = {
         ObservationOracle(inst).observe,
         [Arg("pairing", Obj(Pairing, "observe takes a Pairing"), pairing)],
     ),
+    "ObservationPlan": (ObservationPlan, [Arg("n", "count", N)]),
     "Pairing": (Pairing, [Arg("pairs", "pairs", [(1, 2), (3, 4)])]),
+    "PairingTspGraph": (PairingTspGraph, [Arg("n", "count", N), Arg("c", "matrix", inst.c)]),
     "SolverConfig": (
         SolverConfig,
         [
@@ -264,9 +266,8 @@ ARGUMENTS = {
 }
 
 #: Public names that take no argument this module sweeps: a constant,
-#: exceptions, the modules, and records that the library builds (a
-#: `PairingTspGraph` by `build_graph`, an `ObservationPlan` by
-#: `minimal_observation_plan`, a `GraphNode` by the graph).
+#: exceptions, the modules, and records that hold what the library computed
+#: (a `GraphNode` of the graph, a verdict, a result, study rows and reports).
 TAKES_NONE = {
     "DEFAULT_ENUMERATION_CAP",
     "InternalError",
@@ -275,8 +276,6 @@ TAKES_NONE = {
     "AggregateRow",
     "ExperimentReport",
     "GraphNode",
-    "ObservationPlan",
-    "PairingTspGraph",
     "SolveResult",
     "TourVerdict",
     "TrialRecord",
