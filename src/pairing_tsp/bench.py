@@ -56,6 +56,7 @@ from .core import (
 )
 from .observation import reconstruct_tilde
 from .oracle import ObservationOracle
+from .plan import ObservationPlan, execute_plan
 from .solvers import SolverConfig, solve_p2opt, solve_pnn, solve_pnn_p2opt, solve_random
 
 THREADS_ENV = "PAIRING_TSP_THREADS"
@@ -345,13 +346,18 @@ def _resolve_start(start_node, n: int, seed: int) -> int:
     return start_node
 
 
-def _observed_matrix(instance: Instance) -> tuple[np.ndarray, int]:
-    """The reconstructed shadow of `instance` and the queries it spent: the
-    observe step of every study, and of the command line's `observe` and
-    `solve --mode observed`."""
+def _observed_matrix(instance: Instance, strategy: str = "reconstruct") -> tuple[np.ndarray, int]:
+    """The shadow of `instance` that `strategy` observes and the queries it
+    spent: "reconstruct" runs `reconstruct_tilde`, "minimal" runs
+    `execute_plan` on `ObservationPlan(n)`, as `observe --strategy` names
+    them. The observe step of every study (which reconstructs), and of the
+    command line's `observe` and `solve --mode observed`."""
     oracle = ObservationOracle(instance)
-    tilde, spent = reconstruct_tilde(oracle)
-    return tilde.t, spent
+    if strategy == "minimal":
+        tilde = execute_plan(oracle, ObservationPlan(instance.n))
+    else:
+        tilde, _ = reconstruct_tilde(oracle)
+    return tilde.t, oracle.query_count
 
 
 def _timed(fn, *args):

@@ -38,8 +38,6 @@ from .core import (
     total_compatibility,
 )
 from .observation import TildeMatrix
-from .oracle import ObservationOracle
-from .plan import execute_plan, minimal_observation_plan
 from .solvers import SolveResult, SolverConfig
 from .tsp_graph import build_graph
 
@@ -145,12 +143,7 @@ def _tilde_json(instance: Instance, tilde: np.ndarray, strategy: str, observatio
 
 def _cmd_observe(args) -> int:
     instance = load_instance(args.instance)
-    if args.strategy == "minimal":
-        oracle = ObservationOracle(instance)
-        tilde = execute_plan(oracle, minimal_observation_plan(instance.n)).t
-        observations = oracle.query_count
-    else:
-        tilde, observations = bench_mod._observed_matrix(instance)
+    tilde, observations = bench_mod._observed_matrix(instance, args.strategy)
     _emit(_tilde_json(instance, tilde, args.strategy, observations), args.out)
     return 0
 

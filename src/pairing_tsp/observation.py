@@ -25,13 +25,17 @@ through `ObservationOracle.observe_batch` one slice at a time, then observes
 the anchor, so a batch never holds more than 2N pairings of N/2 pairs.
 
 The rows depend on N alone, so up to N = 162 they are built once per N and
-kept: `_schedule(n)` holds them as two read-only uint8 arrays, filled block
-by block, within `_KEPT_BYTES` = 4 MB (0.49 MB at N = 80, 0.97 MB at
-N = 100). A warm reconstruction then builds no rows at all: about 2.9 ms
-against 3.8 ms at N = 80 and 6.0 against 7.0 ms at N = 100 (2 CPUs, numpy
-2.4). Larger N build and submit one block at a time on every call. The
-oracle still checks every row it is given. The minimal plan builds its rows
-through `_rows` too.
+kept: `_schedule(n)` holds them within `_KEPT_BYTES` = 4 MB (0.49 MB at
+N = 80, 0.97 MB at N = 100). A warm reconstruction then builds no rows at
+all: about 2.9 ms against 3.8 ms at N = 80 and 6.0 against 7.0 ms at
+N = 100 (2 CPUs, numpy 2.4). Larger N build and submit one block at a time
+on every call. The oracle still checks every row it is given.
+
+`_kept` is the one form a kept schedule takes, for both strategies: two
+read-only (count, N/2) arrays of the narrowest unsigned dtype that holds
+N - 1 (uint8 up to N = 256, uint16 beyond), filled block by block. The
+kept reconstruction schedule and every minimal plan's rows, built level by
+level through `_rows`, are held in it.
 """
 
 from __future__ import annotations
@@ -259,21 +263,29 @@ def _built_blocks(n: int):
         yield _rows(n, rules[s : s + block, _AFTER_BEFORE] - 1)
 
 
-@lru_cache(maxsize=8)
-def _schedule(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only uint8 (rows, cols) of every rule pairing the reconstruction
-    submits, in query order. It is filled block by block from
-    `_built_blocks`, so no whole-schedule intp array is ever made. Built
-    once per n and shared; `_blocks` keeps it only within `_KEPT_BYTES`."""
-    rows = np.empty((2 * len(_rule_table(n)), n // 2), np.uint8)
+def _kept(blocks, count: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The one kept form of a schedule: read-only (count, n/2) rows and cols
+    of dtype `np.min_scalar_type(n - 1)`, uint8 up to n = 256 and uint16
+    beyond, filled in order from `blocks` of (rows, cols) that hold count
+    rows in all. No whole-schedule intp array is made here."""
+    rows = np.empty((count, n // 2), np.min_scalar_type(n - 1))
     cols = np.empty_like(rows)
     end = 0
-    for block_rows, block_cols in _built_blocks(n):
+    for block_rows, block_cols in blocks:
         start, end = end, end + len(block_rows)
         rows[start:end], cols[start:end] = block_rows, block_cols
     rows.setflags(write=False)
     cols.setflags(write=False)
     return rows, cols
+
+
+@lru_cache(maxsize=8)
+def _schedule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The `_kept` rows and cols of every rule pairing the reconstruction
+    submits, in query order, filled from `_built_blocks`: uint8, since
+    `_blocks` keeps it only within `_KEPT_BYTES`. Built once per n and
+    shared."""
+    return _kept(_built_blocks(n), 2 * len(_rule_table(n)), n)
 
 
 def _blocks(n: int):

@@ -11,7 +11,8 @@ Queries arrive one at a time (`observe`, a `Pairing`) or as a batch
 elements, row q pairing rows[q, k] with cols[q, k], in any pair order and
 either orientation. Every query passes through `observe_batch` (`observe` is
 a one-row batch), so overriding that one method sees them all; such an
-override must widen narrow rows before any arithmetic. The oracle keeps no
+override must widen narrow rows (the library's own rows are read-only uint8
+up to N = 256 and uint16 beyond) before any arithmetic. The oracle keeps no
 log of them. Every row passes `core.pair_keys`, the one check of a
 pairing, before the counter moves, so a bad batch costs nothing; the oracle
 gathers by the keys it returns, as `core.pairing_sum` does, from the array
@@ -65,9 +66,10 @@ class ObservationOracle:
         exact values (Python ints or `Fraction`s) for exact ones; value q
         equals `observe` on row q.
 
-        The library's own rows may arrive as read-only uint8 arrays (the
-        reconstruction's kept schedule), so an override must widen them, or
-        take them `.tolist()`, before any arithmetic, as `pair_keys` does.
+        The library's own rows may arrive as read-only narrow arrays, uint8
+        up to N = 256 and uint16 beyond (the reconstruction's kept schedule
+        and every plan's rows), so an override must widen them, or take
+        them `.tolist()`, before any arithmetic, as `pair_keys` does.
         """
         hidden = self._hidden
         keys = pair_keys(rows, cols, hidden.n)

@@ -20,8 +20,10 @@ Y and Z entries, so after a short recurrence over those the sweep resolves
 every level at once. Y_a and Z_a are the `before` and `after` pairings of
 exchange rule [1, l, l-1, a]. Every row is built as index arrays by
 `observation._rows`, the reconstruction's own builder: fixed pairs plus the
-ascending completion, checked and ordered once by `core.pair_keys`;
-the plan keeps only them.
+ascending completion, level by level (`_plan_blocks`), each block copied
+into `observation._kept`, the one kept form of both schedules, as it is
+built. `core.pair_keys` checks and orders the rows once, and the plan keeps
+only the canonical rows, `_kept` again: uint8 up to N = 256, uint16 beyond.
 
 Recovery is linear in the observations and the u_l, and the T equations'
 coefficient matrix in the u_l is I + J (identity plus all-ones). Execution
@@ -57,7 +59,7 @@ from .core import (
     quotients,
 )
 from .oracle import ObservationOracle
-from .observation import TildeMatrix, _free_entries, _mirrored, _rows
+from .observation import TildeMatrix, _free_entries, _kept, _mirrored, _rows
 
 
 class PlanRankError(InternalError):
@@ -71,19 +73,27 @@ def plan_size(n: int) -> int:
     return (n - 1) * (n - 2) // 2
 
 
-def _plan_rows(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """0-based (rows, cols) of every planned pairing, in order, from `_rows`.
-    A level's Y_a and Z_a share a completion, so they are built as two
-    variants of one row per a, then reordered to every Y, then every Z."""
-    parts = [_rows(n, np.array([[[0, 1]]])), _rows(n, np.array([[[0, 2, 1, 3], [0, 3, 1, 2]]]))]
+def _plan_blocks(n: int):
+    """0-based (rows, cols) blocks of the planned pairings from `_rows`, in
+    order: the base rows, then each level's Y rows, Z rows and T row. A
+    level's Y_a and Z_a share a completion, so they are built as two
+    variants of one row per a and handed on as every Y, then every Z."""
+    yield _rows(n, np.array([[[0, 1]]]))
+    yield _rows(n, np.array([[[0, 2, 1, 3], [0, 3, 1, 2]]]))
     for top in range(5, n, 2):  # level l = top + 1
         yz = np.empty((top - 2, 2, 4), dtype=np.intp)
         yz[:, :, 0], yz[:, :, 2] = 0, np.arange(1, top - 1)[:, None]
         yz[:, 0, 1] = yz[:, 1, 3] = top  # Y_a = {1,l}, {a,l-1}
         yz[:, 0, 3] = yz[:, 1, 1] = top - 1  # Z_a = {1,l-1}, {a,l}
-        yz_rows = (np.concatenate([e[0::2], e[1::2]]) for e in _rows(n, yz))
-        parts += [tuple(yz_rows), _rows(n, np.array([[[0, 1, 2, top - 1, 3, top]]]))]  # and T
-    return tuple(np.concatenate(ends) for ends in zip(*parts))
+        rows, cols = _rows(n, yz)
+        yield rows[0::2], cols[0::2]
+        yield rows[1::2], cols[1::2]
+        yield _rows(n, np.array([[[0, 1, 2, top - 1, 3, top]]]))  # T
+
+
+def _plan_rows(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """0-based (rows, cols) of every planned pairing, in order, in `_kept` form."""
+    return _kept(_plan_blocks(n), plan_size(n), n)
 
 
 class _Gathers(NamedTuple):
@@ -255,12 +265,12 @@ class ObservationPlan:
 
     `ObservationPlan(n)` is the one way to build a plan: `n` must pass
     `checked_count`, and the schedule is built and certified by
-    `_certified_rows`. `_index_arrays` is the submission order as read-only
-    canonical (size, n/2) arrays; `pairings`, derived from them, and
-    `derivations` are computed on first access. `derivations` expresses
-    every exchange-rule value of the reconstruction procedure, and the
-    anchor total, as a signed rational combination of the planned
-    observations. Plans compare and hash by `n`.
+    `_certified_rows`. `_index_arrays` is the submission order as `_kept`
+    canonical (size, n/2) arrays, read-only and narrow; `pairings`, derived
+    from them, and `derivations` are computed on first access.
+    `derivations` expresses every exchange-rule value of the reconstruction
+    procedure, and the anchor total, as a signed rational combination of
+    the planned observations. Plans compare and hash by `n`.
     """
 
     n: int
@@ -277,7 +287,8 @@ class ObservationPlan:
 
     @cached_property
     def pairings(self) -> tuple[Pairing, ...]:
-        first, second = (ends + 1 for ends in self._index_arrays)
+        # widened first: in uint8, element index 255 plus 1 would wrap to 0
+        first, second = (ends.astype(np.intp) + 1 for ends in self._index_arrays)
         pairs = zip(first.tolist(), second.tolist())
         return tuple(Pairing._from_canonical(tuple(zip(a, b))) for a, b in pairs)
 
@@ -306,8 +317,8 @@ class ObservationPlan:
 
 
 def _certified_rows(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The read-only 0-based (first, second) ends of a checked count's
-    schedule of exactly (n-1)(n-2)/2 observations, certified.
+    """The `_kept` canonical 0-based (first, second) ends of a checked
+    count's schedule of exactly (n-1)(n-2)/2 observations, certified.
 
     The certification checks that the pairings are distinct and that the
     T equations' coefficient matrix, computed in integers, is exactly I + J:
@@ -331,10 +342,7 @@ def _certified_rows(n: int) -> tuple[np.ndarray, np.ndarray]:
             f"observation plan for n={n}: the T equations are not the nonsingular "
             f"I + J system the closed-form level solve inverts"
         )
-    first, second = np.divmod(keys, n)
-    first.setflags(write=False)
-    second.setflags(write=False)
-    return first, second
+    return _kept([np.divmod(keys, n)], expected, n)
 
 
 def minimal_observation_plan(n: int) -> ObservationPlan:

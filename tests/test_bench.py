@@ -21,6 +21,8 @@ from pairing_tsp.bench import (
 )
 from pairing_tsp.core import ValidationError, total_compatibility
 from pairing_tsp.observation import observation_budget
+from pairing_tsp.oracle import ObservationOracle
+from pairing_tsp.plan import ObservationPlan, execute_plan, plan_size
 from pairing_tsp.solvers import SolverConfig, solve_p2opt, solve_pnn, solve_pnn_p2opt
 
 
@@ -569,3 +571,14 @@ class TestPerformanceIndicatorAdmission:
         assert performance_indicator(Fraction(1, 3), 4, 0, 1) == 1 / 6
         big = 10**308 * 3
         assert performance_indicator(big, 6, -(10**308), 10**308) == 1.0
+
+
+@pytest.mark.parametrize("n", [12, 30])
+def test_observed_matrix_runs_the_minimal_plan(n):
+    # one observe step for both strategies: "minimal" is `execute_plan`'s
+    # shadow, and its query count is the plan's size
+    inst = generate_instance(n, 0, 10000, seed=n)
+    expected = execute_plan(ObservationOracle(inst), ObservationPlan(n)).t
+    shadow, observations = _observed_matrix(inst, "minimal")
+    assert shadow.tobytes() == expected.tobytes()
+    assert observations == plan_size(n)

@@ -1,5 +1,6 @@
 import hashlib
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -20,6 +21,7 @@ from pairing_tsp.observation import (
 )
 from pairing_tsp.oracle import ObservationOracle, pair_keys
 from pairing_tsp.plan import (
+    ObservationPlan,
     PlanRankError,
     _recover_entries,
     _sweep,
@@ -464,3 +466,41 @@ class TestSweep:
 def test_plan_size_admits_its_count(n):
     with pytest.raises(ValidationError, match="element count must be even and >= 4"):
         plan_size(n)
+
+
+@pytest.fixture(scope="class")
+def kept_plan():
+    """`ObservationPlan`, built once per n for the class's tests, which read
+    the plans only; they are freed, with the pairings read, after the class."""
+    return lru_cache(maxsize=None)(ObservationPlan)
+
+
+class TestKeptPlanRows:
+    """A plan keeps its canonical rows in `observation._kept`'s form: read-only
+    arrays of the narrowest unsigned dtype that holds n - 1."""
+
+    @pytest.mark.parametrize("n,dtype", [(4, np.uint8), (28, np.uint8), (256, np.uint8), (258, np.uint16)])
+    def test_index_arrays_are_read_only_and_narrow(self, kept_plan, n, dtype):
+        rows, cols = kept_plan(n)._index_arrays
+        assert rows.dtype == cols.dtype == dtype
+        assert not rows.flags.writeable and not cols.flags.writeable
+        assert rows.nbytes + cols.nbytes == plan_size(n) * n * np.dtype(dtype).itemsize
+
+    @pytest.mark.parametrize(
+        "n,digest",
+        [
+            (256, "371fab745748a98947f5f7db679fe1d2a0f0067a235b47d447688a9581f218d2"),
+            (258, "f251726d03cd5994078e225a0ca9db7dc6623f00a30951561d49fb5b50a933ff"),
+        ],
+    )
+    def test_index_arrays_pinned_across_the_dtype_boundary(self, kept_plan, n, digest):
+        # digests of the int64 canonical rows the plan kept before they were narrowed
+        first, second = kept_plan(n)._index_arrays
+        ends = first.astype(np.int64).tobytes() + second.astype(np.int64).tobytes()
+        assert hashlib.sha256(ends).hexdigest() == digest
+
+    def test_pairings_widen_before_numbering_from_one(self, kept_plan):
+        # the last level's T row {1,2},{3,255},{4,256}: element index 255
+        # is the largest uint8, and 256 would wrap to 0 unwidened
+        last = kept_plan(256).pairings[-1]
+        assert (3, 255) in last.pairs and (4, 256) in last.pairs
