@@ -6,9 +6,11 @@ sensitivity to the start node (`start`). `run_study(study, spec)` builds
 every report: it checks the spec against the study, runs each (setting,
 trial) through `_trial`, aggregates the records and adds the study's
 extras. `_trial` derives the trial's seeds, draws a uniform random
-instance, recovers the shadow matrix through the sum-only oracle, runs the
-study's solves on the shadow, and scores each resulting pairing against the
-true instance with the normalized indicator
+instance, recovers the shadow matrix through the sum-only oracle (the
+"reconstruct" entry of `OBSERVERS`, which maps each observation strategy
+to the shadow it recovers, as `SOLVERS` maps each algorithm to its solve),
+runs the study's solves on the shadow, and scores each resulting pairing
+against the true instance with the normalized indicator
 
     P = (score - (N/2) * C_min) / ((N/2) * C_max - (N/2) * C_min).
 
@@ -28,7 +30,6 @@ requested.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import time
@@ -45,6 +46,7 @@ from .core import (
     _checked_width,
     _finite,
     _instance_from_upper,
+    _json_text,
     checked_count,
     checked_seed,
     checked_type,
@@ -70,6 +72,15 @@ SOLVERS = {
     "pnn+p2opt": lambda n, matrix, config: solve_pnn_p2opt(matrix, config),
 }
 KNOWN_ALGORITHMS = tuple(SOLVERS)
+
+#: The shadow each observation strategy recovers from an oracle, in the
+#: studies and in `observe --strategy`: "reconstruct" measures every exchange
+#: rule of `reconstruct_tilde`, "minimal" executes `ObservationPlan(n)`, the
+#: (N-1)(N-2)/2 schedule whose `derivations` re-express those rules.
+OBSERVERS = {
+    "reconstruct": lambda oracle: reconstruct_tilde(oracle)[0],
+    "minimal": lambda oracle: execute_plan(oracle, ObservationPlan(oracle.n)),
+}
 
 
 def performance_indicator(score: float, n: int, c_min: float, c_max: float) -> float:
@@ -141,7 +152,7 @@ class ExperimentSpec:
     n_values: tuple[int, ...]
     trials: int
     value_range: tuple[float, float] = (0.0, 10000.0)
-    exchange_limit: int | tuple[int, ...] | None = 600
+    exchange_limit: int | tuple[int, ...] | None = SolverConfig.exchange_limit
     algorithms: tuple[str, ...] = KNOWN_ALGORITHMS
     master_seed: int = 0
     start_node: int | str | None = None
@@ -279,7 +290,7 @@ class ExperimentReport:
         }
 
     def to_json_text(self, *, timings: bool = False) -> str:
-        return json.dumps(self.to_json_dict(timings=timings), sort_keys=True, indent=2) + "\n"
+        return _json_text(self.to_json_dict(timings=timings))
 
 
 def _aggregate(records: Iterable[TrialRecord]) -> tuple[AggregateRow, ...]:
@@ -347,17 +358,12 @@ def _resolve_start(start_node, n: int, seed: int) -> int:
 
 
 def _observed_matrix(instance: Instance, strategy: str = "reconstruct") -> tuple[np.ndarray, int]:
-    """The shadow of `instance` that `strategy` observes and the queries it
-    spent: "reconstruct" runs `reconstruct_tilde`, "minimal" runs
-    `execute_plan` on `ObservationPlan(n)`, as `observe --strategy` names
-    them. The observe step of every study (which reconstructs), and of the
-    command line's `observe` and `solve --mode observed`."""
+    """The shadow of `instance` that the `OBSERVERS` entry `strategy`
+    observes and the queries it spent. The observe step of every study
+    (which reconstructs), and of the command line's `observe` and `solve
+    --mode observed`."""
     oracle = ObservationOracle(instance)
-    if strategy == "minimal":
-        tilde = execute_plan(oracle, ObservationPlan(instance.n))
-    else:
-        tilde, _ = reconstruct_tilde(oracle)
-    return tilde.t, oracle.query_count
+    return OBSERVERS[strategy](oracle).t, oracle.query_count
 
 
 def _timed(fn, *args):

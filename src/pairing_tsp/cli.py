@@ -1,8 +1,12 @@
 """Command-line entry point: gen / observe / solve / graph / bench.
 
-All randomness flows from explicit seeds, and every writer emits stable,
-sorted output, so repeating an invocation with the same seed reproduces its
-files byte for byte (benchmark timing columns are zeroed unless requested).
+All randomness flows from explicit seeds, and every JSON writer is
+`core._json_text` (sorted keys, indent 2), so repeating an invocation with
+the same seed reproduces its files byte for byte (benchmark timing columns
+are zeroed unless requested). Every choice and default comes from the code
+that owns it: strategies from `bench.OBSERVERS`, algorithms from
+`bench.SOLVERS`, solver knobs from `SolverConfig`, the value range from
+`bench.ExperimentSpec` and the enumeration cap from `core`.
 Exit status is 0 on success, 1 on bad input, path or usage, 2 on an
 internal failure.
 """
@@ -10,7 +14,6 @@ internal failure.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 from pathlib import Path
@@ -20,12 +23,14 @@ import numpy as np
 
 from . import bench as bench_mod
 from .core import (
+    DEFAULT_ENUMERATION_CAP,
     InternalError,
     Instance,
     ValidationError,
     _checked,
     _first_best,
     _json,
+    _json_text,
     _read_instance,
     _read_text,
     dumps_instance_json,
@@ -43,6 +48,12 @@ from .tsp_graph import build_graph
 
 #: Sizes above this need --full; keeps accidental runs desk-scale.
 FULL_SCALE_THRESHOLD = 500
+
+#: The writer of each `bench --format` by file suffix; "both" writes each.
+_REPORT_WRITERS = {
+    "csv": bench_mod.ExperimentReport.to_csv_text,
+    "json": bench_mod.ExperimentReport.to_json_text,
+}
 
 
 class _UsageError(Exception):
@@ -73,30 +84,30 @@ def _build_parser() -> _Parser:
 
     gen = sub.add_parser("gen", help="generate a uniform random instance file")
     gen.add_argument("-n", type=int, required=True, help="element count (even)")
-    gen.add_argument("--cmin", type=float, default=0.0)
-    gen.add_argument("--cmax", type=float, default=10000.0)
+    gen.add_argument("--cmin", type=float, default=bench_mod.ExperimentSpec.value_range[0])
+    gen.add_argument("--cmax", type=float, default=bench_mod.ExperimentSpec.value_range[1])
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out", type=Path, default=None, help="output file (default stdout)")
     gen.add_argument("--format", choices=("text", "json"), default="text")
 
     observe = sub.add_parser("observe", help="recover the shadow matrix via the oracle")
     observe.add_argument("instance", type=Path)
-    observe.add_argument("--strategy", choices=("reconstruct", "minimal"), default="reconstruct")
+    observe.add_argument("--strategy", choices=tuple(bench_mod.OBSERVERS), default="reconstruct")
     observe.add_argument("--out", type=Path, default=None)
 
     solve = sub.add_parser("solve", help="run a solver on an instance or shadow file")
     solve.add_argument("file", type=Path)
     solve.add_argument("--algo", choices=(*bench_mod.KNOWN_ALGORITHMS, "exact"), required=True)
-    solve.add_argument("--seed", type=int, default=0)
-    solve.add_argument("--start-node", type=_start_node_arg, default=1)
-    solve.add_argument("--exchange-limit", type=int, default=600)
+    solve.add_argument("--seed", type=int, default=SolverConfig.seed)
+    solve.add_argument("--start-node", type=_start_node_arg, default=None)
+    solve.add_argument("--exchange-limit", type=int, default=SolverConfig.exchange_limit)
     solve.add_argument(
         "--mode",
         choices=("trusted", "observed"),
         default="trusted",
         help="trusted: solve on the file's matrix; observed: go through the oracle",
     )
-    solve.add_argument("--enumeration-cap", type=int, default=12)
+    solve.add_argument("--enumeration-cap", type=int, default=DEFAULT_ENUMERATION_CAP)
     solve.add_argument("--out", type=Path, default=None)
 
     graph = sub.add_parser("graph", help="dump the layered graph as a JSON edge list")
@@ -107,7 +118,7 @@ def _build_parser() -> _Parser:
     bench.add_argument("study", choices=bench_mod.STUDIES)
     bench.add_argument("--spec", type=Path, required=True)
     bench.add_argument("--out", type=Path, default=None, help="output base path")
-    bench.add_argument("--format", choices=("csv", "json", "both"), default="both")
+    bench.add_argument("--format", choices=(*_REPORT_WRITERS, "both"), default="both")
     bench.add_argument("--timings", action="store_true", help="emit real wall times")
     bench.add_argument(
         "--full", action="store_true", help="allow sizes beyond the desk-scale threshold"
@@ -138,7 +149,7 @@ def _tilde_json(instance: Instance, tilde: np.ndarray, strategy: str, observatio
         "observations": observations,
         "tilde": [[float(v) for v in row] for row in tilde],
     }
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return _json_text(payload)
 
 
 def _cmd_observe(args) -> int:
@@ -210,7 +221,7 @@ def _cmd_solve(args) -> int:
         "exchanges": result.exchanges_used,
         "observations": observations,
     }
-    _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
+    _emit(_json_text(payload), args.out)
     return 0
 
 
@@ -226,7 +237,7 @@ def _cmd_graph(args) -> int:
             for u, v, cost in graph.edges()
         ],
     }
-    _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
+    _emit(_json_text(payload), args.out)
     return 0
 
 
@@ -243,16 +254,10 @@ def _cmd_bench(args) -> int:
     base = args.out
     if base is None:
         base = Path(f"{args.study}_{time.strftime('%Y%m%d-%H%M%S')}")
-    written = []
-    if args.format in ("csv", "both"):
-        path = base.with_suffix(".csv")
-        path.write_text(report.to_csv_text(timings=args.timings))
-        written.append(path)
-    if args.format in ("json", "both"):
-        path = base.with_suffix(".json")
-        path.write_text(report.to_json_text(timings=args.timings))
-        written.append(path)
-    for path in written:
+    formats = tuple(_REPORT_WRITERS) if args.format == "both" else (args.format,)
+    for suffix in formats:
+        path = base.with_suffix(f".{suffix}")
+        path.write_text(_REPORT_WRITERS[suffix](report, timings=args.timings))
         sys.stdout.write(f"{path}\n")
     return 0
 

@@ -509,15 +509,21 @@ class Pairing:
 
     @classmethod
     def _from_canonical(cls, pairs: tuple[tuple[int, int], ...]) -> "Pairing":
-        # trusted fast path for internally generated canonical pairs, with
-        # the read-only (1, n/2) `pair_keys` row built from them unchecked
+        # trusted fast path for internally generated canonical pairs; the
+        # key row is built from them, unchecked, when `_keys` is first read
         self = object.__new__(cls)
         object.__setattr__(self, "pairs", pairs)
-        n = 2 * len(pairs)
-        keys = np.fromiter(((a - 1) * n + b - 1 for a, b in pairs), np.intp, n // 2)
-        keys.setflags(write=False)
-        object.__setattr__(self, "_keys", keys[None])
         return self
+
+    @functools.cached_property
+    def _keys(self) -> np.ndarray:
+        """The read-only (1, n/2) `pair_keys` row of the canonical pairs.
+        `__init__` stores the row its check returned; a trusted pairing
+        builds it here on first read."""
+        n = self.n
+        keys = np.fromiter(((a - 1) * n + b - 1 for a, b in self.pairs), np.intp, n // 2)
+        keys.setflags(write=False)
+        return keys[None]
 
     @property
     def n(self) -> int:
@@ -797,6 +803,12 @@ def loads_instance_text(text: str) -> Instance:
     return _instance_from_upper(n, c_min, c_max, values)
 
 
+def _json_text(value) -> str:
+    """`value` as JSON text: sorted keys, indent 2 and a final newline. Every
+    JSON file the package writes goes through here."""
+    return json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+
 def _json(text: str, what: str):
     """The JSON value in `text`, or a ValidationError "malformed <what>"."""
     try:
@@ -874,4 +886,4 @@ def instance_to_json_dict(instance: Instance) -> dict:
 
 
 def dumps_instance_json(instance: Instance) -> str:
-    return json.dumps(instance_to_json_dict(instance), sort_keys=True, indent=2) + "\n"
+    return _json_text(instance_to_json_dict(instance))

@@ -59,7 +59,7 @@ from .core import (
     quotients,
 )
 from .oracle import ObservationOracle
-from .observation import TildeMatrix, _free_entries, _kept, _mirrored, _rows
+from .observation import TildeMatrix, _free_entries, _kept, _mirrored, _rows, _rule_table
 
 
 class PlanRankError(InternalError):
@@ -268,9 +268,11 @@ class ObservationPlan:
     `_certified_rows`. `_index_arrays` is the submission order as `_kept`
     canonical (size, n/2) arrays, read-only and narrow; `pairings`, derived
     from them, and `derivations` are computed on first access.
-    `derivations` expresses every exchange-rule value of the reconstruction
-    procedure, and the anchor total, as a signed rational combination of
-    the planned observations. Plans compare and hash by `n`.
+    `derivations` expresses the anchor total, then every exchange-rule value
+    of the reconstruction in the order of its rule table
+    (`observation._rule_table`), as a signed rational combination of the
+    planned observations: rule [i,j,k,l] is (S[i,k] + S[j,l]) - (S[i,j] +
+    S[k,l]) on the recovered shadow S. Plans compare and hash by `n`.
     """
 
     n: int
@@ -299,31 +301,37 @@ class ObservationPlan:
         unit = np.zeros((self.size, self.size), object)
         np.fill_diagonal(unit, 1)
         t, scale = _recover_entries(self.n, unit)
+        shadow = t + t.transpose(1, 0, 2)  # symmetric, with a zero first row
+        rules = _rule_table(self.n)
+        i, j, k, l = rules.T
+        values = (shadow[i, k] + shadow[j, l]) - (shadow[i, j] + shadow[k, l])
 
         def combo(coefs: np.ndarray) -> tuple[tuple[Fraction, int], ...]:
             nonzero = np.flatnonzero(coefs != 0)
             return tuple(zip(quotients(coefs[nonzero], scale).tolist(), nonzero.tolist()))
 
-        out: dict[str, tuple[tuple[Fraction, int], ...]] = {
-            # the anchor pairing is scheduled first, so its total is direct
-            "anchor": ((Fraction(1), 0),),
-        }
-        for j in range(4, self.n + 1):
-            out[f"[1,{j},3,2]"] = combo(t[2, j] - t[2, 3])
-        for j in range(4, self.n + 1):
-            for i in range(3, j):
-                out[f"[1,{i},2,{j}]"] = combo(t[i, j] - t[2, j])
-        return out
+        labels = ("[{},{},{},{}]".format(*rule) for rule in rules.tolist())
+        # the anchor pairing is scheduled first, so its total is direct
+        return {"anchor": ((Fraction(1), 0),), **dict(zip(labels, map(combo, values)))}
 
 
 def _certified_rows(n: int) -> tuple[np.ndarray, np.ndarray]:
     """The `_kept` canonical 0-based (first, second) ends of a checked
     count's schedule of exactly (n-1)(n-2)/2 observations, certified.
 
-    The certification checks that the pairings are distinct and that the
-    T equations' coefficient matrix, computed in integers, is exactly I + J:
-    nonsingular, and the system the closed-form level solve inverts.
+    The certification checks that the T equations' coefficient matrix,
+    computed in integers, is exactly I + J: nonsingular, and the system the
+    closed-form level solve inverts. Only then are the rows built and the
+    pairings checked to be distinct, so the int64 sweep of that check and
+    the whole schedule's keys are never held at once.
     """
+    coefficients = _t_coefficients(n)
+    m = len(coefficients)
+    if not np.array_equal(coefficients, np.eye(m, dtype=np.int64) + 1):
+        raise PlanRankError(
+            f"observation plan for n={n}: the T equations are not the nonsingular "
+            f"I + J system the closed-form level solve inverts"
+        )
     try:
         keys = pair_keys(*_plan_rows(n), n)
     except ValidationError as exc:
@@ -334,13 +342,6 @@ def _certified_rows(n: int) -> tuple[np.ndarray, np.ndarray]:
         raise PlanRankError(
             f"plan construction for n={n} produced {len(keys)} pairings, "
             f"expected {expected} distinct"
-        )
-    coefficients = _t_coefficients(n)
-    m = len(coefficients)
-    if not np.array_equal(coefficients, np.eye(m, dtype=np.int64) + 1):
-        raise PlanRankError(
-            f"observation plan for n={n}: the T equations are not the nonsingular "
-            f"I + J system the closed-form level solve inverts"
         )
     return _kept([np.divmod(keys, n)], expected, n)
 

@@ -18,8 +18,9 @@ import numpy as np
 import pytest
 
 from pairing_tsp import bench
-from pairing_tsp.cli import main
+from pairing_tsp.cli import _build_parser, main
 from pairing_tsp.core import (
+    DEFAULT_ENUMERATION_CAP,
     Pairing,
     ValidationError,
     _read_instance,
@@ -28,7 +29,7 @@ from pairing_tsp.core import (
     quotient_sum,
     total_compatibility,
 )
-from pairing_tsp.observation import reconstruct_tilde
+from pairing_tsp.observation import observation_budget, reconstruct_tilde
 from pairing_tsp.oracle import ObservationOracle
 from pairing_tsp.solvers import SolverConfig, solve_p2opt
 from pairing_tsp.tsp_graph import GraphNode, Tour, build_graph, tour_from_pairing
@@ -76,6 +77,67 @@ class TestCommandLineTakesBenchDecisions:
         assert [line for line in err if line.startswith("error:")] == [
             "error: argument --start-node: start node must be an integer or 'random', got 'x'"
         ]
+
+
+class TestCommandLineTakesOwnersDefaults:
+    def test_strategy_choices_are_the_observers(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "inst.txt"
+        assert main(["gen", "-n", "8", "--seed", "3", "--out", str(path)]) == 0
+        assert main(["observe", str(path)]) == 0
+        reconstructed = json.loads(capsys.readouterr().out)
+        reconstruct = bench.OBSERVERS["reconstruct"]
+
+        def twice(oracle):
+            reconstruct(oracle)
+            return reconstruct(oracle)
+
+        monkeypatch.setitem(bench.OBSERVERS, "twice", twice)
+        assert main(["observe", str(path), "--strategy", "twice"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["strategy"] == "twice"
+        assert out["observations"] == 2 * observation_budget(8)
+        assert out["tilde"] == reconstructed["tilde"]
+
+    def test_unknown_strategy_lists_the_observers(self, tmp_path, capsys):
+        assert main(["observe", str(tmp_path / "inst.txt"), "--strategy", "bogus"]) == 1
+        assert f"--strategy {{{','.join(bench.OBSERVERS)}}}" in capsys.readouterr().err
+
+    def test_parser_defaults_are_their_owners(self):
+        parser = _build_parser()
+        solve = parser.parse_args(["solve", "inst.txt", "--algo", "pnn"])
+        owner = SolverConfig()
+        assert (solve.seed, solve.start_node, solve.exchange_limit) == (
+            owner.seed,
+            owner.start_node,
+            owner.exchange_limit,
+        )
+        assert solve.enumeration_cap == DEFAULT_ENUMERATION_CAP
+        gen = parser.parse_args(["gen", "-n", "8"])
+        spec = bench.ExperimentSpec(n_values=(8,), trials=1)
+        assert (gen.cmin, gen.cmax) == spec.value_range
+        assert spec.exchange_limit == owner.exchange_limit
+
+    def test_solve_follows_the_solvers_exchange_limit(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "inst.txt"
+        assert main(["gen", "-n", "12", "--seed", "4", "--out", str(path)]) == 0
+        monkeypatch.setattr(SolverConfig, "exchange_limit", 1)
+        assert main(["solve", str(path), "--algo", "pnn+p2opt"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["exchange_limit"] == 1 and out["exchanges"] <= 1
+        assert out["start_node"] == 1
+
+    @pytest.mark.parametrize("fmt", ["csv", "json", "both"])
+    def test_bench_writes_only_the_requested_formats(self, tmp_path, capsys, fmt):
+        spec = tmp_path / "spec.json"
+        spec.write_text('{"n_values": [6], "trials": 1}')
+        base = tmp_path / "report"
+        assert main(["bench", "noc", "--spec", str(spec), "--format", fmt, "--out", str(base)]) == 0
+        suffixes = ["csv", "json"] if fmt == "both" else [fmt]
+        expected = [str(base.with_suffix(f".{suffix}")) for suffix in suffixes]
+        assert capsys.readouterr().out.splitlines() == expected
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            ["spec.json", *(f"report.{suffix}" for suffix in suffixes)]
+        )
 
 
 class TestFileKinds:

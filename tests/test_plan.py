@@ -14,6 +14,7 @@ from pairing_tsp.core import (
     total_compatibility,
 )
 from pairing_tsp.observation import (
+    _rule_table,
     anchor_pairing,
     definitional_tilde,
     exchange_rule_value,
@@ -180,6 +181,46 @@ class TestDerivations:
         expected.update(f"[1,{i},2,{j}]" for j in range(4, n + 1) for i in range(3, j))
         assert labels == expected
         assert len(labels) == plan_size(n)
+
+    @pytest.mark.parametrize("n", range(4, 15, 2))
+    def test_labels_are_the_reconstructions_rule_table_in_order(self, n):
+        rules = ["[{},{},{},{}]".format(*rule) for rule in _rule_table(n).tolist()]
+        assert list(minimal_observation_plan(n).derivations) == ["anchor", *rules]
+
+
+def _pair_keys_of(pairing: Pairing) -> np.ndarray:
+    ends = np.array(pairing.pairs)
+    return pair_keys(ends[None, :, 0], ends[None, :, 1], pairing.n, first=1)
+
+
+class TestTrustedPairingKeys:
+    """A pairing built on the trusted path makes its key row on first read."""
+
+    def test_plan_pairings_leave_their_keys_unbuilt(self):
+        pairings = minimal_observation_plan(12).pairings
+        assert not any("_keys" in vars(pairing) for pairing in pairings)
+
+    def test_checked_pairing_keeps_the_row_its_check_returned(self):
+        assert "_keys" in vars(Pairing([(3, 4), (1, 2)]))
+
+    def test_keys_read_later_are_the_checked_rows(self):
+        from pairing_tsp.solvers import SolverConfig, solve_p2opt, solve_pnn
+
+        inst = make_instance(10, seed=3)
+        constructed = solve_pnn(inst.c, SolverConfig(seed=1))
+        trusted = {
+            "anchor": [anchor_pairing(10)],
+            "enumerated": list(enumerate_pairings(6)),
+            "pnn": [constructed.pairing],
+            "p2opt": [solve_p2opt(inst.c, constructed.pairing, SolverConfig(seed=1)).pairing],
+            "plan": list(minimal_observation_plan(10).pairings),
+        }
+        for source, pairings in trusted.items():
+            for pairing in pairings:
+                keys = pairing._keys
+                assert keys.shape == (1, pairing.n // 2) and keys.dtype == np.intp, source
+                assert not keys.flags.writeable, source
+                assert np.array_equal(keys, _pair_keys_of(pairing)), source
 
 
 def test_recovery_rejects_wrong_observation_count():
