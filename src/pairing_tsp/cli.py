@@ -280,14 +280,11 @@ def main(argv: Optional[list[str]] = None) -> int:
         exc.parser.print_usage(sys.stderr)
         sys.stderr.write(f"error: {exc}\n")
         return 1
-    except ValidationError as exc:
+    except (ValidationError, OSError) as exc:  # bad input, or a missing or unreadable path
         sys.stderr.write(f"error: {exc}\n")
         return 1
     except SystemExit as exc:  # argparse --help
         return int(exc.code or 0)
-    except OSError as exc:  # a missing or unreadable path
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
     except InternalError as exc:
         sys.stderr.write(f"internal error: {exc}\n")
         return 2

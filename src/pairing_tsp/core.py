@@ -874,9 +874,7 @@ def dumps_instance_text(instance: Instance) -> str:
 
 def instance_to_json_dict(instance: Instance) -> dict:
     checked_type(instance, Instance, "instance must be")
-    upper: list[float] = []
-    for i in range(instance.n):
-        upper.extend(float(v) for v in instance.c[i, i + 1 :])
+    upper = [float(v) for v in instance.c[np.triu_indices(instance.n, k=1)]]
     return {
         "n": instance.n,
         "c_min": float(instance.c_min),

@@ -34,8 +34,8 @@ on every call. The oracle still checks every row it is given.
 `_kept` is the one form a kept schedule takes, for both strategies: two
 read-only (count, N/2) arrays of the narrowest unsigned dtype that holds
 N - 1 (uint8 up to N = 256, uint16 beyond), filled block by block. The
-kept reconstruction schedule and every minimal plan's rows, built level by
-level through `_rows`, are held in it.
+kept reconstruction schedule and every minimal plan's rows, each row one
+side of an exchange rule built through `_rows`, are held in it.
 """
 
 from __future__ import annotations
@@ -220,6 +220,9 @@ def _rule_table(n: int) -> np.ndarray:
 
 #: The columns of a rule [i,j,k,l] that give, in `_rows` layout, the ends of
 #: its `after` pairing {i,k},{j,l} and then those of its `before` {i,j},{k,l}.
+#: Both schedules read it: every row either strategy submits is one side of
+#: a rule, the reconstruction's from `_rule_table` and the plan's from
+#: `plan._plan_blocks`.
 _AFTER_BEFORE = np.array([[0, 2, 1, 3], [0, 1, 2, 3]])
 
 #: Pair ends (rows and cols together) that one `_rows` block of the

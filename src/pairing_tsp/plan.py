@@ -1,13 +1,21 @@
 """Minimum-size observation schedules and their execution.
 
 (N-1)(N-2)/2 well-chosen pairings suffice to pin down the shadow matrix, and
-no smaller schedule can. The schedule built here is inductive: the three
-pairings of {1..4} seed the base, and each level l = 6, 8, ..., N adds, on
-top of an ascending-adjacent tail of higher pairs,
+no smaller schedule can. Each planned pairing is one side of an exchange
+rule [i,j,k,l] (see `observation`), completed by the ascending pairing of
+the other elements: the anchor {1,2},{3,4},...,{N-1,N}; the after sides of
+the m + 2 rules whose before side is the anchor, [1,2,3,4], [1,2,4,3] and
+[3,4,l-1,l] for each of the m levels l = 6, 8, ..., N; and both sides of
+every rule [1,l,l-1,a], a = 2..l-2. That is 3 + sum over the levels of
+2(l-3) + 1, (N-1)(N-2)/2 pairings in all. The schedule is inductive: the
+three pairings of {1..4} seed the base, and each level l adds
 
-    Y_a = {1,l}, {a,l-1} plus the ascending completion of {2..l-2} minus a,
-    Z_a = {1,l-1}, {a,l} plus the same completion,
-    T   = {1,2}, {3,l-1}, {4,l} plus the ascending completion of {5..l-2}.
+    Y_a = {1,l}, {l-1,a}, the before side of [1,l,l-1,a],
+    Z_a = {1,l-1}, {l,a}, its after side,
+    T   = {3,l-1}, {4,l}, the after side of [3,4,l-1,l],
+
+where the completion pairs {2..l-2} minus a (for T, {1,2} and then
+{5..l-2}) ascending, on top of an ascending-adjacent tail of higher pairs.
 
 Every shadow entry except the per-level unknowns u_l (the (l-1, l) entries)
 is owned by exactly one Y or Z observation, and a Y/Z row refers only to
@@ -17,10 +25,10 @@ entry. The completion of {2..l-2} minus a is a prefix of the even-start pairs
 odd-start pairs (3,4), (5,6), ..., whose entries past (3,4) are u_l. Only
 the prefixes and bridges depend on lower levels, through each level's last
 Y and Z entries, so after a short recurrence over those the sweep resolves
-every level at once. Y_a and Z_a are the `before` and `after` pairings of
-exchange rule [1, l, l-1, a]. Every row is built as index arrays by
-`observation._rows`, the reconstruction's own builder: fixed pairs plus the
-ascending completion, level by level (`_plan_blocks`), each block copied
+every level at once. Every row is built as index arrays by
+`observation._rows` from rule sides that `observation._AFTER_BEFORE` picks,
+as the reconstruction builds its own: the base as one row of three
+variants, then one rule table per level (`_plan_blocks`), each block copied
 into `observation._kept`, the one kept form of both schedules, as it is
 built. `core.pair_keys` checks and orders the rows once, and the plan keeps
 only the canonical rows, `_kept` again: uint8 up to N = 256, uint16 beyond.
@@ -59,7 +67,8 @@ from .core import (
     quotients,
 )
 from .oracle import ObservationOracle
-from .observation import TildeMatrix, _free_entries, _kept, _mirrored, _rows, _rule_table
+from .observation import (TildeMatrix, _AFTER_BEFORE, _free_entries, _kept, _mirrored, _rows,
+                          _rule_table)
 
 
 class PlanRankError(InternalError):
@@ -75,20 +84,20 @@ def plan_size(n: int) -> int:
 
 def _plan_blocks(n: int):
     """0-based (rows, cols) blocks of the planned pairings from `_rows`, in
-    order: the base rows, then each level's Y rows, Z rows and T row. A
-    level's Y_a and Z_a share a completion, so they are built as two
-    variants of one row per a and handed on as every Y, then every Z."""
-    yield _rows(n, np.array([[[0, 1]]]))
-    yield _rows(n, np.array([[[0, 2, 1, 3], [0, 3, 1, 2]]]))
-    for top in range(5, n, 2):  # level l = top + 1
-        yz = np.empty((top - 2, 2, 4), dtype=np.intp)
-        yz[:, :, 0], yz[:, :, 2] = 0, np.arange(1, top - 1)[:, None]
-        yz[:, 0, 1] = yz[:, 1, 3] = top  # Y_a = {1,l}, {a,l-1}
-        yz[:, 0, 3] = yz[:, 1, 1] = top - 1  # Z_a = {1,l-1}, {a,l}
-        rows, cols = _rows(n, yz)
-        yield rows[0::2], cols[0::2]
-        yield rows[1::2], cols[1::2]
-        yield _rows(n, np.array([[[0, 1, 2, top - 1, 3, top]]]))  # T
+    order, each row one side of an exchange rule: the base, then each
+    level's Y rows, Z rows and T row. The base is one row of three variants
+    of {1..4}: the before side of [1,2,3,4] (the anchor), its after side and
+    the after side of [1,2,4,3]. Level l is one table of the rules
+    [1,l,l-1,a], a = 2..l-2, then [3,4,l-1,l]: Y_a and Z_a are the before
+    and after sides of [1,l,l-1,a], and T is the after side of the last,
+    whose before side, the anchor, is dropped."""
+    base = np.array([[1, 2, 3, 4], [1, 2, 4, 3]])[:, _AFTER_BEFORE] - 1
+    yield _rows(n, base[[0, 0, 1], [1, 0, 0]][None])  # the anchor, then two after sides
+    for l in range(6, n + 1, 2):
+        rules = np.column_stack(np.broadcast_arrays(1, l, l - 1, np.arange(2, l - 1)))
+        rows, cols = _rows(n, np.vstack([rules, [3, 4, l - 1, l]])[:, _AFTER_BEFORE] - 1)
+        yield rows[1:-1:2], cols[1:-1:2]  # the before sides but the last: Y_a
+        yield rows[0::2], cols[0::2]  # the after sides: Z_a, then T
 
 
 def _plan_rows(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -291,8 +300,11 @@ class ObservationPlan:
     def pairings(self) -> tuple[Pairing, ...]:
         # widened first: in uint8, element index 255 plus 1 would wrap to 0
         first, second = (ends.astype(np.intp) + 1 for ends in self._index_arrays)
-        pairs = zip(first.tolist(), second.tolist())
-        return tuple(Pairing._from_canonical(tuple(zip(a, b))) for a, b in pairs)
+        shared = {}  # one tuple per distinct pair, held by every pairing that has it
+        return tuple(
+            Pairing._from_canonical(tuple(shared.setdefault(p, p) for p in zip(a, b)))
+            for a, b in zip(first.tolist(), second.tolist())
+        )
 
     @cached_property
     def derivations(self) -> dict[str, tuple[tuple[Fraction, int], ...]]:

@@ -1,7 +1,7 @@
 import hashlib
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 import pytest
@@ -545,3 +545,54 @@ class TestKeptPlanRows:
         # is the largest uint8, and 256 would wrap to 0 unwidened
         last = kept_plan(256).pairings[-1]
         assert (3, 255) in last.pairs and (4, 256) in last.pairs
+
+
+def rule_side(n: int, rule, side: str) -> list[tuple[int, int]]:
+    """The canonical pairs of the `before` ({i,j},{k,l}) or `after`
+    ({i,k},{j,l}) side of the 1-based rule [i,j,k,l], completed by pairing
+    the other elements ascending."""
+    i, j, k, l = rule
+    fixed = [(i, j), (k, l)] if side == "before" else [(i, k), (j, l)]
+    rest = list(range(1, n + 1))
+    for e in sorted(rule, reverse=True):
+        del rest[e - 1]
+    return sorted([tuple(sorted(p)) for p in fixed] + list(zip(rest[0::2], rest[1::2])))
+
+
+class TestRuleSides:
+    """Every planned pairing is one side of an exchange rule."""
+
+    @pytest.mark.parametrize("n", [4, 6, 12, 30, 258])
+    def test_each_row_is_its_rule_side(self, n):
+        import pairing_tsp.plan as plan_mod
+
+        anchor = sorted(anchor_pairing(n).pairs)
+        expected = [anchor, rule_side(n, [1, 2, 3, 4], "after"), rule_side(n, [1, 2, 4, 3], "after")]
+        for l in range(6, n + 1, 2):
+            rules = [[1, l, l - 1, a] for a in range(2, l - 1)]
+            expected += [rule_side(n, rule, "before") for rule in rules]
+            expected += [rule_side(n, rule, "after") for rule in rules]
+            expected.append(rule_side(n, [3, 4, l - 1, l], "after"))
+            assert rule_side(n, [3, 4, l - 1, l], "before") == anchor
+        assert rule_side(n, [1, 2, 3, 4], "before") == anchor
+        lo, hi = np.divmod(pair_keys(*plan_mod._plan_rows(n), n), n)
+        ends = np.fromiter(chain.from_iterable(chain.from_iterable(expected)), np.intp)
+        assert np.array_equal(np.stack([lo + 1, hi + 1], axis=-1), ends.reshape(lo.shape + (2,)))
+
+    def test_every_build_call_fixes_two_pairs(self, monkeypatch):
+        import pairing_tsp.plan as plan_mod
+
+        widths = []
+
+        def spy(n, fixed):
+            widths.append(fixed.shape[-1])
+            return build_rows(n, fixed)
+
+        build_rows = plan_mod._rows
+        monkeypatch.setattr(plan_mod, "_rows", spy)
+        ObservationPlan(12)
+        assert len(widths) == 1 + len(range(6, 13, 2)) and set(widths) == {4}
+
+    def test_pairings_share_one_tuple_per_distinct_pair(self):
+        pairs = [pair for pairing in ObservationPlan(12).pairings for pair in pairing.pairs]
+        assert len({id(pair) for pair in pairs}) == len(set(pairs)) < len(pairs)
